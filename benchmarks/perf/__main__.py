@@ -39,6 +39,11 @@ from repro.nn.spec import LayerGeometry  # noqa: E402
 from repro.nn.stages import StagedNetworkBuilder  # noqa: E402
 from repro.nn.zoo import build_alexnet, build_lenet, build_model  # noqa: E402
 from repro.parallel import WorkerPool, get_pool  # noqa: E402
+from repro.reference import (  # noqa: E402
+    decode_reference,
+    power_reference,
+    synthesize_reference,
+)
 
 from .golden import (  # noqa: E402
     GOLDEN_DATAFLOW_SHA256,
@@ -261,10 +266,12 @@ def bench_throughput(workers: int, quick: bool, scale: str) -> dict:
     """Events/second of pure trace synthesis, reference vs vectorised.
 
     ``replay`` re-synthesizes the last run's trace without a forward
-    pass, so this isolates the span-emission hot path.  Both engines
-    must produce bit-identical streams (and LeNet must match the pinned
-    golden digest); the vectorised engine must clear the 3x bar on at
-    least one net.  Timings are medians over interleaved repetitions so
+    pass, so this isolates the span-emission hot path; the reference
+    arm re-synthesizes the same run through the per-tile oracle
+    (:func:`repro.reference.synthesize_reference`).  Both must produce
+    bit-identical streams (and LeNet must match the pinned golden
+    digest); the vectorised path must clear the 3x bar on at least one
+    net.  Timings are medians over interleaved repetitions so
     host noise hits both arms alike.  This is a single-process bench —
     no single-CPU skip applies.
     """
@@ -278,15 +285,10 @@ def bench_throughput(workers: int, quick: bool, scale: str) -> dict:
     best_speedup = 0.0
     for name, make in nets:
         staged = make()
-        ref = AcceleratorSim(
-            staged, AcceleratorConfig(trace_synthesis="reference")
-        )
-        vec = AcceleratorSim(
-            staged, AcceleratorConfig(trace_synthesis="vectorised")
-        )
+        vec = AcceleratorSim(staged)
         x = np.zeros((1, *staged.network.input_shape))
-        ref_digest = span_stream_digest(ref.run(x).trace)
         vec_digest = span_stream_digest(vec.run(x).trace)
+        ref_digest = span_stream_digest(synthesize_reference(vec).trace)
         identical = identical and ref_digest == vec_digest
         if name == "lenet":
             golden_match = vec_digest == GOLDEN_LENET_SHA256
@@ -294,7 +296,9 @@ def bench_throughput(workers: int, quick: bool, scale: str) -> dict:
         vec.replay(stats)
         ref_walls, vec_walls = [], []
         for _ in range(reps):
-            ref_walls.append(_timed(lambda: ref.replay(StatsSink()))[0])
+            ref_walls.append(
+                _timed(lambda: synthesize_reference(vec, StatsSink()))[0]
+            )
             vec_walls.append(_timed(lambda: vec.replay(StatsSink()))[0])
         ref_med = statistics.median(ref_walls)
         vec_med = statistics.median(vec_walls)
@@ -329,9 +333,10 @@ def bench_decode(workers: int, quick: bool, scale: str) -> dict:
 
     Materialises one AlexNet trace (the scale the 100x synthesis/decode
     gap was measured at), then streams it in decode-sized chunks through
-    :class:`StreamingTraceAnalyzer` under both engines.  The analyses
-    must be bit-identical — the vectorised engine's only licence to
-    exist — and the vectorised engine must clear the 5x bar.  Timings
+    :class:`StreamingTraceAnalyzer`; the reference arm decodes the
+    whole trace with :func:`repro.reference.decode_reference`.  The
+    analyses must be bit-identical — the vectorised decoders' only
+    licence to exist — and the vectorised arm must clear the 5x bar.  Timings
     are medians over interleaved repetitions so host noise hits both
     arms alike.  Single-process bench — no single-CPU skip applies.
     """
@@ -345,10 +350,10 @@ def bench_decode(workers: int, quick: bool, scale: str) -> dict:
     ).observe_structure(seed=0)
     t = obs.trace
 
-    def run(engine):
+    def run():
         analyzer = StreamingTraceAnalyzer(
             obs.input_shape, obs.element_bytes, obs.block_bytes,
-            dataflow="output-stationary", engine=engine,
+            dataflow="output-stationary",
         )
         for s in range(0, len(t), chunk):
             analyzer.feed(
@@ -360,10 +365,10 @@ def bench_decode(workers: int, quick: bool, scale: str) -> dict:
 
     ref_walls, vec_walls, analyses = [], [], []
     for _ in range(reps):
-        wall, out = _timed(lambda: run("reference"))
+        wall, out = _timed(lambda: decode_reference(obs)[1])
         ref_walls.append(wall)
         analyses.append(out)
-        wall, out = _timed(lambda: run("vectorised"))
+        wall, out = _timed(run)
         vec_walls.append(wall)
         analyses.append(out)
     identical = all(a == analyses[0] for a in analyses[1:])
@@ -393,12 +398,14 @@ def bench_power(workers: int, quick: bool, scale: str) -> dict:
     """Power samples/second through PowerSink, reference vs vectorised.
 
     Replays materialised span streams through a fresh
-    :class:`~repro.power.PowerSink` under both energy engines — the
-    SWAR-vectorised :meth:`event_energy` and the per-event scalar
-    oracle — without a forward pass, so this isolates the power
-    accumulation hot path.  The two engines must produce bit-identical
-    traces (and LeNet must match the pinned golden power digest); the
-    vectorised engine must clear the 3x bar on at least one net.
+    :class:`~repro.power.PowerSink` (the SWAR-vectorised
+    :meth:`~repro.power.PowerModel.event_energy`) without a forward
+    pass, so this isolates the power accumulation hot path; the
+    reference arm runs the per-event scalar oracle
+    (:func:`repro.reference.power_reference`) over the materialised
+    trace.  Both must produce bit-identical traces (and LeNet must
+    match the pinned golden power digest); the vectorised arm must
+    clear the 3x bar on at least one net.
     Timings are medians over interleaved repetitions.  Single-process
     bench — no single-CPU skip applies.
     """
@@ -418,16 +425,20 @@ def bench_power(workers: int, quick: bool, scale: str) -> dict:
         staged = make()
         sim = AcceleratorSim(staged)
         x = np.zeros((1, *staged.network.input_shape))
-        sim.run(x)
+        t = sim.run(x).trace
 
-        def run(engine):
-            sink = PowerSink(sim.config.timing, engine=engine)
+        def run():
+            sink = PowerSink(sim.config.timing)
             sim.replay(sink)
             return sink
 
-        vec = run("vectorised")
-        ref = run("reference")
-        vec_trace, ref_trace = vec.trace(), ref.trace()
+        def run_reference():
+            return power_reference(
+                t.cycles, t.addresses, t.is_write, sim.config.timing
+            )
+
+        vec = run()
+        vec_trace, ref_trace = vec.trace(), run_reference()
         identical = identical and (
             vec_trace.quantum == ref_trace.quantum
             and np.array_equal(vec_trace.samples, ref_trace.samples)
@@ -436,8 +447,8 @@ def bench_power(workers: int, quick: bool, scale: str) -> dict:
             golden_match = vec_trace.digest() == GOLDEN_LENET_POWER_SHA256
         ref_walls, vec_walls = [], []
         for _ in range(reps):
-            ref_walls.append(_timed(lambda: run("reference"))[0])
-            vec_walls.append(_timed(lambda: run("vectorised"))[0])
+            ref_walls.append(_timed(run_reference)[0])
+            vec_walls.append(_timed(run)[0])
         ref_med = statistics.median(ref_walls)
         vec_med = statistics.median(vec_walls)
         speedup = ref_med / vec_med if vec_med else 0.0

@@ -84,18 +84,22 @@ def golden_model(name: str):
     return build_model(name, width_scale=0.25, num_classes=100)
 
 
-def model_span_digest(
-    name: str, dataflow: str, trace_synthesis: str = "vectorised"
-) -> str:
-    """Digest of one inference of a golden victim under ``dataflow``."""
+def model_span_digest(name: str, dataflow: str, reference: bool = False) -> str:
+    """Digest of one inference of a golden victim under ``dataflow``.
+
+    ``reference`` re-synthesizes the same run through the per-tile
+    oracle (:func:`repro.reference.synthesize_reference`).
+    """
     from repro.accel import AcceleratorConfig, AcceleratorSim
+    from repro.reference import synthesize_reference
 
     sim = AcceleratorSim(
-        golden_model(name),
-        AcceleratorConfig(trace_synthesis=trace_synthesis, dataflow=dataflow),
+        golden_model(name), AcceleratorConfig(dataflow=dataflow)
     )
-    x = np.zeros((1, *sim.staged.network.input_shape))
-    return span_stream_digest(sim.run(x).trace)
+    result = sim.run(np.zeros((1, *sim.staged.network.input_shape)))
+    if reference:
+        result = synthesize_reference(sim)
+    return span_stream_digest(result.trace)
 
 
 def span_stream_digest(trace) -> str:
@@ -107,35 +111,37 @@ def span_stream_digest(trace) -> str:
     return h.hexdigest()
 
 
-def lenet_power_digest(engine: str = "vectorised") -> str:
+def lenet_power_digest(reference: bool = False) -> str:
     """Digest of one clean LeNet inference's power-proxy trace.
 
     Like :func:`lenet_span_digest`, a zero image keeps the fingerprint
     free of any RNG dependency: the un-pruned trace (and therefore the
     proxy derived from it) depends only on geometry and layout.
+    ``reference`` computes the proxy with the per-event oracle
+    (:func:`repro.reference.power_reference`) instead of a
+    :class:`~repro.power.PowerSink`.
     """
     from repro.accel import AcceleratorSim
     from repro.nn.zoo import build_lenet
     from repro.power import PowerSink
+    from repro.reference import power_reference
 
     sim = AcceleratorSim(build_lenet())
     x = np.zeros((1, *sim.staged.network.input_shape))
-    sink = PowerSink(sim.config.timing, engine=engine)
+    if reference:
+        t = sim.run(x).trace
+        return power_reference(
+            t.cycles, t.addresses, t.is_write, sim.config.timing
+        ).digest()
+    sink = PowerSink(sim.config.timing)
     sim.run(x, sink)
     return sink.trace().digest()
 
 
-def lenet_span_digest(trace_synthesis: str = "vectorised") -> str:
+def lenet_span_digest(reference: bool = False) -> str:
     """Digest of one LeNet inference under the default config.
 
     Input values are irrelevant to the un-pruned, jitter-free trace,
     so a zero image keeps the fingerprint free of any RNG dependency.
     """
-    from repro.accel import AcceleratorConfig, AcceleratorSim
-    from repro.nn.zoo import build_lenet
-
-    sim = AcceleratorSim(
-        build_lenet(), AcceleratorConfig(trace_synthesis=trace_synthesis)
-    )
-    x = np.zeros((1, *sim.staged.network.input_shape))
-    return span_stream_digest(sim.run(x).trace)
+    return model_span_digest("lenet", "output-stationary", reference)

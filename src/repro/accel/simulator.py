@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.accel.dataflow import (
     Dataflow,
     assign_write_blocks,
@@ -72,31 +72,15 @@ class AcceleratorConfig:
     :class:`~repro.accel.dataflow.Dataflow` instance is accepted and
     normalised to its name, keeping the config hashable and printable
     — the repr always names the strategy explicitly.
-
-    ``trace_synthesis`` selects how per-stage trace spans are produced:
-    ``"vectorised"`` (default) assembles each stage's read burst as
-    whole-array numpy arithmetic — one span per stage phase — while
-    ``"reference"`` keeps the original per-tile loop emitting one span
-    per tile.  The two produce **bit-identical flattened event
-    streams** (cycles, addresses, flags — asserted in tests for LeNet,
-    AlexNet and SqueezeNet, under every dataflow, with and without
-    channel noise); only span chunking differs, which every sink in
-    the pipeline is contractually invariant to.
     """
 
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     buffers: BufferConfig = field(default_factory=BufferConfig)
     timing: TimingModel = field(default_factory=TimingModel)
     pruning: PruningConfig = field(default_factory=PruningConfig)
-    trace_synthesis: str = "vectorised"
     dataflow: str = "output-stationary"
 
     def __post_init__(self) -> None:
-        if self.trace_synthesis not in ("vectorised", "reference"):
-            raise ConfigError(
-                f"unknown trace_synthesis {self.trace_synthesis!r}; "
-                "expected 'vectorised' or 'reference'"
-            )
         # Accept a strategy instance; store its registry name so the
         # frozen config stays hashable.  Unknown names raise here.
         object.__setattr__(
@@ -145,26 +129,9 @@ class SimulationResult:
         raise SimulationError(f"no stage window named {name!r}")
 
 
-def _blocks_for_element_ranges(
-    region: MemoryRegion, starts: list[int], ends: list[int]
-) -> np.ndarray:
-    """Block addresses covering element ranges [start, end) of a region."""
-    mem = region.config
-    spans = []
-    for e0, e1 in zip(starts, ends):
-        if e1 <= e0:
-            continue
-        b0 = region.base + (e0 * mem.element_bytes // mem.block_bytes) * mem.block_bytes
-        b1 = region.base + -(-(e1 * mem.element_bytes) // mem.block_bytes) * mem.block_bytes
-        spans.append(np.arange(b0, b1, mem.block_bytes, dtype=np.int64))
-    if not spans:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(spans)
-
-
 @dataclass
 class _StageReadPlan:
-    """Run-invariant read schedule of one stage (vectorised path).
+    """Run-invariant read schedule of one stage.
 
     Tile geometry, block addresses and unjittered durations depend only
     on the network geometry and the accelerator config — both frozen at
@@ -190,12 +157,11 @@ class _StageReadPlan:
 def _ranged_blocks(
     region: MemoryRegion, e0: np.ndarray, e1: np.ndarray
 ) -> np.ndarray:
-    """Vectorised :func:`_blocks_for_element_ranges` over parallel arrays.
+    """Block addresses covering element ranges ``[e0, e1)`` of a region.
 
-    Same addresses in the same order, but built as one 2-D broadcast
-    over (range, block-within-range) — ragged-extracted when block
-    alignment makes per-range counts vary — instead of a python loop
-    of small ``arange`` calls per range.
+    One 2-D broadcast over (range, block-within-range) —
+    ragged-extracted when block alignment makes per-range counts vary —
+    instead of a python loop of small ``arange`` calls per range.
     """
     mem = region.config
     eb, bb = mem.element_bytes, mem.block_bytes
@@ -474,32 +440,16 @@ class AcceleratorSim:
             )
 
         tiles, segments = self._stage_tiles(stage)
-        vectorised = self.config.trace_synthesis == "vectorised"
+        emit = (
+            self._emit_conv_segment
+            if stage.kind == "conv"
+            else self._emit_fc_segment
+        )
         for si, (t0, t1) in enumerate(segments):
-            if stage.kind == "conv":
-                if vectorised:
-                    key = (stage.name, si)
-                    if key not in self._read_plans:
-                        self._read_plans[key] = self._build_conv_read_plan(
-                            stage, tiles[t0:t1], prefetch
-                        )
-                    cycle = self._emit_plan(
-                        self._read_plans[key], builder, cycle
-                    )
-                else:
-                    cycle = self._emit_conv_segment_reference(
-                        stage, tiles[t0:t1], builder, cycle, prefetch
-                    )
-            else:
-                if vectorised:
-                    cycle = self._emit_fc_segment_vectorised(
-                        stage, si, t0, t1, tiles, builder, cycle, layouts,
-                        pruned_input, prefetch,
-                    )
-                else:
-                    cycle = self._emit_fc_segment_reference(
-                        stage, tiles[t0:t1], builder, cycle, layouts, prefetch
-                    )
+            cycle = emit(
+                stage, si, t0, t1, tiles, builder, cycle, layouts,
+                pruned_input, prefetch,
+            )
             if len(bursts[si]):
                 cycle = builder.add_span(
                     cycle, bursts[si], WRITE, timing.cycles_per_block
@@ -518,52 +468,24 @@ class AcceleratorSim:
             return np.empty(0, dtype=np.int64)
         return spans[0] if len(spans) == 1 else np.concatenate(spans)
 
-    def _emit_conv_segment_reference(
-        self,
-        stage: Stage,
-        tiles: list[ConvTile],
-        builder: TraceBuilder,
-        cycle: int,
-        skip_ifm: bool,
+    def _emit_conv_segment(
+        self, stage: Stage, si: int, t0: int, t1: int, tiles: list[ConvTile],
+        builder: TraceBuilder, cycle: int, layouts, pruned_input, prefetch,
     ) -> int:
-        geom = stage.geometry
-        assert isinstance(geom, LayerGeometry)
-        in_region = self.ofm_region(stage.input_stages[0])
-        w_region = self.region(f"{stage.name}.weights")
-        timing = self.config.timing
-
-        h = geom.w_ifm
-        plane = h * h
-        per_filter = geom.f_conv * geom.f_conv * geom.d_ifm
-        for tile in tiles:
-            weights = None
-            if tile.fetch_weights:
-                weights = _blocks_for_element_ranges(
-                    w_region,
-                    [tile.oc_start * per_filter],
-                    [tile.oc_end * per_filter],
-                )
-            ifm = None
-            if tile.fetch_ifm and not skip_ifm:
-                starts = [
-                    c * plane + tile.ifm_row_start * h for c in range(geom.d_ifm)
-                ]
-                ends = [c * plane + tile.ifm_row_end * h for c in range(geom.d_ifm)]
-                ifm = _blocks_for_element_ranges(in_region, starts, ends)
-            addrs = self._ordered_tile_addrs(weights, ifm)
-            tile_dur = self._jittered(timing.tile_cycles(tile.macs, len(addrs)))
-            spacing = max(1, tile_dur // max(1, len(addrs)))
-            end = builder.add_span(cycle, addrs, READ, spacing)
-            cycle = max(cycle + tile_dur, end)
-        return cycle
+        """One conv segment (tiles ``t0:t1``) from its cached plan."""
+        key = (stage.name, si)
+        if key not in self._read_plans:
+            self._read_plans[key] = self._build_conv_read_plan(
+                stage, tiles[t0:t1], prefetch
+            )
+        return self._emit_plan(self._read_plans[key], builder, cycle)
 
     def _build_conv_read_plan(
         self, stage: Stage, tiles: list[ConvTile], skip_ifm: bool
     ) -> _StageReadPlan:
         """One conv segment's per-tile read addresses, assembled once.
 
-        Each band's IFM fetch (``d_ifm`` block ranges — a python loop
-        of small ``arange`` calls in the reference, the profiled hot
+        Each band's IFM fetch (``d_ifm`` block ranges, the profiled hot
         spot on deep nets) assembles via :func:`_ranged_blocks`; each
         weight fetch is a single ``arange``.  With a pruned input the
         tiles carry weights only (the IFM arrives via the per-run
@@ -607,7 +529,7 @@ class AcceleratorSim:
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Back-to-back tile start cycles and event spacings.
 
-        Scalar recurrence being vectorised (per reference tile):
+        Scalar recurrence being vectorised (per tile):
         ``spacing = max(1, dur // max(1, n))`` then
         ``cycle = max(cycle + dur, cycle + n * spacing)`` — the next
         tile starts after whichever runs longer, the tile's duration or
@@ -642,8 +564,8 @@ class AcceleratorSim:
         ``standard_normal(n)`` consumes the generator stream exactly as
         n successive scalar draws do (verified in tests), and numpy's
         round-half-even matches python's ``round`` — so this produces
-        the same jittered durations, in the same draw order, as the
-        reference path's per-tile calls.
+        the same jittered durations, in the same draw order, as
+        per-tile calls.
         """
         jitter = self.config.timing.jitter
         if jitter == 0.0:
@@ -652,38 +574,7 @@ class AcceleratorSim:
         factors = 1.0 + jitter * np.abs(draws)
         return np.maximum(1, np.round(cycles * factors)).astype(np.int64)
 
-    def _emit_fc_segment_reference(
-        self,
-        stage: Stage,
-        tiles: list[FCTile],
-        builder: TraceBuilder,
-        cycle: int,
-        layouts: dict[str, PrunedLayout | None],
-        skip_ifm: bool,
-    ) -> int:
-        geom = stage.geometry
-        assert isinstance(geom, FCGeometry)
-        source = stage.input_stages[0]
-        w_region = self.region(f"{stage.name}.weights")
-        timing = self.config.timing
-
-        for tile in tiles:
-            weights = _blocks_for_element_ranges(
-                w_region,
-                [tile.out_start * geom.in_features],
-                [tile.out_end * geom.in_features],
-            )
-            ifm = None
-            if tile.fetch_ifm and not skip_ifm:
-                ifm = self._input_read_blocks(source, layouts)
-            addrs = self._ordered_tile_addrs(weights, ifm)
-            tile_dur = self._jittered(timing.tile_cycles(tile.macs, len(addrs)))
-            spacing = max(1, tile_dur // max(1, len(addrs)))
-            end = builder.add_span(cycle, addrs, READ, spacing)
-            cycle = max(cycle + tile_dur, end)
-        return cycle
-
-    def _emit_fc_segment_vectorised(
+    def _emit_fc_segment(
         self,
         stage: Stage,
         si: int,
@@ -698,7 +589,6 @@ class AcceleratorSim:
     ) -> int:
         """One FC segment from its cached :class:`_StageReadPlan`.
 
-        Identical event stream to :meth:`_emit_fc_segment_reference`.
         With a dense input every tile — including any that prepend the
         whole-IFM fetch — is run-invariant and the segment replays from
         the plan.  A pruned input either arrived via the stage-start
@@ -824,7 +714,7 @@ class AcceleratorSim:
         Jitter disabled: the whole relative cycle ramp is cached, so
         emission is one vector add.  Jitter enabled: durations re-draw
         from the run's jitter stream — in tile order, stream-equivalent
-        to the reference's per-tile scalar draws — and the ramp builds
+        to per-tile scalar draws — and the ramp builds
         as a ``(tiles, max_blocks)`` broadcast grid, ragged-extracted
         when block alignment makes per-tile counts vary.
         """

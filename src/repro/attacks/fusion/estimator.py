@@ -110,7 +110,6 @@ class FusedBoundaryRecovery:
         confirm_tol: int | None = None,
         seed: int = 0,
         dataflow: str = "output-stationary",
-        engine: str = "vectorised",
         power: PowerModel | None = None,
         stage_overhead: int | None = None,
         augment_unmatched: bool = False,
@@ -133,7 +132,6 @@ class FusedBoundaryRecovery:
         self.quorum = quorum if quorum is not None else runs // 2 + 1
         self.tol = max(1, window // 4) if tol is None else tol
         self.seed = seed
-        self.engine = engine
         self.power = power if power is not None else PowerModel()
         # The per-stage overhead is a public (datasheet) timing figure,
         # same threat-model footing as the channel's latency window.
@@ -208,7 +206,6 @@ class FusedBoundaryRecovery:
             expiry=self.expiry,
             refractory=self.refractory,
             producer_refractory=self.producer_refractory,
-            engine=self.engine,
         )
         # One inference, two channels: the session tees the span stream
         # into the power probe (pre-bus, noise of its own) and the
@@ -290,7 +287,6 @@ def fuse_boundaries(
     confirm_tol: int | None = None,
     seed: int = 0,
     dataflow: str = "output-stationary",
-    engine: str = "vectorised",
     power: PowerModel | None = None,
     stage_overhead: int | None = None,
     augment_unmatched: bool = False,
@@ -325,7 +321,6 @@ def fuse_boundaries(
         seed: seed of the generic observation input.
         dataflow: the victim's (identified) dataflow, forwarded to the
             RAW tracker's producer filter.
-        engine: RAW decode engine (``"vectorised"`` or ``"reference"``).
         power: power-proxy coefficients (device-physics model; defaults
             apply).
         stage_overhead: the device's public per-stage overhead in
@@ -351,7 +346,6 @@ def fuse_boundaries(
         confirm_tol=confirm_tol,
         seed=seed,
         dataflow=dataflow,
-        engine=engine,
         power=power,
         stage_overhead=stage_overhead,
         augment_unmatched=augment_unmatched,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.structure.decode import LastWriterIndex, resolve_engine
+from repro.attacks.structure.decode import LastWriterIndex
 from repro.attacks.structure.trace_analysis import _previous_write_index
 from repro.errors import ConfigError
 
@@ -80,14 +80,13 @@ class RobustRawBoundaryTracker:
             would eat them.  Pass ``0`` for such dataflows and let
             ``min_support`` plus cross-run consensus reject forged
             edges instead.
-        engine: ``"vectorised"`` (the default) processes candidate RAW
-            reads in segments — one batched pass per candidacy window
-            instead of one Python iteration per event — and carries the
-            last-write map as a
-            :class:`~repro.attacks.structure.decode.LastWriterIndex`.
-            ``engine="reference"`` keeps the original per-event
-            hysteresis loop as the bit-identity oracle.  Committed
-            boundaries and their cycles are identical for any chunking.
+
+    Candidate RAW reads are processed in segments — one batched pass
+    per candidacy window instead of one Python iteration per event —
+    and the last-write map is carried as a
+    :class:`~repro.attacks.structure.decode.LastWriterIndex`.
+    Committed boundaries and their cycles are identical for any
+    chunking, and to :func:`repro.reference.robust_boundaries_reference`.
     """
 
     def __init__(
@@ -96,9 +95,7 @@ class RobustRawBoundaryTracker:
         expiry: int = 4096,
         refractory: int = 0,
         producer_refractory: int | None = None,
-        engine: str = "vectorised",
     ) -> None:
-        self._engine = resolve_engine(engine)
         if min_support < 1:
             raise ConfigError(f"min_support must be >= 1, got {min_support}")
         if expiry < min_support:
@@ -124,12 +121,7 @@ class RobustRawBoundaryTracker:
         self._boundaries: list[int] = [0]
         self._boundary_cycles: list[int] = []
         # address -> (global index, delivered cycle) of its last write
-        self._last_write: dict[int, tuple[int, int]] = {}
-        self._index = (
-            LastWriterIndex(track_cycles=True)
-            if self._engine == "vectorised"
-            else None
-        )
+        self._index = LastWriterIndex(track_cycles=True)
         self._cand_index: int | None = None
         self._cand_cycle = 0
         self._cand_support: set[int] = set()
@@ -187,98 +179,28 @@ class RobustRawBoundaryTracker:
         )
         carried_needed = local_prev < 0
         if carried_needed.any():
-            if self._index is not None:
-                g, cy = self._index.lookup(addresses[carried_needed])
-                prev[carried_needed] = g
-                prev_cyc[carried_needed] = cy
-            else:
-                uniq, inv = np.unique(
-                    addresses[carried_needed], return_inverse=True
-                )
-                carried = np.array(
-                    [self._last_write.get(int(a), (-1, -1)) for a in uniq],
-                    dtype=np.int64,
-                ).reshape(len(uniq), 2)
-                prev[carried_needed] = carried[inv, 0]
-                prev_cyc[carried_needed] = carried[inv, 1]
+            g, cy = self._index.lookup(addresses[carried_needed])
+            prev[carried_needed] = g
+            prev_cyc[carried_needed] = cy
 
         cand_local = np.flatnonzero((~is_write) & (prev >= 0))
-        if self._engine == "vectorised":
-            new = self._scan_candidates(
-                cand_local, base, cycles, addresses, prev, prev_cyc
-            )
-        else:
-            new = self._scan_candidates_reference(
-                cand_local, base, cycles, addresses, prev, prev_cyc
-            )
+        new = self._scan_candidates(
+            cand_local, base, cycles, addresses, prev, prev_cyc
+        )
 
         w = np.flatnonzero(is_write)
         if len(w):
-            if self._index is not None:
-                self._index.update(addresses[w], base + w, cycles[w])
-            else:
-                wa = addresses[w]
-                uniq_w, rev_first = np.unique(wa[::-1], return_index=True)
-                last_local = w[len(wa) - 1 - rev_first]
-                for a, g, cy in zip(
-                    uniq_w.tolist(),
-                    (base + last_local).tolist(),
-                    cycles[last_local].tolist(),
-                ):
-                    self._last_write[a] = (g, cy)
+            self._index.update(addresses[w], base + w, cycles[w])
 
         self._n += n
-        return new
-
-    def _scan_candidates_reference(
-        self, cand_local, base, cycles, addresses, prev, prev_cyc
-    ) -> list[int]:
-        """The original per-event hysteresis loop — the oracle."""
-        new: list[int] = []
-        for li in cand_local.tolist():
-            gi = base + li
-            if (
-                self._cand_index is not None
-                and gi - self._cand_index > self.expiry
-            ):
-                # Support never arrived: a channel artefact, not a layer.
-                self._cand_index = None
-                self._cand_support.clear()
-            if prev[li] < self._start:
-                continue  # not a RAW read under the current window
-            if (
-                prev_cyc[li]
-                < self._last_commit_cycle + self.producer_refractory
-            ):
-                # The producing write was delivered inside the previous
-                # boundary's echo window — a late or duplicated copy of
-                # the finished layer's output, not new-layer evidence.
-                continue
-            addr = int(addresses[li])
-            if self._cand_index is None:
-                if int(cycles[li]) - self._last_commit_cycle < self.refractory:
-                    continue  # echo of the previous transition
-                self._cand_index = gi
-                self._cand_cycle = int(cycles[li])
-                self._cand_support = {addr}
-            else:
-                self._cand_support.add(addr)
-            if len(self._cand_support) >= self.min_support:
-                self._start = self._cand_index
-                self._last_commit_cycle = self._cand_cycle
-                self._boundaries.append(self._cand_index)
-                self._boundary_cycles.append(self._cand_cycle)
-                new.append(self._cand_index)
-                self._cand_index = None
-                self._cand_support.clear()
         return new
 
     def _scan_candidates(
         self, cand_local, base, cycles, addresses, prev, prev_cyc
     ) -> list[int]:
-        """Segmented vectorised hysteresis — bit-identical to the oracle.
+        """Segmented vectorised hysteresis.
 
-        The per-event loop's state only changes character at *commits*
+        A per-event loop's state only changes character at *commits*
         (which move the RAW window and the refractory origin) and at
         candidacy expiries; between those points every decision is a
         pure function of per-event arrays.  So: qualify all candidates

@@ -8,9 +8,9 @@ on.  For the ablation bench it can simultaneously run the paper's
 naive single-event RAW rule on the *same* post-channel streams, so
 robust and naive estimators are compared on identical noise draws.
 
-Each observation streams into the trackers through a local fan-out
-(one pass, two consumers) rather than materialising the trace — the
-memory profile stays O(chunk) however long the trace is.
+Each observation streams into the trackers through a tee (one pass,
+two consumers) rather than materialising the trace — the memory
+profile stays O(chunk) however long the trace is.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.attacks.robust.boundary import (
     consensus_boundaries,
 )
 from repro.attacks.structure.trace_analysis import RawBoundaryTracker
-from repro.device import CoalescingSink, DeviceSession
+from repro.device import CoalescingSink, DeviceSession, TeeSink
 from repro.errors import ConfigError
 
 __all__ = [
@@ -45,8 +45,8 @@ class RawBoundaryCycleSink:
     cycle stamps survive).
     """
 
-    def __init__(self, engine: str = "vectorised") -> None:
-        self._tracker = RawBoundaryTracker(engine=engine)
+    def __init__(self) -> None:
+        self._tracker = RawBoundaryTracker()
         self._cycles: list[int] = []
 
     @property
@@ -65,30 +65,6 @@ class RawBoundaryCycleSink:
 
     def close(self) -> None:
         pass
-
-
-class _FanOutSink:
-    """One span stream, several consumers — a local tee.
-
-    The accel-layer :class:`~repro.accel.sinks.TeeSink` is off limits
-    here (attack modules may not import simulator-side machinery), and
-    nothing more is needed: forward every call to each consumer.
-    """
-
-    def __init__(self, *sinks) -> None:
-        self._sinks = sinks
-
-    def emit(self, span) -> None:
-        for s in self._sinks:
-            s.emit(span)
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        for s in self._sinks:
-            s.begin_stage(name, kind)
-
-    def close(self) -> None:
-        for s in self._sinks:
-            s.close()
 
 
 @dataclass(frozen=True)
@@ -145,7 +121,6 @@ class BoundaryRecovery:
         seed: int = 0,
         compare_naive: bool = False,
         dataflow: str = "output-stationary",
-        engine: str = "vectorised",
     ) -> None:
         if runs < 1:
             raise ConfigError(f"runs must be >= 1, got {runs}")
@@ -161,7 +136,6 @@ class BoundaryRecovery:
         self.tol = max(1, window // 4) if tol is None else tol
         self.seed = seed
         self.compare_naive = compare_naive
-        self.engine = engine
         self.producer_refractory = (
             self.refractory if dataflow == "output-stationary" else 0
         )
@@ -185,15 +159,14 @@ class BoundaryRecovery:
             expiry=self.expiry,
             refractory=self.refractory,
             producer_refractory=self.producer_refractory,
-            engine=self.engine,
         )
         if self.compare_naive:
-            naive = RawBoundaryCycleSink(engine=self.engine)
-            sink = _FanOutSink(robust, naive)
+            naive = RawBoundaryCycleSink()
+            sink = TeeSink(robust, naive)
         else:
             naive = None
             sink = robust
-        # Coalesce upstream of the fan-out: the channel's reorder buffer
+        # Coalesce upstream of the tee: the channel's reorder buffer
         # delivers fragmented spans, and both decoders are chunking
         # invariant, so fewer/larger chunks is pure decode throughput.
         self.session.observe_structure(
@@ -268,7 +241,6 @@ def recover_boundaries(
     seed: int = 0,
     compare_naive: bool = False,
     dataflow: str = "output-stationary",
-    engine: str = "vectorised",
 ) -> RobustStructureResult:
     """Recover layer-boundary cycles by multi-run consensus.
 
@@ -311,9 +283,6 @@ def recover_boundaries(
             disabled and forged edges are left to ``min_support`` and
             the cross-run quorum (see
             :class:`RobustRawBoundaryTracker`).
-        engine: per-run decode engine — ``"vectorised"`` (default) or
-            the original ``"reference"`` oracle; boundaries are
-            bit-identical.
     """
     return BoundaryRecovery(
         session,
@@ -326,7 +295,6 @@ def recover_boundaries(
         seed=seed,
         compare_naive=compare_naive,
         dataflow=dataflow,
-        engine=engine,
     ).run()
 
 

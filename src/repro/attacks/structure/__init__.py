@@ -39,7 +39,6 @@ from repro.attacks.structure.trace_analysis import (
     average_analyses,
     find_layer_boundaries,
     find_layer_boundaries_dataflow,
-    find_layer_boundaries_raw,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "analyse_trace",
     "average_analyses",
     "find_layer_boundaries",
-    "find_layer_boundaries_raw",
     "find_layer_boundaries_dataflow",
     "BoundaryTracker",
     "RawBoundaryTracker",

@@ -26,12 +26,9 @@ from repro.attacks.structure.solver import PracticalityRules
 from repro.attacks.structure.trace_analysis import (
     StreamingTraceAnalyzer,
     TraceAnalysis,
-    analyse_trace,
     analysis_from_dict,
     analysis_to_dict,
     average_analyses,
-    find_layer_boundaries,
-    find_layer_boundaries_dataflow,
 )
 
 __all__ = ["StructureAttack", "StructureAttackResult", "run_structure_attack"]
@@ -85,9 +82,7 @@ class StructureAttack:
         seed: int = 0,
         runs: int = 1,
         workers: int | None = None,
-        streaming: bool = True,
         dataflow: str = "output-stationary",
-        engine: str = "vectorised",
     ) -> None:
         self.session = sim if isinstance(sim, DeviceSession) else DeviceSession(sim)
         self.x = x
@@ -98,8 +93,6 @@ class StructureAttack:
         self.seed = seed
         self.runs = runs
         self.workers = workers
-        self.streaming = streaming
-        self.engine = engine
         self._auto = dataflow == "auto"
         if self._auto:
             self._dataflow = None
@@ -113,7 +106,6 @@ class StructureAttack:
         self._analysis: TraceAnalysis | None = None
         self._roles: dict[int, str] | None = None
         self._count: int | None = None
-        self._observation: StructureObservation | None = None
 
     def steps(self) -> list[str]:
         """The deterministic step plan for this attack."""
@@ -143,7 +135,6 @@ class StructureAttack:
             self.session.image_shape,
             self.session.element_bytes,
             self.session.block_bytes,
-            engine=self.engine,
         )
         self.session.observe_structure(
             self.x, seed=self.seed, sink=CoalescingSink(identifier), run=0
@@ -154,44 +145,23 @@ class StructureAttack:
     def _step_observe(self, k: int, state: dict) -> dict:
         dataflow = self._resolved_dataflow(state)
         session = self.session
-        run_index = k + self._run_offset()
-        if self.streaming:
-            analyzer = StreamingTraceAnalyzer(
-                session.image_shape,
-                session.element_bytes,
-                session.block_bytes,
-                dataflow=dataflow,
-                engine=self.engine,
-            )
-            obs = session.observe_structure(
-                self.x,
-                seed=self.seed + k,
-                sink=CoalescingSink(analyzer),
-                run=run_index,
-            )
-            analysis = analyzer.finish(obs)
-            bounds = analyzer.boundaries
-        else:
-            obs = session.observe_structure(
-                self.x, seed=self.seed + k, run=run_index
-            )
-            if dataflow == "output-stationary":
-                bounds = find_layer_boundaries(
-                    obs.trace.addresses, obs.trace.is_write
-                )
-            else:
-                bounds = find_layer_boundaries_dataflow(
-                    obs.trace.addresses,
-                    obs.trace.is_write,
-                    obs.block_bytes,
-                    engine=self.engine,
-                )
-            analysis = analyse_trace(obs, dataflow=dataflow, engine=self.engine)
+        analyzer = StreamingTraceAnalyzer(
+            session.image_shape,
+            session.element_bytes,
+            session.block_bytes,
+            dataflow=dataflow,
+        )
+        obs = session.observe_structure(
+            self.x,
+            seed=self.seed + k,
+            sink=CoalescingSink(analyzer),
+            run=k + self._run_offset(),
+        )
         analyses = dict(state.get("analyses", {}))
-        analyses[str(k)] = analysis_to_dict(analysis)
+        analyses[str(k)] = analysis_to_dict(analyzer.finish(obs))
         state["analyses"] = analyses
         if k == 0:
-            state["boundaries"] = [int(b) for b in bounds]
+            state["boundaries"] = [int(b) for b in analyzer.boundaries]
             state["observation"] = {
                 "input_shape": list(obs.input_shape),
                 "num_classes": obs.num_classes,
@@ -199,10 +169,6 @@ class StructureAttack:
                 "block_bytes": obs.block_bytes,
                 "total_cycles": obs.total_cycles,
             }
-            if not self.streaming:
-                # Keep the materialised trace for in-process result()
-                # consumers; it is intentionally not checkpointed.
-                self._observation = obs
         return state
 
     def _step_enumerate(self, state: dict) -> dict:
@@ -275,23 +241,20 @@ class StructureAttack:
         if self._candidates is None:
             state = self._step_enumerate(dict(state))
         assert self._analysis is not None and self._count is not None
-        observation = self._observation
-        if observation is None:
-            meta = state.get("observation")
-            if meta is None:
-                raise ConfigError(
-                    "state has no observation; run the observe steps first"
-                )
-            observation = StructureObservation(
+        meta = state.get("observation")
+        if meta is None:
+            raise ConfigError(
+                "state has no observation; run the observe steps first"
+            )
+        return StructureAttackResult(
+            observation=StructureObservation(
                 trace=None,
                 input_shape=tuple(meta["input_shape"]),
                 num_classes=int(meta["num_classes"]),
                 element_bytes=int(meta["element_bytes"]),
                 block_bytes=int(meta["block_bytes"]),
                 total_cycles=int(meta["total_cycles"]),
-            )
-        return StructureAttackResult(
-            observation=observation,
+            ),
             analysis=self._analysis,
             candidates=self._candidates or [],
             count=self._count,
@@ -329,9 +292,7 @@ def run_structure_attack(
     seed: int = 0,
     runs: int = 1,
     workers: int | None = None,
-    streaming: bool = True,
     dataflow: str = "output-stationary",
-    engine: str = "vectorised",
 ) -> StructureAttackResult:
     """Run Algorithm 1 against a victim accelerator.
 
@@ -358,20 +319,15 @@ def run_structure_attack(
         workers: partition the candidate enumeration over this many
             worker processes (serial by default; the result is
             bit-identical either way).
-        streaming: analyse the trace span-by-span as the device runs
-            (the default: O(chunk) memory, no materialised trace on the
-            result's observation).  ``False`` materialises the trace
-            and runs the batch analysis — same result bit for bit.
         dataflow: the victim accelerator's loop order, deciding which
             boundary rule decodes the trace (default: the simulator's
             output-stationary default).  ``"auto"`` spends one extra
             metered observation identifying it with
             :class:`DataflowIdentifier` before decoding — the attack
             has no a-priori schedule knowledge in that mode.
-        engine: decode engine for every analysis step (boundary
-            tracking, streaming analysis, dataflow identification) —
-            ``"vectorised"`` (the default) or the original
-            ``"reference"`` oracle.  Results are bit-identical.
+
+    The trace is analysed span-by-span as the device runs, in O(chunk)
+    memory; the result's observation carries no materialised trace.
     """
     return StructureAttack(
         sim,
@@ -383,7 +339,5 @@ def run_structure_attack(
         seed=seed,
         runs=runs,
         workers=workers,
-        streaming=streaming,
         dataflow=dataflow,
-        engine=engine,
     ).run()

@@ -46,11 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.trace import MemoryTrace, TraceSpan
-from repro.attacks.structure.decode import (
-    resolve_engine,
-    sorted_unique,
-    sorted_unique_counts,
-)
+from repro.attacks.structure.decode import sorted_unique, sorted_unique_counts
 from repro.attacks.structure.trace_analysis import _BlockIntervalSet
 from repro.errors import TraceError
 
@@ -102,10 +98,6 @@ class DataflowIdentifier:
             but the input's *size* is trivially known).
         element_bytes: public device parameter (data word size).
         block_bytes: public device parameter (DRAM transaction size).
-        engine: ``"vectorised"`` (the default) folds each run's
-            statistics with the sort-based decode kernels;
-            ``"reference"`` keeps the original hash-``np.unique`` fold
-            as the bit-identity oracle.  Verdicts are identical.
     """
 
     def __init__(
@@ -113,11 +105,9 @@ class DataflowIdentifier:
         input_shape: tuple[int, int, int],
         element_bytes: int,
         block_bytes: int,
-        engine: str = "vectorised",
     ) -> None:
         if block_bytes <= 0 or element_bytes <= 0:
             raise TraceError("element/block sizes must be positive")
-        self.engine = resolve_engine(engine)
         c, h, w = input_shape
         self._input_bytes = -(-(c * h * w * element_bytes) // block_bytes) * block_bytes
         self._block = block_bytes
@@ -158,7 +148,6 @@ class DataflowIdentifier:
         is_write = np.asarray(is_write, dtype=bool)
         if len(addresses) == 0:
             return
-        vec = self.engine == "vectorised"
         breaks = np.flatnonzero(np.diff(is_write)) + 1
         starts = np.concatenate(([0], breaks))
         ends = np.concatenate((breaks, [len(addresses)]))
@@ -168,23 +157,18 @@ class DataflowIdentifier:
             if flag:
                 if self._last_flag is not True:
                     self.write_runs += 1
-                self._written.add(
-                    sorted_unique(run) if vec else np.unique(run)
-                )
+                self._written.add(sorted_unique(run))
             else:
                 if self._last_flag is True:
                     self._post_write_first.append(int(run[0]))
-                self._scan_read_run(run, vec)
+                self._scan_read_run(run)
             self._last_flag = flag
 
-    def _scan_read_run(self, run: np.ndarray, vec: bool = False) -> None:
+    def _scan_read_run(self, run: np.ndarray) -> None:
         lo = int(run.min())
         self._min_addr = lo if self._min_addr is None else min(self._min_addr, lo)
         input_hi = self._min_addr + self._input_bytes
-        if vec:
-            uniq, counts = sorted_unique_counts(run)
-        else:
-            uniq, counts = np.unique(run, return_counts=True)
+        uniq, counts = sorted_unique_counts(run)
         seen = self._read_blocks.contains(uniq)
         written = self._written.contains(uniq)
         weightish = ~written & (uniq >= input_hi)
@@ -231,13 +215,10 @@ def identify_dataflow(
     input_shape: tuple[int, int, int],
     element_bytes: int,
     block_bytes: int,
-    engine: str = "vectorised",
 ) -> DataflowSignature:
-    """Batch classification of a fully materialised trace."""
+    """:class:`DataflowIdentifier` over a fully materialised trace."""
     if len(trace) == 0:
         raise TraceError("cannot identify a dataflow from an empty trace")
-    ident = DataflowIdentifier(
-        input_shape, element_bytes, block_bytes, engine=engine
-    )
+    ident = DataflowIdentifier(input_shape, element_bytes, block_bytes)
     ident.feed(trace.addresses, trace.is_write)
     return ident.finish()

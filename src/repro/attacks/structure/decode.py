@@ -8,12 +8,6 @@ one event at a time through Python dict lookups and ``.tolist()``
 scans.  This module holds the chunk-at-a-time numpy kernels those
 decoders now share:
 
-* :func:`resolve_engine` — the ``engine=`` knob.  Every decoder keeps
-  its original per-event implementation selectable as
-  ``engine="reference"``; the vectorised engine (the default) is
-  asserted bit-identical against it in tests, for every model ×
-  dataflow × chunking, clean and noisy.  The reference paths are the
-  *oracles*: they are never "optimised", only compared against.
 * :func:`sorted_unique` / :func:`sorted_unique_counts` — sort-based
   deduplication.  ``np.unique`` on large int64 address arrays takes a
   hash path that is ~50× slower than an explicit sort + diff mask on
@@ -24,6 +18,10 @@ decoders now share:
   _previous_write_index`; across chunks, this index answers "when was
   this address last written?" for a whole address vector at once.
 
+Every decoder built on them is asserted bit-identical to the
+per-event oracles in :mod:`repro.reference`, for every model ×
+dataflow × chunking, clean and noisy.
+
 The last-writer index is a dense/dict hybrid: accelerator traces live
 on a block-aligned grid spanning a compact range (an alexnet trace
 touches ~2M distinct blocks across a ~2M-block span), so the map is a
@@ -32,7 +30,7 @@ and updates are single gather/scatter operations, and scatter's
 last-value-wins semantics implements "latest write" with no sort at
 all.  If the observed addresses ever stop fitting a compact grid
 (adversarial or fuzzed streams), the index migrates its contents to a
-plain dict and degrades to the reference lookup loop — slower, never
+plain dict and degrades to a per-address lookup loop — slower, never
 wrong.
 """
 
@@ -45,25 +43,10 @@ import numpy as np
 from repro.errors import ConfigError
 
 __all__ = [
-    "ENGINES",
-    "resolve_engine",
     "sorted_unique",
     "sorted_unique_counts",
     "LastWriterIndex",
 ]
-
-#: Recognised decode engines, in preference order.
-ENGINES = ("vectorised", "reference")
-
-
-def resolve_engine(engine: str) -> str:
-    """Validate an ``engine=`` knob value and return its canonical name."""
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown decode engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of ``a`` — ``np.unique`` minus the hash path.
@@ -101,9 +84,8 @@ class LastWriterIndex:
 
     The streaming RAW trackers need, per chunk, the global event index
     (and for the robust tracker, the delivered cycle) of the most
-    recent *earlier-chunk* write to each address.  The reference
-    decoders carry a Python dict; this index answers the same queries
-    for whole address vectors.
+    recent *earlier-chunk* write to each address.  This index answers
+    those queries for whole address vectors.
 
     Representation is chosen from the data:
 
@@ -116,7 +98,7 @@ class LastWriterIndex:
     * **dict** (the fallback): grid span or alignment degenerates —
       scattered or adversarial address streams — and the dense array
       would not fit ``max_slots``.  Contents migrate to a Python dict
-      and behaviour matches the reference decoders' map exactly.
+      with identical lookup results.
 
     Args:
         track_cycles: also record the cycle stamp of each last write

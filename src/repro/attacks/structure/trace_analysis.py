@@ -21,16 +21,17 @@ Merge layers (element-wise bypass additions and depth concatenations)
 read previously written data but no filters; they are classified by
 comparing their OFM size against their operand sizes.
 
-Every step exists in two forms: the batch functions
-(:func:`find_layer_boundaries`, :func:`find_layer_boundaries_raw`,
-:func:`analyse_trace`) operate on a fully materialised trace, and the
-streaming classes (:class:`BoundaryTracker`, :class:`RawBoundaryTracker`,
-:class:`StreamingTraceAnalyzer`) fold vectorised event chunks as they
-arrive — the adversary's tap records a *stream*, so the analysis runs in
-O(chunk) memory no matter how large the victim.  The streaming path is
-bit-identical to the batch path (asserted in tests) and plugs directly
-into :meth:`repro.device.DeviceSession.observe_structure` as a trace
-sink.
+Every step is a streaming class (:class:`BoundaryTracker`,
+:class:`RawBoundaryTracker`, :class:`DataflowBoundaryTracker`,
+:class:`StreamingTraceAnalyzer`) that folds vectorised event chunks as
+they arrive — the adversary's tap records a *stream*, so the analysis
+runs in O(chunk) memory no matter how large the victim, and plugs
+directly into :meth:`repro.device.DeviceSession.observe_structure` as a
+trace sink.  The batch helpers (:func:`find_layer_boundaries`,
+:func:`find_layer_boundaries_dataflow`, :func:`analyse_trace`) feed a
+materialised trace through them as one chunk.  Results are the same
+for any chunking and bit-identical to the whole-trace oracles in
+:mod:`repro.reference` (asserted in tests).
 """
 
 from __future__ import annotations
@@ -41,18 +42,13 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.device import StructureObservation
-from repro.attacks.structure.decode import (
-    LastWriterIndex,
-    resolve_engine,
-    sorted_unique,
-)
+from repro.attacks.structure.decode import LastWriterIndex, sorted_unique
 
 __all__ = [
     "SizeRange",
     "LayerObservation",
     "TraceAnalysis",
     "find_layer_boundaries",
-    "find_layer_boundaries_raw",
     "find_layer_boundaries_dataflow",
     "BoundaryTracker",
     "RawBoundaryTracker",
@@ -175,43 +171,8 @@ def _previous_write_index(addresses: np.ndarray, is_write: np.ndarray) -> np.nda
     return out
 
 
-def find_layer_boundaries_raw(
-    addresses: np.ndarray, is_write: np.ndarray
-) -> list[int]:
-    """Event indices at which a new layer begins — literal RAW rule.
-
-    This is the paper's Section 3.1 rule verbatim: a boundary is a read
-    whose address was written since the previous boundary.  It is exact
-    for sequential networks but under-segments at branch fan-out (a
-    second consumer re-reading an already-consumed OFM produces no fresh
-    RAW edge); use :func:`find_layer_boundaries` for general DAGs.
-    """
-    n = len(addresses)
-    if n == 0:
-        raise TraceError("empty trace")
-    prev_write = _previous_write_index(addresses, is_write)
-    is_read = ~is_write
-    candidate = is_read & (prev_write >= 0)
-    cand_idx = np.flatnonzero(candidate)
-    boundaries = [0]
-    start = 0
-    pos = 0
-    while pos < len(cand_idx):
-        # First candidate read >= start whose producing write is >= start.
-        sub = cand_idx[pos:]
-        hits = sub[(sub >= start) & (prev_write[sub] >= start)]
-        if len(hits) == 0:
-            break
-        start = int(hits[0])
-        boundaries.append(start)
-        pos = int(np.searchsorted(cand_idx, start + 1))
-    return boundaries
-
-
-def find_layer_boundaries(
-    addresses: np.ndarray, is_write: np.ndarray
-) -> list[int]:
-    """Event indices at which a new layer begins — protocol rule.
+class BoundaryTracker:
+    """Layer boundaries by the write-at-end protocol rule.
 
     The Figure 1 accelerator reads a layer's IFM tiles and filters, then
     writes the whole OFM back at the end of the layer ("after computing
@@ -221,41 +182,19 @@ def find_layer_boundaries(
     subsumes the RAW rule (every fresh RAW read follows the producing
     write) and additionally segments branch fan-out, where a second
     consumer re-reads an OFM the first consumer already read.
-    """
-    n = len(addresses)
-    if n == 0:
-        raise TraceError("empty trace")
-    boundaries = [0]
-    write_idx = np.flatnonzero(is_write)
-    read_idx = np.flatnonzero(~is_write)
-    start = 0
-    while True:
-        wpos = np.searchsorted(write_idx, start)
-        if wpos == len(write_idx):
-            break
-        first_write = write_idx[wpos]
-        rpos = np.searchsorted(read_idx, first_write)
-        if rpos == len(read_idx):
-            break
-        start = int(read_idx[rpos])
-        boundaries.append(start)
-    return boundaries
 
-
-class BoundaryTracker:
-    """Streaming counterpart of :func:`find_layer_boundaries`.
-
-    Feed event chunks in trace order; the protocol rule needs only the
-    R/W flags and two scalars of state (events seen, whether the current
-    window has written yet), so memory is O(1) regardless of trace
-    length.  The boundary sequence equals the batch function's on the
-    concatenated flags, for any chunking.
+    The window has written exactly when the previous event was a write,
+    so the boundaries are the reads that directly follow a write.  Feed
+    event chunks in trace order; the rule needs only the R/W flags and
+    two scalars of state (events seen, whether the last event was a
+    write), so memory is O(1) regardless of trace length.  The boundary
+    sequence is the same for any chunking.
     """
 
     def __init__(self) -> None:
         self._n = 0
         self._boundaries: list[int] = [0]
-        self._awaiting_read = False
+        self._last_was_write = False
 
     @property
     def num_events(self) -> int:
@@ -263,7 +202,7 @@ class BoundaryTracker:
 
     @property
     def boundaries(self) -> list[int]:
-        """Boundaries found so far (the batch function's return value)."""
+        """Event indices at which a layer begins, found so far."""
         if self._n == 0:
             raise TraceError("empty trace")
         return list(self._boundaries)
@@ -271,52 +210,38 @@ class BoundaryTracker:
     def feed(self, is_write: np.ndarray) -> list[int]:
         """Fold one chunk of R/W flags; returns boundaries found in it."""
         is_write = np.asarray(is_write, dtype=bool)
-        base = self._n
-        new: list[int] = []
-        pos, n = 0, len(is_write)
-        while pos < n:
-            if not self._awaiting_read:
-                w = np.flatnonzero(is_write[pos:])
-                if len(w) == 0:
-                    break
-                pos += int(w[0])
-                self._awaiting_read = True
-            else:
-                r = np.flatnonzero(~is_write[pos:])
-                if len(r) == 0:
-                    break
-                pos += int(r[0])
-                new.append(base + pos)
-                self._awaiting_read = False
-        self._n += n
+        if len(is_write) == 0:
+            return []
+        after_write = np.empty(len(is_write), dtype=bool)
+        after_write[0] = self._last_was_write
+        after_write[1:] = is_write[:-1]
+        new = (self._n + np.flatnonzero(after_write & ~is_write)).tolist()
+        self._last_was_write = bool(is_write[-1])
+        self._n += len(is_write)
         self._boundaries.extend(new)
         return new
 
 
 class RawBoundaryTracker:
-    """Streaming counterpart of :func:`find_layer_boundaries_raw`.
+    """Layer boundaries by the paper's literal RAW rule.
 
-    The batch rule materialises a previous-write RAW index over the
-    whole trace; here it becomes an incrementally maintained
-    address→last-write map, bounded by the device's unique block count
-    rather than by trace length.  Chunks resolve RAW edges locally via
-    :func:`_previous_write_index` and reach into the carried map only
-    for addresses with no earlier write in the chunk.
+    This is the Section 3.1 rule verbatim: a boundary is a read whose
+    address was written since the previous boundary.  It is exact for
+    sequential networks but under-segments at branch fan-out (a second
+    consumer re-reading an already-consumed OFM produces no fresh RAW
+    edge); :class:`BoundaryTracker` handles general DAGs.
 
-    ``engine="vectorised"`` (the default) carries the map as a
-    :class:`~repro.attacks.structure.decode.LastWriterIndex`, so the
-    carried lookups and updates are single gather/scatter kernels;
-    ``engine="reference"`` keeps the original per-address dict walk as
-    the bit-identity oracle.
+    Chunks resolve RAW edges locally via :func:`_previous_write_index`
+    and reach into a carried
+    :class:`~repro.attacks.structure.decode.LastWriterIndex` only for
+    addresses with no earlier write in the chunk.
     """
 
-    def __init__(self, engine: str = "vectorised") -> None:
-        self._engine = resolve_engine(engine)
+    def __init__(self) -> None:
         self._n = 0
         self._boundaries: list[int] = [0]
         self._start = 0
-        self._last_write: dict[int, int] = {}
-        self._index = LastWriterIndex() if self._engine == "vectorised" else None
+        self._index = LastWriterIndex()
 
     @property
     def num_events(self) -> int:
@@ -324,7 +249,7 @@ class RawBoundaryTracker:
 
     @property
     def boundaries(self) -> list[int]:
-        """Boundaries found so far (the batch function's return value)."""
+        """Event indices at which a layer begins, found so far."""
         if self._n == 0:
             raise TraceError("empty trace")
         return list(self._boundaries)
@@ -341,20 +266,7 @@ class RawBoundaryTracker:
         prev = np.where(local_prev >= 0, base + local_prev, np.int64(-1))
         carried_needed = local_prev < 0
         if carried_needed.any():
-            if self._index is not None:
-                prev[carried_needed] = self._index.lookup(
-                    addresses[carried_needed]
-                )
-            else:
-                uniq, inv = np.unique(
-                    addresses[carried_needed], return_inverse=True
-                )
-                carried = np.fromiter(
-                    (self._last_write.get(int(a), -1) for a in uniq),
-                    dtype=np.int64,
-                    count=len(uniq),
-                )
-                prev[carried_needed] = carried[inv]
+            prev[carried_needed] = self._index.lookup(addresses[carried_needed])
 
         new: list[int] = []
         cand = np.flatnonzero((~is_write) & (prev >= 0))
@@ -374,14 +286,7 @@ class RawBoundaryTracker:
 
         w = np.flatnonzero(is_write)
         if len(w):
-            if self._index is not None:
-                self._index.update(addresses[w], base + w)
-            else:
-                wa = addresses[w]
-                uniq_w, rev_first = np.unique(wa[::-1], return_index=True)
-                last_local = w[len(wa) - 1 - rev_first]
-                for a, g in zip(uniq_w.tolist(), (base + last_local).tolist()):
-                    self._last_write[a] = g
+            self._index.update(addresses[w], base + w)
 
         self._n += n
         self._boundaries.extend(new)
@@ -414,19 +319,14 @@ class DataflowBoundaryTracker:
     Feed ``(addresses, is_write)`` chunks in trace order; boundary
     output is invariant to chunking (a range split across chunks folds
     its first part into the window, making the continuation
-    block-contiguous by construction).
-
-    ``engine="vectorised"`` (the default) decides whole read runs at
+    block-contiguous by construction).  Whole read runs are decided at
     once: every range start is checked against the read window in one
     batched ``touches`` query and the RAW test runs over the full run,
-    falling back to the per-range scan only around an actual (or
-    suspected) cut — which happens once per layer, not once per tile
-    row.  ``engine="reference"`` keeps the original per-range loop as
-    the bit-identity oracle.
+    so the scan only slows down around an actual (or suspected) cut —
+    once per layer, not once per tile row.
     """
 
-    def __init__(self, block_bytes: int, engine: str = "vectorised") -> None:
-        self._engine = resolve_engine(engine)
+    def __init__(self, block_bytes: int) -> None:
         self._block = block_bytes
         self._n = 0
         self._boundaries: list[int] = [0]
@@ -440,7 +340,7 @@ class DataflowBoundaryTracker:
 
     @property
     def boundaries(self) -> list[int]:
-        """Boundaries found so far (batch-equivalent)."""
+        """Event indices at which a layer begins, found so far."""
         if self._n == 0:
             raise TraceError("empty trace")
         return list(self._boundaries)
@@ -451,42 +351,14 @@ class DataflowBoundaryTracker:
         self._has_written = False
 
     def _scan_read_run(self, addresses: np.ndarray) -> list[int]:
-        """Boundary offsets within one run of consecutive reads."""
-        offs: list[int] = []
-        breaks = np.flatnonzero(np.diff(addresses) != self._block) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [len(addresses)]))
-        for r0, r1 in zip(starts, ends):
-            rng = addresses[r0:r1]
-            cut = -1
-            if self._has_written and not self._window_reads.touches(
-                int(rng[0])
-            ):
-                cut = 0  # fresh region after a write burst: next layer
-            else:
-                raw = self._window_writes.contains(rng)
-                if raw.any():
-                    cut = int(np.argmax(raw))  # reads own output: RAW edge
-            if cut >= 0:
-                if cut > 0:
-                    self._window_reads.add(rng[:cut])
-                offs.append(int(r0) + cut)
-                self._reset_window()
-                self._window_reads.add(rng[cut:])
-            else:
-                self._window_reads.add(rng)
-        return offs
+        """Boundary offsets within one run of consecutive reads.
 
-    def _scan_read_run_fast(self, addresses: np.ndarray) -> list[int]:
-        """Vectorised run scan: bulk-fold until a cut is actually near.
-
-        Decisions are identical to :meth:`_scan_read_run` — both checks
-        are evaluated for every range, just batched.  A range start that
-        fails the batched (pre-run) touch test is only a *suspected*
-        cut: the reference scan would have folded the run's earlier
-        ranges into the window first, and one of those may be what this
-        range touches.  The suspect is therefore re-tested after the
-        fold, and scanning resumes if it survives.
+        Both checks are evaluated for every range, batched.  A range
+        start that fails the batched (pre-run) touch test is only a
+        *suspected* cut: range by range, the run's earlier ranges would
+        have folded into the window first, and one of those may be what
+        this range touches.  The suspect is therefore re-tested after
+        the fold, and scanning resumes if it survives.
         """
         offs: list[int] = []
         off0 = 0
@@ -510,15 +382,15 @@ class DataflowBoundaryTracker:
                 self._window_reads.add(sorted_unique(rest))
                 break
             if first_a is not None and (first_b is None or first_a <= first_b):
-                # Fresh-region rule fires first (the reference checks it
-                # before the RAW test, and a range's start precedes any
-                # RAW hit inside it).
+                # Fresh-region rule fires first (it is checked before the
+                # RAW test, and a range's start precedes any RAW hit
+                # inside it).
                 if first_a > 0:
                     self._window_reads.add(sorted_unique(rest[:first_a]))
                 if self._window_reads.touches(int(rest[first_a])):
-                    # It touched an earlier range of this same run — the
-                    # incremental oracle would not cut here.  Rescan from
-                    # this range with the window now up to date.
+                    # It touched an earlier range of this same run, so it
+                    # is no cut.  Rescan from this range with the window
+                    # now up to date.
                     rest = rest[first_a:]
                     off0 += first_a
                     continue
@@ -540,8 +412,6 @@ class DataflowBoundaryTracker:
         n = len(addresses)
         if n == 0:
             return []
-        vec = self._engine == "vectorised"
-        scan = self._scan_read_run_fast if vec else self._scan_read_run
         base = self._n
         new: list[int] = []
         change = np.flatnonzero(np.diff(is_write)) + 1
@@ -549,35 +419,32 @@ class DataflowBoundaryTracker:
         ends = np.concatenate((change, [n]))
         for s, e in zip(starts, ends):
             if is_write[s]:
-                wa = addresses[s:e]
-                self._window_writes.add(
-                    sorted_unique(wa) if vec else np.unique(wa)
-                )
+                self._window_writes.add(sorted_unique(addresses[s:e]))
                 self._has_written = True
             else:
                 new.extend(
-                    base + int(s) + off for off in scan(addresses[s:e])
+                    base + int(s) + off
+                    for off in self._scan_read_run(addresses[s:e])
                 )
         self._n += n
         self._boundaries.extend(new)
         return new
 
 
-def find_layer_boundaries_dataflow(
-    addresses: np.ndarray,
-    is_write: np.ndarray,
-    block_bytes: int,
-    engine: str = "vectorised",
+def find_layer_boundaries(
+    addresses: np.ndarray, is_write: np.ndarray
 ) -> list[int]:
-    """Batch form of :class:`DataflowBoundaryTracker`.
+    """:class:`BoundaryTracker` over a materialised trace."""
+    tracker = BoundaryTracker()
+    tracker.feed(is_write)
+    return tracker.boundaries
 
-    Layer boundaries of a trace whose dataflow interleaves OFM write
-    bursts with the tile schedule (weight-/row-stationary).  Equals the
-    protocol rule on write-at-end traces of standard CNNs.
-    """
-    if len(addresses) == 0:
-        raise TraceError("empty trace")
-    tracker = DataflowBoundaryTracker(block_bytes, engine=engine)
+
+def find_layer_boundaries_dataflow(
+    addresses: np.ndarray, is_write: np.ndarray, block_bytes: int
+) -> list[int]:
+    """:class:`DataflowBoundaryTracker` over a materialised trace."""
+    tracker = DataflowBoundaryTracker(block_bytes)
     tracker.feed(addresses, is_write)
     return tracker.boundaries
 
@@ -588,13 +455,12 @@ class _BlockIntervalSet:
     The streaming replacement for holding a layer's unique block
     addresses: memory is O(intervals) — regions are contiguous arrays
     per the paper, so this is a handful of entries — while still
-    answering the exact unique-block count and extent the batch path
-    derives from ``np.unique``.
+    answering the exact unique-block count and extent a whole-trace
+    ``np.unique`` would give.
 
     Internals are flat ``lo``/``hi`` arrays, so folding a chunk in is
     one sort + running-maximum merge and every query (``contains``,
-    ``touches_batch``) is a ``searchsorted`` — both decode engines
-    share this structure.
+    ``touches_batch``) is a ``searchsorted``.
     """
 
     __slots__ = ("_block", "_lo", "_hi")
@@ -674,7 +540,7 @@ class _BlockIntervalSet:
         return int(self._lo[0]), int(self._hi[-1])
 
     def contiguous_extent(self) -> tuple[int, int]:
-        """The batch path's :func:`_contiguous_extent`, from intervals."""
+        """``(lo, hi)`` byte extent; raises unless one contiguous region."""
         lo, hi = self.extent
         if len(self._lo) != 1:
             raise TraceError(
@@ -707,17 +573,14 @@ class StreamingTraceAnalyzer:
     device datasheet); wall-clock duration and the class count arrive
     with the observation at :meth:`finish`.
 
-    The result is bit-identical to ``analyse_trace`` on the
-    materialised trace, for any chunking (asserted in tests): per-layer
-    state is the OFM / unattributed-read interval sets, per-source hit
-    flags against finalized write ranges, and two transaction counters —
-    all independent of trace length.
-
-    ``engine="vectorised"`` (the default) deduplicates chunks with the
-    sort-based kernel and attributes reads to producing layers through
-    one ``searchsorted`` over the finalized write ranges instead of a
-    per-source mask loop; ``engine="reference"`` keeps the original
-    fold as the bit-identity oracle.
+    The result is the same for any chunking and bit-identical to
+    :func:`repro.reference.decode_reference` on the materialised trace
+    (asserted in tests): per-layer state is the OFM / unattributed-read
+    interval sets, per-source hit flags against finalized write ranges,
+    and two transaction counters — all independent of trace length.
+    Chunks are deduplicated with the sort-based kernel and reads are
+    attributed to producing layers through one ``searchsorted`` over
+    the finalized write ranges.
     """
 
     def __init__(
@@ -726,7 +589,6 @@ class StreamingTraceAnalyzer:
         element_bytes: int,
         block_bytes: int,
         dataflow: str = "output-stationary",
-        engine: str = "vectorised",
     ) -> None:
         from repro.accel.dataflow import resolve_dataflow
 
@@ -734,7 +596,6 @@ class StreamingTraceAnalyzer:
         self.element_bytes = element_bytes
         self.block_bytes = block_bytes
         self.dataflow = resolve_dataflow(dataflow).name
-        self.engine = resolve_engine(engine)
         # The write-at-end protocol rule is exact (and O(1)) for the
         # output-stationary schedule; dataflows that interleave write
         # bursts need the address-aware tracker.
@@ -742,7 +603,7 @@ class StreamingTraceAnalyzer:
         if self.dataflow == "output-stationary":
             self._tracker = BoundaryTracker()
         else:
-            self._tracker = DataflowBoundaryTracker(block_bytes, engine=engine)
+            self._tracker = DataflowBoundaryTracker(block_bytes)
         self._write_ranges: list[tuple[int, int]] = []
         # Sorted view of the finalized write ranges for one-searchsorted
         # read attribution; None while ranges overlap (never on real
@@ -817,29 +678,6 @@ class StreamingTraceAnalyzer:
         """Accumulate events that all belong to the current layer."""
         if len(addresses) == 0:
             return
-        if self.engine == "vectorised":
-            self._consume_vectorised(addresses, is_write)
-            return
-        write_addrs = addresses[is_write]
-        read_addrs = addresses[~is_write]
-        self._writes += len(write_addrs)
-        self._reads += len(read_addrs)
-        if len(write_addrs):
-            self._ofm.add(np.unique(write_addrs))
-        if len(read_addrs):
-            unattributed = np.ones(len(read_addrs), dtype=bool)
-            for src, (w_lo, w_hi) in enumerate(self._write_ranges):
-                mask = (read_addrs >= w_lo) & (read_addrs < w_hi)
-                if mask.any():
-                    self._source_hit[src] = True
-                    unattributed &= ~mask
-            rest = read_addrs[unattributed]
-            if len(rest):
-                self._unattributed.add(np.unique(rest))
-
-    def _consume_vectorised(
-        self, addresses: np.ndarray, is_write: np.ndarray
-    ) -> None:
         write_addrs = addresses[is_write]
         read_addrs = addresses[~is_write]
         self._writes += len(write_addrs)
@@ -934,8 +772,7 @@ class StreamingTraceAnalyzer:
             )
         )
         self._write_ranges.append((ofm_lo, ofm_hi))
-        if self.engine == "vectorised":
-            self._rebuild_src_index()
+        self._rebuild_src_index()
         self._reset_layer()
 
     def _rebuild_src_index(self) -> None:
@@ -952,8 +789,9 @@ class StreamingTraceAnalyzer:
         """Finalise the last layer and assemble the analysis.
 
         ``obs`` supplies what only the completed run knows: the
-        wall-clock duration (which closes the final layer's window, as
-        in the batch path) and the class count read off the host API.
+        wall-clock duration (which closes the final layer's window — it
+        covers the OFM write-back drain the adversary observes) and the
+        class count read off the host API.
         """
         if self._finished:
             raise TraceError("analyzer already finished")
@@ -979,172 +817,20 @@ class StreamingTraceAnalyzer:
         )
 
 
-def _contiguous_extent(addresses: np.ndarray, block_bytes: int) -> tuple[int, int]:
-    """(lo, hi_exclusive) byte extent of a set of block addresses.
-
-    Raises if the blocks do not form one contiguous region — regions are
-    contiguous arrays per the paper, so a gap means misclassification.
-    """
-    unique = np.unique(addresses)
-    lo, hi = int(unique[0]), int(unique[-1]) + block_bytes
-    if (hi - lo) // block_bytes != len(unique):
-        raise TraceError(
-            f"address set is not contiguous: {len(unique)} blocks across "
-            f"{(hi - lo) // block_bytes} block slots"
-        )
-    return lo, hi
-
-
-def _split_first_layer_reads(
-    read_addrs: np.ndarray,
-    input_elements: int,
-    element_bytes: int,
-    block_bytes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Separate the first layer's reads into (input fmap, filters).
-
-    The input feature map's size is known to the adversary (they feed the
-    inputs): ``W_IFM^2 * D_IFM`` elements.  Runtimes place the input
-    buffer at the low end of the model's address range, so the first
-    ``ceil(input_elements / epb)`` read blocks are the input; the rest
-    are the first layer's filters.
-    """
-    unique = np.unique(read_addrs)
-    input_bytes = -(-input_elements * element_bytes // block_bytes) * block_bytes
-    base = int(unique[0])
-    input_mask = read_addrs < base + input_bytes
-    return read_addrs[input_mask], read_addrs[~input_mask]
-
-
 def analyse_trace(
-    obs: StructureObservation,
-    dataflow: str = "output-stationary",
-    engine: str = "vectorised",
+    obs: StructureObservation, dataflow: str = "output-stationary"
 ) -> TraceAnalysis:
-    """Run the full trace analysis on a structure-attack observation.
-
-    This needs the whole trace in memory.  Observations captured
-    through a streaming sink carry no trace — analyse those with
-    :class:`StreamingTraceAnalyzer` instead.  ``dataflow`` names the
-    victim's loop order (identify it first with
-    :class:`~repro.attacks.structure.DataflowIdentifier` if unknown);
-    it selects the boundary rule the segmentation uses.
-    ``engine="vectorised"`` (the default) folds the trace through the
-    streaming analyzer's batched kernels in one chunk;
-    ``engine="reference"`` is the original batch implementation and
-    the bit-identity oracle.
-    """
-    from repro.accel.dataflow import resolve_dataflow
-
-    trace = obs.trace
-    if trace is None:
+    """:class:`StreamingTraceAnalyzer` over a materialised observation."""
+    if obs.trace is None:
         raise TraceError(
-            "observation carries no materialised trace (it was streamed "
-            "to a sink); use StreamingTraceAnalyzer for streaming runs"
+            "observation carries no materialised trace; stream it into a "
+            "StreamingTraceAnalyzer instead"
         )
-    if resolve_engine(engine) == "vectorised":
-        analyzer = StreamingTraceAnalyzer(
-            obs.input_shape,
-            obs.element_bytes,
-            obs.block_bytes,
-            dataflow=dataflow,
-            engine="vectorised",
-        )
-        analyzer.feed(trace.cycles, trace.addresses, trace.is_write)
-        return analyzer.finish(obs)
-    addresses, is_write, cycles = trace.addresses, trace.is_write, trace.cycles
-    if resolve_dataflow(dataflow).name == "output-stationary":
-        boundaries = find_layer_boundaries(addresses, is_write)
-    else:
-        boundaries = find_layer_boundaries_dataflow(
-            addresses, is_write, obs.block_bytes
-        )
-    n_events = len(addresses)
-    edges = boundaries + [n_events]
-
-    c, h, w = obs.input_shape
-    input_elements = c * h * w
-
-    layers: list[LayerObservation] = []
-    write_ranges: list[tuple[int, int]] = []  # per-layer OFM byte extents
-    for li in range(len(boundaries)):
-        lo_e, hi_e = edges[li], edges[li + 1]
-        addr = addresses[lo_e:hi_e]
-        wmask = is_write[lo_e:hi_e]
-        read_addrs = addr[~wmask]
-        write_addrs = addr[wmask]
-        if len(write_addrs) == 0:
-            raise TraceError(f"layer {li} wrote no OFM")
-        ofm_lo, ofm_hi = _contiguous_extent(write_addrs, obs.block_bytes)
-        size_ofm = SizeRange.from_byte_extent(
-            ofm_hi - ofm_lo, obs.element_bytes, obs.block_bytes
-        )
-
-        # Attribute reads to earlier layers' OFMs (or the input).
-        sources: list[int] = []
-        ifm_sizes: list[SizeRange] = []
-        unattributed = np.ones(len(read_addrs), dtype=bool)
-        for src_idx, (w_lo, w_hi) in enumerate(write_ranges):
-            mask = (read_addrs >= w_lo) & (read_addrs < w_hi)
-            if mask.any():
-                sources.append(src_idx)
-                ifm_sizes.append(
-                    SizeRange.from_byte_extent(
-                        w_hi - w_lo, obs.element_bytes, obs.block_bytes
-                    )
-                )
-                unattributed &= ~mask
-        remaining = read_addrs[unattributed]
-        if li == 0 and len(remaining):
-            ifm_reads, remaining = _split_first_layer_reads(
-                remaining, input_elements, obs.element_bytes, obs.block_bytes
-            )
-            if len(ifm_reads):
-                sources.insert(0, INPUT_SOURCE)
-                ifm_sizes.insert(
-                    0, SizeRange(lo=input_elements, hi=input_elements)
-                )
-
-        if len(remaining):
-            f_lo, f_hi = _contiguous_extent(remaining, obs.block_bytes)
-            size_fltr: SizeRange | None = SizeRange.from_byte_extent(
-                f_hi - f_lo, obs.element_bytes, obs.block_bytes
-            )
-            kind = "compute"
-        else:
-            size_fltr = None
-            kind = "merge"
-
-        start_cycle = int(cycles[lo_e])
-        if edges[li + 1] < n_events:
-            end_cycle = int(cycles[edges[li + 1]])
-        else:
-            # Final layer: no next boundary — use the wall clock, which
-            # covers the OFM write-back drain the adversary observes.
-            end_cycle = obs.total_cycles
-        
-        layers.append(
-            LayerObservation(
-                index=li,
-                kind=kind,
-                sources=tuple(sources),
-                size_ifm_per_source=tuple(ifm_sizes),
-                size_ofm=size_ofm,
-                size_fltr=size_fltr,
-                duration=max(1, end_cycle - start_cycle),
-                read_transactions=int(len(read_addrs)),
-                write_transactions=int(len(write_addrs)),
-            )
-        )
-        write_ranges.append((ofm_lo, ofm_hi))
-
-    return TraceAnalysis(
-        layers=tuple(layers),
-        input_shape=obs.input_shape,
-        num_classes=obs.num_classes,
-        element_bytes=obs.element_bytes,
-        block_bytes=obs.block_bytes,
+    analyzer = StreamingTraceAnalyzer(
+        obs.input_shape, obs.element_bytes, obs.block_bytes, dataflow
     )
+    analyzer.feed(obs.trace.cycles, obs.trace.addresses, obs.trace.is_write)
+    return analyzer.finish(obs)
 
 
 def average_analyses(

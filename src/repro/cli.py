@@ -148,7 +148,7 @@ def cmd_structure(args) -> int:
         if channel.power_noisy:
             cal = calibrate_channel(session, power_runs=4)
             print(f"calibration: {cal.describe()}")
-        result = fuse_boundaries(session, runs=args.runs, engine=args.engine)
+        result = fuse_boundaries(session, runs=args.runs)
         print(f"channel: {channel.describe()}")
         print(f"fused boundaries over {args.runs} run(s) "
               f"(confirm tol {result.confirm_tol} cycles): "
@@ -188,9 +188,7 @@ def cmd_structure(args) -> int:
         # noisy channel run the consensus boundary recovery instead.
         session = DeviceSession(sim, channel=channel)
         runs = max(args.runs, 3)
-        result = recover_boundaries(
-            session, runs=runs, compare_naive=True, engine=args.engine
-        )
+        result = recover_boundaries(session, runs=runs, compare_naive=True)
         print(f"channel: {channel.describe()}")
         print(f"consensus boundaries over {runs} runs "
               f"(quorum {result.quorum}, tol {result.tol} cycles): "
@@ -212,7 +210,7 @@ def cmd_structure(args) -> int:
     # observation identifying the dataflow, then decodes with it.
     result = run_structure_attack(
         sim, tolerance=args.tolerance, rules=rules, runs=args.runs,
-        workers=args.workers, dataflow="auto", engine=args.engine,
+        workers=args.workers, dataflow="auto",
     )
     print(f"dataflow identified: {result.dataflow}")
     print(f"layers detected: {len(result.boundaries)}")
@@ -431,11 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--loose-rules", action="store_true")
     st.add_argument("--show", type=int, default=1,
                     help="candidates to print in full")
-    st.add_argument("--engine", choices=("vectorised", "reference"),
-                    default="vectorised",
-                    help="trace-decode engine (reference: the original "
-                         "per-event decoders, kept as a bit-identity "
-                         "oracle)")
     _add_workers_flag(st)
     _add_channel_flags(st)
     _add_power_flags(st)

@@ -5,15 +5,17 @@ device.  :class:`DeviceSession` meters every inference, channel query
 and trace byte on a :class:`QueryLedger`, memoises and batches channel
 queries, and streams structure-attack traces span-by-span into an
 attacker-supplied :class:`~repro.accel.trace.TraceSink`
-(re-exporting :class:`~repro.accel.sinks.CoalescingSink` so attack
-code can right-size chunk delivery without crossing the boundary);
+(re-exporting :class:`~repro.accel.sinks.CoalescingSink` and
+:class:`~repro.accel.sinks.TeeSink` so attack code can right-size chunk
+delivery and fan one stream out to several decoders without crossing
+the boundary);
 :mod:`repro.device.backends` replaces the old ``prefer_sparse`` flag
 with a capability-based registry.  A guard test asserts that nothing
 under :mod:`repro.attacks` imports simulator or oracle internals
 directly.
 """
 
-from repro.accel.sinks import CoalescingSink
+from repro.accel.sinks import CoalescingSink, TeeSink
 from repro.device.observation import StructureObservation
 from repro.device.backends import (
     BackendSpec,
@@ -44,6 +46,7 @@ __all__ = [
     "device_fingerprint",
     "array_digest",
     "CoalescingSink",
+    "TeeSink",
     "TRACE_EVENT_BYTES",
     "BackendSpec",
     "register_backend",

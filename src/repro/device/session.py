@@ -504,7 +504,6 @@ class DeviceSession:
         sink: TraceSink | None = None,
         run: int | None = None,
         power: PowerModel | None = None,
-        engine: str = "vectorised",
     ) -> PowerTrace:
         """One metered inference observed through the power probe.
 
@@ -546,7 +545,6 @@ class DeviceSession:
             power,
             channel=self.channel,
             run_index=run_index,
-            engine=engine,
         )
         boundary: _MeteredBoundary | None = None
         if sink is None:

@@ -38,6 +38,7 @@ import hashlib
 import io
 import os
 import sqlite3
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,11 @@ CREATE TABLE IF NOT EXISTS outputs (
     payload BLOB NOT NULL
 );
 """
+
+# Switching a fresh database to WAL takes an exclusive lock that sqlite's
+# busy timeout does not wait for, so processes racing to open a new
+# cache file retry the switch this many times, 10 ms apart.
+_WAL_ATTEMPTS = 500
 
 # Spans replayed from a cached observation are re-chunked to this many
 # events so a hit never materialises the whole trace at once.
@@ -168,7 +174,14 @@ class SharedQueryCache:
         if self._conn is None or self._pid != pid:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, timeout=60.0)
-            conn.execute("PRAGMA journal_mode=WAL")
+            for attempt in range(1, _WAL_ATTEMPTS + 1):
+                try:
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or attempt == _WAL_ATTEMPTS:
+                        raise
+                    time.sleep(0.01)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             conn.commit()

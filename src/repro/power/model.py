@@ -20,8 +20,7 @@ stream plus public timing parameters*:
 Event energies are accumulated into cycle bins of ``quantum`` cycles
 (``sample[b]`` covers cycles ``[b*quantum, (b+1)*quantum)``).  All
 arithmetic is int64, so a :class:`PowerTrace` is bit-identical across
-processes, span chunkings and synthesis engines, and its digest can be
-golden-pinned.
+processes and span chunkings, and its digest can be golden-pinned.
 """
 
 from __future__ import annotations
@@ -166,23 +165,3 @@ class PowerModel:
         )
         energy += np.where(writes, self.write_energy, mac_read)
         return energy
-
-    def event_energy_reference(
-        self,
-        addresses: np.ndarray,
-        is_write: np.ndarray,
-        prev_address: int,
-        timing: TimingModel,
-    ) -> np.ndarray:
-        """Per-event scalar oracle of :meth:`event_energy` (bit-identical)."""
-        mac_read = self.read_energy + self.mac_energy * self.mac_units_per_read(
-            timing
-        )
-        out = np.empty(len(addresses), dtype=np.int64)
-        prev = int(prev_address)
-        for i, (addr, write) in enumerate(zip(addresses, is_write)):
-            toggled = bin((int(addr) ^ prev) & 0xFFFFFFFFFFFFFFFF).count("1")
-            base = self.write_energy if write else mac_read
-            out[i] = base + self.switch_energy * toggled
-            prev = int(addr)
-        return out

@@ -27,7 +27,7 @@ import numpy as np
 from repro.accel.timing import TimingModel
 from repro.accel.trace import TraceSink, TraceSpan
 from repro.channel import ChannelModel
-from repro.errors import ConfigError, TraceError
+from repro.errors import TraceError
 from repro.power.model import PowerModel, PowerTrace
 
 __all__ = ["PowerSink"]
@@ -44,8 +44,6 @@ class PowerSink:
             out the clean proxy.
         run_index: which noise stream this observation run draws.
         inner: optional downstream sink every span is forwarded to.
-        engine: ``"vectorised"`` (default) or the per-event
-            ``"reference"`` oracle — bit-identical samples.
     """
 
     def __init__(
@@ -56,18 +54,12 @@ class PowerSink:
         channel: ChannelModel | None = None,
         run_index: int = 0,
         inner: TraceSink | None = None,
-        engine: str = "vectorised",
     ) -> None:
-        if engine not in ("vectorised", "reference"):
-            raise ConfigError(
-                f"engine must be 'vectorised' or 'reference', got {engine!r}"
-            )
         self.timing = timing
         self.model = model if model is not None else PowerModel()
         self.channel = channel
         self.run_index = int(run_index)
         self.inner = inner
-        self.engine = engine
         self.events = 0
         self._acc = np.zeros(0, dtype=np.int64)
         self._last_bin = -1
@@ -104,14 +96,9 @@ class PowerSink:
 
     # -- accumulation ------------------------------------------------------
     def _accumulate(self, span: TraceSpan) -> None:
-        if self.engine == "vectorised":
-            energy = self.model.event_energy(
-                span.addresses, span.is_write, self._last_addr, self.timing
-            )
-        else:
-            energy = self.model.event_energy_reference(
-                span.addresses, span.is_write, self._last_addr, self.timing
-            )
+        energy = self.model.event_energy(
+            span.addresses, span.is_write, self._last_addr, self.timing
+        )
         bins = np.asarray(span.cycles, dtype=np.int64) // self.model.quantum
         lo = int(bins[0])
         hi = int(bins[-1])

@@ -3,7 +3,7 @@
 Whatever the loop order, a trace must stay physically plausible:
 delivered cycles never run backwards, each OFM block is written exactly
 once (dense writes), and filter regions are read-only.  The vectorised
-engine must stay bit-identical to the reference emitter under every
+synthesiser must stay bit-identical to the per-tile oracle under every
 dataflow, and each (model, dataflow) pair must reproduce its pinned
 golden digest — with the output-stationary default bit-identical to the
 pre-dataflow simulator.
@@ -34,6 +34,7 @@ from repro.accel import (
 from repro.errors import ConfigError
 from repro.nn.spec import LayerGeometry
 from repro.nn.zoo import build_lenet, build_squeezenet
+from repro.reference import synthesize_reference
 
 DATAFLOWS = available_dataflows()
 
@@ -58,18 +59,14 @@ def _assert_streams_equal(a, b):
 @pytest.mark.parametrize("dataflow", DATAFLOWS)
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
 def test_reference_vs_vectorised_bit_identical(dataflow, cfg):
-    staged = build_lenet()
-    ref = AcceleratorSim(staged, AcceleratorConfig(
-        trace_synthesis="reference", dataflow=dataflow, **cfg
-    ))
-    vec = AcceleratorSim(staged, AcceleratorConfig(
-        trace_synthesis="vectorised", dataflow=dataflow, **cfg
-    ))
+    sim = AcceleratorSim(
+        build_lenet(), AcceleratorConfig(dataflow=dataflow, **cfg)
+    )
     x = np.random.default_rng(0).normal(size=(1, 1, 28, 28))
-    _assert_streams_equal(ref.run(x), vec.run(x))
     # Second run: cached per-segment plans must be reused without going
-    # stale, and jitter must advance identically on both engines.
-    _assert_streams_equal(ref.run(x), vec.run(x))
+    # stale, and jitter must advance identically on both paths.
+    for _ in range(2):
+        _assert_streams_equal(sim.run(x), synthesize_reference(sim))
 
 
 @pytest.mark.parametrize("dataflow", DATAFLOWS)
@@ -109,14 +106,9 @@ def test_trace_physical_invariants(dataflow):
 @pytest.mark.parametrize("dataflow", DATAFLOWS)
 def test_squeezenet_merge_stages_bit_identical(dataflow):
     staged = build_squeezenet(num_classes=10, width_scale=0.25)
-    ref = AcceleratorSim(staged, AcceleratorConfig(
-        trace_synthesis="reference", dataflow=dataflow
-    ))
-    vec = AcceleratorSim(staged, AcceleratorConfig(
-        trace_synthesis="vectorised", dataflow=dataflow
-    ))
+    sim = AcceleratorSim(staged, AcceleratorConfig(dataflow=dataflow))
     x = np.random.default_rng(2).normal(size=(1, 3, 227, 227))
-    _assert_streams_equal(ref.run(x), vec.run(x))
+    _assert_streams_equal(sim.run(x), synthesize_reference(sim))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
-"""Vectorised trace synthesis must be bit-identical to the reference path.
+"""Vectorised trace synthesis must be bit-identical to the per-tile oracle.
 
 The attacks treat the trace as ground truth, so the cached-plan
 vectorised synthesiser is only admissible if its flattened event stream
-matches the straightforward per-tile reference emitter event for event
-— under pruning, under timing jitter, across runs and replays.
+matches the straightforward per-tile emitter
+(:func:`repro.reference.synthesize_reference`) event for event — under
+pruning, under timing jitter, across runs and replays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from benchmarks.perf.golden import GOLDEN_LENET_SHA256, lenet_span_digest
-from repro.errors import ConfigError
 from repro.accel import (
     AcceleratorConfig,
     AcceleratorSim,
@@ -20,6 +20,7 @@ from repro.accel import (
     TimingModel,
 )
 from repro.nn.zoo import build_lenet, build_squeezenet
+from repro.reference import synthesize_reference
 
 
 def _assert_streams_equal(a, b):
@@ -32,14 +33,11 @@ def _assert_streams_equal(a, b):
     ]
 
 
-def _pair(staged, **cfg):
-    ref = AcceleratorSim(
-        staged, AcceleratorConfig(trace_synthesis="reference", **cfg)
-    )
-    vec = AcceleratorSim(
-        staged, AcceleratorConfig(trace_synthesis="vectorised", **cfg)
-    )
-    return ref, vec
+def _assert_matches_oracle(sim, x):
+    """Run ``sim`` on ``x``; the per-tile oracle must emit the same run."""
+    result = sim.run(x)
+    _assert_streams_equal(synthesize_reference(sim), result)
+    return result
 
 
 CONFIGS = {
@@ -55,33 +53,33 @@ CONFIGS = {
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
 def test_lenet_bit_identical_across_engines(cfg):
-    ref, vec = _pair(build_lenet(), **cfg)
+    sim = AcceleratorSim(build_lenet(), AcceleratorConfig(**cfg))
     x = np.random.default_rng(0).normal(size=(1, 1, 28, 28))
-    _assert_streams_equal(ref.run(x), vec.run(x))
+    _assert_matches_oracle(sim, x)
     # Second run: jitter advances to the next stream, cached read plans
     # must be reused without going stale.
-    _assert_streams_equal(ref.run(x), vec.run(x))
+    _assert_matches_oracle(sim, x)
 
 
 def test_squeezenet_merge_stages_bit_identical():
     staged = build_squeezenet(num_classes=10, width_scale=0.25)
-    ref, vec = _pair(staged)
     x = np.random.default_rng(1).normal(size=(1, 3, 227, 227))
-    _assert_streams_equal(ref.run(x), vec.run(x))
+    _assert_matches_oracle(AcceleratorSim(staged), x)
 
 
 def test_pruned_plans_invalidate_on_new_input():
     # Pruned traces depend on the activations; a fresh input must not
     # reuse the previous run's ground truth.
-    ref, vec = _pair(build_lenet(), pruning=PruningConfig(enabled=True))
+    sim = AcceleratorSim(
+        build_lenet(), AcceleratorConfig(pruning=PruningConfig(enabled=True))
+    )
     rng = np.random.default_rng(2)
     a = rng.normal(size=(1, 1, 28, 28))
     b = rng.normal(size=(1, 1, 28, 28))
-    _assert_streams_equal(ref.run(a), vec.run(a))
-    ra, va = ref.run(b), vec.run(b)
-    _assert_streams_equal(ra, va)
+    _assert_matches_oracle(sim, a)
+    vb = _assert_matches_oracle(sim, b)
     assert not np.array_equal(
-        va.trace.addresses, vec.run(a).trace.addresses
+        vb.trace.addresses, sim.run(a).trace.addresses
     )
 
 
@@ -98,11 +96,6 @@ def test_replay_reproduces_run_bit_for_bit():
     assert other.total_cycles != run.total_cycles
 
 
-def test_unknown_synthesis_mode_rejected():
-    with pytest.raises(ConfigError):
-        AcceleratorConfig(trace_synthesis="magic")
-
-
 def test_lenet_golden_digest_pinned():
-    assert lenet_span_digest("vectorised") == GOLDEN_LENET_SHA256
-    assert lenet_span_digest("reference") == GOLDEN_LENET_SHA256
+    assert lenet_span_digest() == GOLDEN_LENET_SHA256
+    assert lenet_span_digest(reference=True) == GOLDEN_LENET_SHA256

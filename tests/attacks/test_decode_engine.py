@@ -1,33 +1,35 @@
-"""Vectorised decode engine: kernels, last-writer index, fuzzed identity.
+"""Vectorised decoders: kernels, last-writer index, fuzzed identity.
 
-The vectorised engine is only allowed to exist because it is
-bit-identical to the per-event reference decoders.  Beyond the zoo-trace
-identity matrix (test_engine_identity.py), this module fuzzes *adversarial*
-traces — random addresses, random read/write mixes, random chunkings —
-through both engines and requires identical boundaries and verdicts, and
-unit-tests the shared kernels the engine is built from.
+The vectorised decoders are only allowed to exist because they are
+bit-identical to the per-event oracles in :mod:`repro.reference`.
+Beyond the zoo-trace identity matrix (test_engine_identity.py), this
+module fuzzes *adversarial* traces — random addresses, random
+read/write mixes, random chunkings — through the chunked trackers and
+the whole-trace oracles and requires identical boundaries, and
+unit-tests the shared kernels the decoders are built from.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError
 from repro.attacks.robust.boundary import RobustRawBoundaryTracker
 from repro.attacks.structure.decode import (
-    ENGINES,
     LastWriterIndex,
-    resolve_engine,
     sorted_unique,
     sorted_unique_counts,
 )
-from repro.attacks.structure.dataflow_id import DataflowIdentifier
 from repro.attacks.structure.trace_analysis import (
+    BoundaryTracker,
     DataflowBoundaryTracker,
     RawBoundaryTracker,
     _BlockIntervalSet,
+)
+from repro.reference import (
+    layer_boundaries_reference,
+    raw_boundaries_reference,
+    robust_boundaries_reference,
 )
 
 BLOCK = 64
@@ -48,14 +50,6 @@ def test_sorted_unique_counts_matches_np_unique(values):
     ref_u, ref_c = np.unique(a, return_counts=True)
     np.testing.assert_array_equal(uniq, ref_u)
     np.testing.assert_array_equal(counts, ref_c)
-
-
-def test_resolve_engine():
-    assert resolve_engine("vectorised") == "vectorised"
-    assert resolve_engine("reference") == "reference"
-    assert set(ENGINES) == {"vectorised", "reference"}
-    with pytest.raises(ConfigError, match="unknown decode engine"):
-        resolve_engine("turbo")
 
 
 # -- last-writer index ------------------------------------------------------
@@ -191,7 +185,7 @@ def test_block_interval_set_split():
     assert not above.touches(64)
 
 
-# -- fuzzed engine identity -------------------------------------------------
+# -- fuzzed oracle identity -------------------------------------------------
 
 def random_trace(rng: np.random.Generator, n: int, pool: int):
     """An adversarial trace: random addresses, random R/W, dup-friendly."""
@@ -228,11 +222,26 @@ def test_fuzz_raw_tracker_identity(seed):
         rng, int(rng.integers(1, 300)), int(rng.integers(1, 40))
     )
     edges = chunk_edges(rng, len(addresses))
-    ref = RawBoundaryTracker(engine="reference")
-    ref.feed(addresses, is_write)
-    vec = RawBoundaryTracker(engine="vectorised")
+    vec = RawBoundaryTracker()
     got = feed_chunked(vec, (addresses, is_write), edges)
-    assert [0] + got == ref.boundaries == vec.boundaries
+    ref = raw_boundaries_reference(addresses, is_write)
+    assert [0] + got == ref == vec.boundaries
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_fuzz_boundary_tracker_identity(seed):
+    rng = np.random.default_rng(seed)
+    cycles, addresses, is_write = random_trace(
+        rng, int(rng.integers(1, 300)), int(rng.integers(1, 40))
+    )
+    edges = chunk_edges(rng, len(addresses))
+    vec = BoundaryTracker()
+    got = feed_chunked(vec, (is_write,), edges)
+    ref = layer_boundaries_reference(
+        addresses, is_write, BLOCK, "output-stationary"
+    )
+    assert [0] + got == ref == vec.boundaries
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,11 +252,12 @@ def test_fuzz_dataflow_tracker_identity(seed):
         rng, int(rng.integers(1, 300)), int(rng.integers(1, 40))
     )
     edges = chunk_edges(rng, len(addresses))
-    ref = DataflowBoundaryTracker(BLOCK, engine="reference")
-    ref.feed(addresses, is_write)
-    vec = DataflowBoundaryTracker(BLOCK, engine="vectorised")
+    vec = DataflowBoundaryTracker(BLOCK)
     got = feed_chunked(vec, (addresses, is_write), edges)
-    assert [0] + got == ref.boundaries == vec.boundaries
+    ref = layer_boundaries_reference(
+        addresses, is_write, BLOCK, "weight-stationary"
+    )
+    assert [0] + got == ref == vec.boundaries
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,30 +275,8 @@ def test_fuzz_robust_tracker_identity(seed):
         refractory=int(rng.integers(0, 40)),
         producer_refractory=int(rng.choice([0, int(rng.integers(0, 40))])),
     )
-    ref = RobustRawBoundaryTracker(engine="reference", **kwargs)
-    ref.feed(addresses, is_write, cycles)
-    vec = RobustRawBoundaryTracker(engine="vectorised", **kwargs)
-    got = feed_chunked(vec, (addresses, is_write, cycles), edges)
-    assert [0] + got == ref.boundaries == vec.boundaries
-    assert ref.boundary_cycles == vec.boundary_cycles
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_fuzz_dataflow_identifier_identity(seed):
-    rng = np.random.default_rng(seed)
-    cycles, addresses, is_write = random_trace(
-        rng, int(rng.integers(1, 300)), int(rng.integers(1, 40))
-    )
-    edges = chunk_edges(rng, len(addresses))
-    shape = (1, 8, 8)
-    # The identifier's raw counters are only chunking-invariant on real
-    # traces (the input-region bound is a running minimum, see its
-    # docstring) — so engine identity is asserted at the *same*
-    # chunking, for the whole signature including raw counters.
-    ref = DataflowIdentifier(shape, 4, BLOCK, engine="reference")
-    vec = DataflowIdentifier(shape, 4, BLOCK, engine="vectorised")
-    for s, e in zip(edges[:-1], edges[1:]):
-        ref.feed(addresses[s:e], is_write[s:e])
-        vec.feed(addresses[s:e], is_write[s:e])
-    assert ref.signature() == vec.signature()
+    vec = RobustRawBoundaryTracker(**kwargs)
+    got = feed_chunked(vec, (cycles, addresses, is_write), edges)
+    ref = robust_boundaries_reference(cycles, addresses, is_write, **kwargs)
+    assert [0] + got == ref[0] == vec.boundaries
+    assert ref[1] == vec.boundary_cycles

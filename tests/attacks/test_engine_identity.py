@@ -1,12 +1,13 @@
-"""Engine identity matrix: zoo models × dataflows × chunkings.
+"""Decode identity matrix: zoo models × dataflows × chunkings.
 
-The acceptance bar for the vectorised decode engine: for every zoo
-model, every accelerator dataflow and arbitrary chunk delivery — clean
-or through a noisy channel — it produces the same boundaries, the same
-:class:`TraceAnalysis` and the same dataflow verdicts as the reference
-per-event decoders.  Small models are covered densely; the large ones
-(alexnet, squeezenet) at one chunking to bound runtime (the perf bench
-re-asserts identity on the full alexnet trace every run).
+The acceptance bar for the vectorised decoders: for every zoo model,
+every accelerator dataflow and arbitrary chunk delivery — clean or
+through a noisy channel — they produce the same boundaries, the same
+:class:`TraceAnalysis` and the same consensus as the whole-trace
+oracles in :mod:`repro.reference`.  Small models are covered densely;
+the large ones (alexnet, squeezenet) at one chunking to bound runtime
+(the perf bench re-asserts identity on the full alexnet trace every
+run).
 """
 
 from __future__ import annotations
@@ -18,13 +19,22 @@ from repro.accel import AcceleratorConfig, AcceleratorSim
 from repro.channel import ChannelModel
 from repro.device import DeviceSession
 from repro.nn.zoo import build_model
-from repro.attacks.robust.boundary import RobustRawBoundaryTracker
+from repro.attacks.robust.boundary import (
+    RobustRawBoundaryTracker,
+    consensus_boundaries,
+)
 from repro.attacks.robust.structure import recover_boundaries
 from repro.attacks.structure.dataflow_id import identify_dataflow
 from repro.attacks.structure.trace_analysis import (
     StreamingTraceAnalyzer,
     analyse_trace,
     find_layer_boundaries_dataflow,
+)
+from repro.reference import (
+    decode_reference,
+    layer_boundaries_reference,
+    raw_boundaries_reference,
+    robust_boundaries_reference,
 )
 
 DATAFLOWS = ("output-stationary", "weight-stationary", "row-stationary")
@@ -40,11 +50,11 @@ def observe(model: str, dataflow: str, channel: ChannelModel | None = None):
     return session.observe_structure(seed=0)
 
 
-def stream_analysis(obs, dataflow, engine, chunk):
+def stream_analysis(obs, dataflow, chunk):
     t = obs.trace
     analyzer = StreamingTraceAnalyzer(
         obs.input_shape, obs.element_bytes, obs.block_bytes,
-        dataflow=dataflow, engine=engine,
+        dataflow=dataflow,
     )
     for s in range(0, len(t), chunk):
         analyzer.feed(
@@ -60,51 +70,33 @@ def stream_analysis(obs, dataflow, engine, chunk):
 def test_small_models_identical_across_engines_and_chunkings(model, dataflow):
     obs = observe(model, dataflow)
     t = obs.trace
-    ref_analysis = analyse_trace(obs, dataflow=dataflow, engine="reference")
-    assert analyse_trace(obs, dataflow=dataflow, engine="vectorised") == ref_analysis
-    ref_bounds = find_layer_boundaries_dataflow(
-        t.addresses, t.is_write, obs.block_bytes, engine="reference"
-    )
+    ref = decode_reference(obs, dataflow)
+    assert analyse_trace(obs, dataflow=dataflow) == ref[1]
+    # The write-burst-tolerant rule also decodes write-at-end traces.
     assert find_layer_boundaries_dataflow(
-        t.addresses, t.is_write, obs.block_bytes, engine="vectorised"
-    ) == ref_bounds
-    ref_sig = identify_dataflow(
-        t, obs.input_shape, obs.element_bytes, obs.block_bytes,
-        engine="reference",
+        t.addresses, t.is_write, obs.block_bytes
+    ) == layer_boundaries_reference(
+        t.addresses, t.is_write, obs.block_bytes, "weight-stationary"
     )
-    assert ref_sig.dataflow == dataflow
     assert identify_dataflow(
-        t, obs.input_shape, obs.element_bytes, obs.block_bytes,
-        engine="vectorised",
-    ) == ref_sig
+        t, obs.input_shape, obs.element_bytes, obs.block_bytes
+    ).dataflow == dataflow
     for chunk in (len(t), 257, 32, 1):
-        bounds, analysis = stream_analysis(obs, dataflow, "vectorised", chunk)
-        assert analysis == ref_analysis, (model, dataflow, chunk)
-        bounds_r, analysis_r = stream_analysis(obs, dataflow, "reference", chunk)
-        assert (bounds, analysis) == (bounds_r, analysis_r), (model, dataflow, chunk)
+        assert stream_analysis(obs, dataflow, chunk) == ref, (
+            model, dataflow, chunk,
+        )
 
 
 @pytest.mark.parametrize("model", ["alexnet", "squeezenet"])
 def test_large_models_identical_across_engines(model):
     obs = observe(model, "output-stationary")
-    ref = analyse_trace(obs, dataflow="output-stationary", engine="reference")
-    assert analyse_trace(obs, dataflow="output-stationary", engine="vectorised") == ref
-    chunk = 1 << 16
-    _, analysis_v = stream_analysis(
-        obs, "output-stationary", "vectorised", chunk
+    ref = decode_reference(obs, "output-stationary")
+    assert analyse_trace(obs, dataflow="output-stationary") == ref[1]
+    assert stream_analysis(obs, "output-stationary", 1 << 16) == ref
+    sig = identify_dataflow(
+        obs.trace, obs.input_shape, obs.element_bytes, obs.block_bytes
     )
-    assert analysis_v == ref
-    t = obs.trace
-    sig_ref = identify_dataflow(
-        t, obs.input_shape, obs.element_bytes, obs.block_bytes,
-        engine="reference",
-    )
-    sig_vec = identify_dataflow(
-        t, obs.input_shape, obs.element_bytes, obs.block_bytes,
-        engine="vectorised",
-    )
-    assert sig_ref == sig_vec
-    assert sig_ref.dataflow == "output-stationary"
+    assert sig.dataflow == "output-stationary"
 
 
 NOISY = ChannelModel(drop_rate=0.03, dup_rate=0.02, cycle_sigma=30.0, seed=7)
@@ -115,43 +107,57 @@ def test_noisy_channel_robust_tracker_identical(dataflow):
     obs = observe("lenet", dataflow, channel=NOISY)
     t = obs.trace
     window = NOISY.latency_window
-    producer_refractory = window if dataflow == "output-stationary" else 0
-    outs = []
-    for engine in ("reference", "vectorised"):
-        for chunk in (len(t), 311, 5):
-            tracker = RobustRawBoundaryTracker(
-                min_support=3, expiry=4096, refractory=window,
-                producer_refractory=producer_refractory, engine=engine,
+    params = dict(
+        min_support=3, expiry=4096, refractory=window,
+        producer_refractory=window if dataflow == "output-stationary" else 0,
+    )
+    ref = robust_boundaries_reference(
+        t.cycles, t.addresses, t.is_write, **params
+    )
+    assert len(ref[0]) > 1
+    for chunk in (len(t), 311, 5):
+        tracker = RobustRawBoundaryTracker(**params)
+        for s in range(0, len(t), chunk):
+            tracker.feed(
+                t.cycles[s:s + chunk],
+                t.addresses[s:s + chunk],
+                t.is_write[s:s + chunk],
             )
-            for s in range(0, len(t), chunk):
-                tracker.feed(
-                    t.addresses[s:s + chunk],
-                    t.is_write[s:s + chunk],
-                    t.cycles[s:s + chunk],
-                )
-            outs.append((tracker.boundaries, tracker.boundary_cycles))
-    assert all(o == outs[0] for o in outs[1:])
+        assert (tracker.boundaries, tracker.boundary_cycles) == ref, chunk
 
 
 def test_noisy_consensus_recovery_identical():
-    results = []
-    for engine in ("reference", "vectorised"):
+    def session():
         sim = AcceleratorSim(build_model("lenet"), AcceleratorConfig())
-        session = DeviceSession(sim, channel=NOISY)
-        r = recover_boundaries(
-            session, runs=3, compare_naive=True, engine=engine
-        )
-        results.append((r.boundaries, r.runs, r.naive_runs))
-    assert results[0] == results[1]
+        return DeviceSession(sim, channel=NOISY)
+
+    result = recover_boundaries(session(), runs=3, compare_naive=True)
+    window = NOISY.latency_window
+    robust, naive = [], []
+    for k in range(3):
+        t = session().observe_structure(seed=0, run=k).trace
+        robust.append(robust_boundaries_reference(
+            t.cycles, t.addresses, t.is_write,
+            min_support=3, expiry=4096, refractory=window,
+        )[1])
+        naive.append([
+            int(t.cycles[i])
+            for i in raw_boundaries_reference(t.addresses, t.is_write)
+        ])
+    assert result.runs == robust
+    assert result.naive_runs == naive
+    assert result.boundaries == consensus_boundaries(
+        robust, quorum=2, tol=max(1, window // 4)
+    )
 
 
 def test_jittered_channel_fragmented_spans_still_identical():
     """Latency jitter fragments delivery; decoding must not care.
 
     Drop and jitter noise are the robust tracker's problem (they break
-    the contiguous-region / ordering assumptions ``analyse_trace``
-    checks), so this channel only duplicates — order-preserving, but
-    enough to fragment the delivered spans.
+    the contiguous-region / ordering assumptions the analysis checks),
+    so this channel only duplicates — order-preserving, but enough to
+    fragment the delivered spans.
     """
     jitter = ChannelModel(dup_rate=0.05, seed=7)
     obs = observe("lenet", "output-stationary", channel=jitter)
@@ -159,10 +165,10 @@ def test_jittered_channel_fragmented_spans_still_identical():
     rng = np.random.default_rng(5)
     cuts = np.sort(rng.integers(0, len(t), size=40))
     edges = [0] + [int(c) for c in cuts] + [len(t)]
-    ref = analyse_trace(obs, dataflow="output-stationary", engine="reference")
+    _, ref = decode_reference(obs, "output-stationary")
     analyzer = StreamingTraceAnalyzer(
         obs.input_shape, obs.element_bytes, obs.block_bytes,
-        dataflow="output-stationary", engine="vectorised",
+        dataflow="output-stationary",
     )
     for s, e in zip(edges[:-1], edges[1:]):
         analyzer.feed(t.cycles[s:e], t.addresses[s:e], t.is_write[s:e])

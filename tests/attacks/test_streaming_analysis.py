@@ -1,8 +1,8 @@
-"""Streaming trace analysis: bit-identity with the batch reference.
+"""Streaming trace analysis: bit-identity with the whole-trace oracles.
 
-The acceptance bar of the streaming refactor: for LeNet AND AlexNet,
-folding the span stream through :class:`StreamingTraceAnalyzer` (and the
-boundary trackers) yields exactly the objects the batch functions
+For LeNet AND AlexNet, folding the span stream through
+:class:`StreamingTraceAnalyzer` (and the boundary trackers) yields
+exactly the objects the batch oracles in :mod:`repro.reference`
 compute from the materialised trace — for any chunking of the stream.
 """
 
@@ -18,12 +18,11 @@ from repro.attacks.structure.trace_analysis import (
     RawBoundaryTracker,
     StreamingTraceAnalyzer,
     analyse_trace,
-    find_layer_boundaries,
-    find_layer_boundaries_raw,
 )
 from repro.device import DeviceSession
 from repro.errors import TraceError
 from repro.nn.zoo import build_alexnet, build_lenet
+from repro.reference import decode_reference, raw_boundaries_reference
 
 VICTIMS = {
     "lenet": lambda: build_lenet(),
@@ -33,10 +32,10 @@ VICTIMS = {
 
 @pytest.fixture(scope="module", params=sorted(VICTIMS))
 def observed(request):
-    """(name, materialised observation, batch analysis) per victim."""
+    """(name, materialised observation, oracle decode) per victim."""
     session = DeviceSession(AcceleratorSim(VICTIMS[request.param]()))
     obs = session.observe_structure(seed=1)
-    return request.param, obs, analyse_trace(obs)
+    return request.param, obs, decode_reference(obs)
 
 
 def chunked(trace, size):
@@ -53,14 +52,11 @@ def chunked(trace, size):
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
 def test_boundary_tracker_matches_batch_for_any_chunking(observed, chunk):
-    _, obs, _ = observed
-    trace = obs.trace
+    _, obs, (boundaries, _) = observed
     tracker = BoundaryTracker()
-    for _, _, is_write in chunked(trace, chunk):
+    for _, _, is_write in chunked(obs.trace, chunk):
         tracker.feed(is_write)
-    assert tracker.boundaries == find_layer_boundaries(
-        trace.addresses, trace.is_write
-    )
+    assert tracker.boundaries == boundaries
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
@@ -70,12 +66,14 @@ def test_raw_boundary_tracker_matches_batch_for_any_chunking(observed, chunk):
     tracker = RawBoundaryTracker()
     for _, addresses, is_write in chunked(trace, chunk):
         tracker.feed(addresses, is_write)
-    assert tracker.boundaries == find_layer_boundaries_raw(
+    assert tracker.boundaries == raw_boundaries_reference(
         trace.addresses, trace.is_write
     )
 
 
 def test_empty_trackers_raise_like_the_batch_functions():
+    with pytest.raises(TraceError, match="empty trace"):
+        raw_boundaries_reference(np.empty(0, np.int64), np.empty(0, bool))
     with pytest.raises(TraceError, match="empty trace"):
         BoundaryTracker().boundaries
     with pytest.raises(TraceError, match="empty trace"):
@@ -86,7 +84,7 @@ def test_empty_trackers_raise_like_the_batch_functions():
 
 @pytest.mark.parametrize("chunk", [13, 4096])
 def test_streaming_analysis_bit_identical_to_batch(observed, chunk):
-    _, obs, batch = observed
+    _, obs, (_, batch) = observed
     analyzer = StreamingTraceAnalyzer(
         obs.input_shape, obs.element_bytes, obs.block_bytes
     )
@@ -98,7 +96,7 @@ def test_streaming_analysis_bit_identical_to_batch(observed, chunk):
 def test_end_to_end_sink_analysis_bit_identical(observed):
     # The analyzer runs as the session's sink: nothing materialised,
     # same TraceAnalysis bit for bit.
-    name, obs, batch = observed
+    name, obs, (boundaries, batch) = observed
     session = DeviceSession(AcceleratorSim(VICTIMS[name]()))
     analyzer = StreamingTraceAnalyzer(
         session.image_shape, session.element_bytes, session.block_bytes
@@ -107,25 +105,18 @@ def test_end_to_end_sink_analysis_bit_identical(observed):
     assert streamed_obs.trace is None
     assert session.ledger.trace_events == len(obs.trace)
     assert analyzer.finish(streamed_obs) == batch
-    assert analyzer.boundaries == find_layer_boundaries(
-        obs.trace.addresses, obs.trace.is_write
-    )
+    assert analyzer.boundaries == boundaries
 
 
 def test_streaming_attack_equals_batch_attack(observed):
-    name, _, _ = observed
-    streaming = run_structure_attack(
-        AcceleratorSim(VICTIMS[name]()), seed=1, streaming=True
-    )
-    batch = run_structure_attack(
-        AcceleratorSim(VICTIMS[name]()), seed=1, streaming=False
-    )
-    assert streaming.observation.trace is None
-    assert batch.observation.trace is not None
-    assert streaming.analysis == batch.analysis
-    assert streaming.boundaries == batch.boundaries
-    assert streaming.count == batch.count
-    assert len(streaming.candidates) == len(batch.candidates)
+    # The attack observes run 0 with the input drawn from ``seed``, as
+    # the fixture's session did: its decode must match the oracle's.
+    name, obs, (boundaries, batch) = observed
+    result = run_structure_attack(AcceleratorSim(VICTIMS[name]()), seed=1)
+    assert result.observation.trace is None
+    assert result.observation.total_cycles == obs.total_cycles
+    assert result.analysis == batch
+    assert result.boundaries == boundaries
 
 
 # -- error paths -----------------------------------------------------------

@@ -3,7 +3,8 @@
 The session layer is the one sanctioned attacker/device boundary.  An
 attack module importing the simulator or oracle internals would be
 assuming observations the paper's Table 1 never grants, and would dodge
-the session's query accounting.  This test freezes the import direction.
+the session's query accounting.  This test freezes the import direction,
+and keeps production code off the test oracles in ``repro.reference``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-ATTACKS_DIR = Path(__file__).resolve().parents[2] / "src" / "repro" / "attacks"
+REPRO_DIR = Path(__file__).resolve().parents[2] / "src" / "repro"
+ATTACKS_DIR = REPRO_DIR / "attacks"
 
 # Device internals: trace emission, count oracles, sink implementations.
 FORBIDDEN = (
@@ -20,6 +22,7 @@ FORBIDDEN = (
     "repro.accel.oracle",
     "repro.accel.sinks",
     "repro.accel.pruning",
+    "repro.power.sink",  # the device-side power tap
 )
 # Public datasheet knowledge the structure attack is allowed to hold.
 ALLOWED = ("repro.accel.timing",)
@@ -49,4 +52,21 @@ def test_attacks_import_only_the_device_boundary():
     assert not offenders, (
         "attack modules must query the victim through repro.device, not "
         f"accelerator internals: {offenders}"
+    )
+
+
+def test_production_never_imports_the_oracles():
+    oracle = REPRO_DIR / "reference.py"
+    assert oracle.is_file()
+    offenders = [
+        str(path.relative_to(REPRO_DIR))
+        for path in sorted(REPRO_DIR.rglob("*.py"))
+        if path != oracle
+        and any(
+            mod == "repro.reference" or mod.startswith("repro.reference.")
+            for mod in imported_modules(path)
+        )
+    ]
+    assert not offenders, (
+        f"repro.reference holds test oracles only; imported by {offenders}"
     )

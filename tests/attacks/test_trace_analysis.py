@@ -10,13 +10,19 @@ from repro.accel import AcceleratorSim
 from tests.conftest import observe_structure
 from repro.attacks.structure import (
     INPUT_SOURCE,
+    RawBoundaryTracker,
     SizeRange,
     analyse_trace,
     find_layer_boundaries,
-    find_layer_boundaries_raw,
 )
 from repro.errors import TraceError
 from repro.nn.zoo import build_convnet, build_lenet, build_squeezenet
+
+
+def _raw_rule(trace):
+    tracker = RawBoundaryTracker()
+    tracker.feed(trace.addresses, trace.is_write)
+    return tracker.boundaries
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +39,7 @@ def test_boundary_count_matches_stages(lenet_analysis):
 
 def test_raw_and_protocol_rules_agree_on_sequential(lenet_analysis):
     _, obs, _ = lenet_analysis
-    raw = find_layer_boundaries_raw(obs.trace.addresses, obs.trace.is_write)
+    raw = _raw_rule(obs.trace)
     proto = find_layer_boundaries(obs.trace.addresses, obs.trace.is_write)
     assert raw == proto
 
@@ -84,7 +90,7 @@ def test_squeezenet_dag_recovered():
     assert kinds.count("compute") == 26
     assert kinds.count("merge") == 11
     # The raw RAW rule under-segments branch fan-out.
-    raw = find_layer_boundaries_raw(obs.trace.addresses, obs.trace.is_write)
+    raw = _raw_rule(obs.trace)
     assert len(raw) < ana.num_layers
     # Bypass structure: some merge layer reads two non-adjacent layers.
     merge_sources = [l.sources for l in ana.layers if l.kind == "merge"]

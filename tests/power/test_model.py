@@ -8,6 +8,7 @@ import pytest
 from repro.accel.timing import TimingModel
 from repro.errors import ConfigError
 from repro.power import PowerModel, popcount64
+from repro.reference import power_reference
 
 
 def test_popcount_matches_python_bit_count():
@@ -37,9 +38,20 @@ def test_event_energy_engines_bit_identical():
     model = PowerModel()
     addresses = rng.integers(0, 1 << 40, size=800, dtype=np.int64)
     is_write = rng.random(800) < 0.4
+    # One event per one-cycle bin: the oracle's samples are its
+    # per-event energies, and a leading read at ``prev`` sets the
+    # previous bus address of the first event under test.
+    cycles = np.arange(len(addresses) + 1, dtype=np.int64)
+    unit_bins = PowerModel(quantum=1)
     for prev in (0, 12345, (1 << 62) + 7):
         vec = model.event_energy(addresses, is_write, prev, timing)
-        ref = model.event_energy_reference(addresses, is_write, prev, timing)
+        ref = power_reference(
+            cycles,
+            np.concatenate(([prev], addresses)),
+            np.concatenate(([False], is_write)),
+            timing,
+            unit_bins,
+        ).samples[1:]
         assert vec.dtype == np.int64
         assert np.array_equal(vec, ref)
 

@@ -7,12 +7,12 @@ import sys
 
 import numpy as np
 
-from benchmarks.perf.golden import GOLDEN_LENET_POWER_SHA256
+from benchmarks.perf.golden import GOLDEN_LENET_POWER_SHA256, lenet_power_digest
 from repro.accel import AcceleratorSim, SpoolSink
 from repro.channel import ChannelModel
 from repro.device import CoalescingSink, DeviceSession
-from repro.nn.zoo import build_lenet
-from repro.power import PowerModel, PowerSink
+from repro.power import PowerSink
+from repro.reference import power_reference
 
 from tests.conftest import build_conv_stage
 
@@ -80,18 +80,15 @@ def test_engines_identical_on_real_stream():
     staged, *_ = build_conv_stage(seed=5)
     spans = _spans(staged)
     timing = AcceleratorSim(staged).config.timing
-    vec = _feed(PowerSink(timing, engine="vectorised"), spans)
-    ref = _feed(PowerSink(timing, engine="reference"), spans)
+    vec = _feed(PowerSink(timing), spans)
+    ref = power_reference(*(np.concatenate(col) for col in zip(*spans)), timing)
     assert np.array_equal(vec.samples, ref.samples)
     assert vec.digest() == ref.digest()
 
 
 def test_lenet_clean_trace_matches_golden_digest():
-    sim = AcceleratorSim(build_lenet())
-    x = np.zeros((1, *sim.staged.network.input_shape))
-    sink = PowerSink(sim.config.timing)
-    sim.run(x, sink)
-    assert sink.trace().digest() == GOLDEN_LENET_POWER_SHA256
+    assert lenet_power_digest() == GOLDEN_LENET_POWER_SHA256
+    assert lenet_power_digest(reference=True) == GOLDEN_LENET_POWER_SHA256
 
 
 def test_digest_identical_across_processes():
