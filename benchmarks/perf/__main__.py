@@ -639,11 +639,11 @@ def bench_channel(workers: int, quick: bool, scale: str) -> dict:
     ideal-channel result.
     """
     from repro.attacks.robust import (
+        BoundaryRecovery,
         VotingChannel,
         boundary_cycles_from_trace,
         boundary_f1,
         calibrate_channel,
-        recover_boundaries,
     )
     from repro.channel import ChannelModel
 
@@ -656,7 +656,7 @@ def bench_channel(workers: int, quick: bool, scale: str) -> dict:
         drop_rate=0.02, dup_rate=0.01, cycle_sigma=60.0, seed=11
     )
     noisy = DeviceSession(AcceleratorSim(net), channel=trace_channel)
-    result = recover_boundaries(noisy, runs=3)
+    result = BoundaryRecovery(noisy, runs=3).run()
     f1 = boundary_f1(
         result.boundaries, truth, tol=trace_channel.latency_window + 50
     ).f1

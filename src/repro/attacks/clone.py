@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import AttackError, ConfigError
 from repro.device import DeviceSession, QueryLedger
+from repro.attacks.stepped import Stepped, SubPlan
 from repro.attacks.structure.attack import StructureAttack
 from repro.attacks.structure.pipeline import CandidateStructure
 from repro.attacks.structure.reconstruct import reconstruct_network
@@ -174,7 +175,7 @@ def _steal_first_layer(
     )
 
 
-class CloneAttack:
+class CloneAttack(Stepped):
     """Checkpointable step/resume runner for end-to-end duplication.
 
     The clone pipeline decomposes into the structure phase's own step
@@ -189,8 +190,26 @@ class CloneAttack:
     persisted trace analyses (see :meth:`StructureAttack.result`), so
     the checkpoint stays small and JSON-only.
 
-    Parameters are those of :func:`clone_model`, which is the thin
-    all-steps-in-order driver over this class.
+    :meth:`~repro.attacks.stepped.Stepped.run` (or :func:`clone_model`)
+    drives every step in order.
+
+    Args:
+        dense_sim: the victim without pruning (structure phase) — a bare
+            device or a :class:`~repro.device.DeviceSession` on it.
+        pruned_sim: the victim deployed with per-plane zero pruning and
+            a tunable threshold rectifier (weights phase) — device or
+            session likewise.
+        probe_images: attacker-owned images used to query the victim for
+            labels and distill the clone's unstolen layers.
+        t1, t2: thresholds for the exact weight recovery.
+        tolerance: structure-attack timing tolerance.
+        distill_epochs: training epochs on the victim-labelled probes.
+        workers: worker processes for the structure phase's candidate
+            enumeration (the threshold weight recovery is already
+            batched per filter and runs serially).
+        dataflow: the victim accelerator's loop order, forwarded to the
+            structure phase (``"auto"`` identifies it from one extra
+            observation).
     """
 
     def __init__(
@@ -210,15 +229,9 @@ class CloneAttack:
         # Anything already speaking the session surface passes through —
         # a DeviceSession, or a wrapper over one (e.g. the robust
         # VotingChannel); bare devices get a session of their own.
-        self.dense = (
-            dense_sim
-            if hasattr(dense_sim, "ledger")
-            else DeviceSession(dense_sim)
-        )
-        self.pruned = (
-            pruned_sim
-            if hasattr(pruned_sim, "ledger")
-            else DeviceSession(pruned_sim)
+        self.dense, self.pruned = (
+            sim if hasattr(sim, "ledger") else DeviceSession(sim)
+            for sim in (dense_sim, pruned_sim)
         )
         self.probe_images = probe_images
         self.t1 = t1
@@ -226,12 +239,15 @@ class CloneAttack:
         self.distill_epochs = distill_epochs
         self.lr = lr
         self.seed = seed
-        self._structure = StructureAttack(
-            self.dense,
-            tolerance=tolerance,
-            rules=PracticalityRules(exact_pool_division=True),
-            workers=workers,
-            dataflow=dataflow,
+        self._structure = SubPlan(
+            "structure",
+            StructureAttack(
+                self.dense,
+                tolerance=tolerance,
+                rules=PracticalityRules(exact_pool_division=True),
+                workers=workers,
+                dataflow=dataflow,
+            ),
         )
         # In-memory product of the distill step, consumed by result();
         # reconstructed deterministically (and device-free) if missing.
@@ -239,39 +255,24 @@ class CloneAttack:
 
     def steps(self) -> list[str]:
         """The deterministic step plan for this attack."""
-        plan = [f"structure:{name}" for name in self._structure.steps()]
-        plan += ["steal", "label", "distill"]
-        return plan
+        return self._structure.steps() + ["steal", "label", "distill"]
 
     def run_step(self, name: str, state: dict | None = None) -> dict:
         """Execute one named step, returning the updated state dict."""
-        state = dict(state or {})
-        if name.startswith("structure:"):
-            return self._step_structure(name.split(":", 1)[1], state)
+        state = self._begin_step(name, state)
         if name == "steal":
             return self._step_steal(state)
         if name == "label":
             return self._step_label(state)
         if name == "distill":
             return self._step_distill(state)
-        raise ConfigError(f"unknown clone step {name!r}")
+        return self._structure.run_step(name, state)
 
     # -- individual steps --------------------------------------------------
-    def _step_structure(self, sub: str, state: dict) -> dict:
-        inner = dict(state.get("structure", {}))
-        inner = self._structure.run_step(sub, inner)
-        done = list(inner.get("steps_done", []))
-        if sub not in done:
-            done.append(sub)
-        inner["steps_done"] = done
-        state["structure"] = inner
-        return state
-
     def _structure_result(self, state: dict):
-        inner = state.get("structure")
-        if inner is None:
+        if "structure" not in state:
             raise ConfigError("clone state has no structure phase yet")
-        result = self._structure.result(dict(inner))
+        result = self._structure.result(state)
         if not result.candidates:
             raise AttackError("structure attack produced no candidates")
         return result
@@ -378,70 +379,17 @@ class CloneAttack:
             weight_ledger=self.pruned.ledger,
         )
 
-    def run(self, state: dict | None = None) -> CloneResult:
-        """Drive every remaining step in order (the resume path skips
-        steps recorded in ``state["steps_done"]``)."""
-        state = dict(state or {})
-        done = list(state.get("steps_done", []))
-        for name in self.steps():
-            if name in done:
-                continue
-            state = self.run_step(name, state)
-            done.append(name)
-            state["steps_done"] = list(done)
-        return self.result(state)
-
 
 def clone_model(
-    dense_sim,
-    pruned_sim,
-    probe_images: np.ndarray,
-    t1: float = 0.0,
-    t2: float = 1.0,
-    tolerance: float = 0.1,
-    distill_epochs: int = 10,
-    lr: float = 3e-3,
-    seed: int = 0,
-    workers: int | None = None,
-    dataflow: str = "output-stationary",
+    dense_sim, pruned_sim, probe_images: np.ndarray, **options
 ) -> CloneResult:
     """Duplicate a victim model end to end.
 
-    A thin driver over :class:`CloneAttack` (the checkpointable step
-    runner); running every step in order in-process is bit-identical to
-    the historical monolithic implementation.
-
-    Args:
-        dense_sim: the victim without pruning (structure phase) — a bare
-            device or a :class:`~repro.device.DeviceSession` on it.
-        pruned_sim: the victim deployed with per-plane zero pruning and
-            a tunable threshold rectifier (weights phase) — device or
-            session likewise.
-        probe_images: attacker-owned images used to query the victim for
-            labels and distill the clone's unstolen layers.
-        t1, t2: thresholds for the exact weight recovery.
-        tolerance: structure-attack timing tolerance.
-        distill_epochs: training epochs on the victim-labelled probes.
-        workers: worker processes for the structure phase's candidate
-            enumeration (the threshold weight recovery is already
-            batched per filter and runs serially).
-        dataflow: the victim accelerator's loop order, forwarded to the
-            structure phase (``"auto"`` identifies it from one extra
-            observation).
+    Drives every step of ``CloneAttack(dense_sim, pruned_sim,
+    probe_images, **options)`` in order; the options are
+    :class:`CloneAttack`'s.
     """
-    return CloneAttack(
-        dense_sim,
-        pruned_sim,
-        probe_images,
-        t1=t1,
-        t2=t2,
-        tolerance=tolerance,
-        distill_epochs=distill_epochs,
-        lr=lr,
-        seed=seed,
-        workers=workers,
-        dataflow=dataflow,
-    ).run()
+    return CloneAttack(dense_sim, pruned_sim, probe_images, **options).run()
 
 
 def prediction_agreement(

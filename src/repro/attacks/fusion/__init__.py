@@ -14,7 +14,6 @@ the memory channel alone.
 from repro.attacks.fusion.estimator import (
     FusedBoundaryRecovery,
     FusedStructureResult,
-    fuse_boundaries,
 )
 from repro.attacks.fusion.segment import (
     PowerSegmentation,
@@ -25,7 +24,6 @@ from repro.attacks.fusion.segment import (
 __all__ = [
     "FusedBoundaryRecovery",
     "FusedStructureResult",
-    "fuse_boundaries",
     "PowerSegmentation",
     "power_threshold",
     "segment_power_trace",

@@ -39,15 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attacks.fusion.segment import segment_power_trace
-from repro.attacks.robust.boundary import (
-    RobustRawBoundaryTracker,
-    consensus_boundaries,
-)
+from repro.attacks.robust.structure import BoundaryRecovery
 from repro.device import CoalescingSink, DeviceSession
 from repro.errors import ConfigError
 from repro.power import PowerModel
 
-__all__ = ["FusedStructureResult", "FusedBoundaryRecovery", "fuse_boundaries"]
+__all__ = ["FusedStructureResult", "FusedBoundaryRecovery"]
 
 
 @dataclass(frozen=True)
@@ -83,18 +80,44 @@ class FusedStructureResult:
         return len(self.boundaries)
 
 
-class FusedBoundaryRecovery:
-    """Checkpointable step/resume runner for fused boundary recovery.
+class FusedBoundaryRecovery(BoundaryRecovery):
+    """Recover layer boundaries by memory+power cross-validation.
 
-    Mirrors :class:`~repro.attacks.robust.structure.BoundaryRecovery`:
-    one ``run:k`` step per observation (each a *single* metered
-    inference observed on both channels at once, with a pinned run
-    index so kill-and-resume replays identical noise) plus a final
-    device-free ``consensus`` step; the state dict is JSON-serialisable
-    as-is.
+    The step plan, state layout and consensus are those of
+    :class:`~repro.attacks.robust.structure.BoundaryRecovery`: one
+    ``run:k`` step per observation (each a *single* metered inference
+    observed on both channels at once, with a pinned run index so
+    kill-and-resume replays identical noise) plus a final device-free
+    ``consensus`` step.  Only the per-run evidence differs.
 
-    Parameters are those of :func:`fuse_boundaries`, the thin
-    all-steps-in-order driver over this class.
+    Args:
+        session: the metered device session; its channel model decides
+            both the bus noise and the power probe's read-out noise.
+        runs: observation runs to stack (default 1 — the point of the
+            fusion is to reach consensus-grade reliability without a
+            repeat budget).
+        min_support: RAW hysteresis support per run.  Defaults to the
+            *relaxed* setting (1): forged candidates are vetoed by the
+            power edges instead of by support counting.
+        expiry, refractory, quorum, tol, seed, dataflow: as
+            :class:`~repro.attacks.robust.structure.BoundaryRecovery`.
+        confirm_tol: how close a RAW candidate must land to a power
+            segment edge to survive the veto, in cycles (default: the
+            latency window plus two power quanta — the two channels'
+            own slacks).
+        power: power-proxy coefficients (device-physics model; defaults
+            apply).
+        stage_overhead: the device's public per-stage overhead in
+            cycles, used by the power segmentation (default: read off
+            the device's datasheet timing model).
+        augment_unmatched: also promote power edges with no nearby RAW
+            candidate to boundaries.  Off by default — deep victims'
+            intra-layer lulls masquerade as layer gaps on the power
+            channel alone.
+        max_power_segments: credibility gate for the veto — a run
+            whose power segmentation yields more edges than this is
+            treated as power-uninformative and keeps its RAW
+            candidates unfiltered.
     """
 
     def __init__(
@@ -115,23 +138,21 @@ class FusedBoundaryRecovery:
         augment_unmatched: bool = False,
         max_power_segments: int = 64,
     ) -> None:
-        if runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {runs}")
+        super().__init__(
+            session,
+            runs,
+            min_support=min_support,
+            expiry=expiry,
+            refractory=refractory,
+            quorum=quorum,
+            tol=tol,
+            seed=seed,
+            dataflow=dataflow,
+        )
         if max_power_segments < 1:
             raise ConfigError(
                 f"max_power_segments must be >= 1, got {max_power_segments}"
             )
-        if quorum is not None and not 1 <= quorum <= runs:
-            raise ConfigError(f"quorum must be in [1, {runs}], got {quorum}")
-        window = session.channel.latency_window
-        self.session = session
-        self.runs = runs
-        self.min_support = min_support
-        self.expiry = expiry
-        self.refractory = window if refractory is None else refractory
-        self.quorum = quorum if quorum is not None else runs // 2 + 1
-        self.tol = max(1, window // 4) if tol is None else tol
-        self.seed = seed
         self.power = power if power is not None else PowerModel()
         # The per-stage overhead is a public (datasheet) timing figure,
         # same threat-model footing as the channel's latency window.
@@ -144,28 +165,12 @@ class FusedBoundaryRecovery:
         # early) while the RAW cycle jitters by up to the channel
         # latency window — both slacks, plus margin, must fit.
         self.confirm_tol = (
-            window + 2 * self.power.quantum
+            session.channel.latency_window + 2 * self.power.quantum
             if confirm_tol is None
             else confirm_tol
         )
         self.augment_unmatched = augment_unmatched
         self.max_power_segments = max_power_segments
-        self.producer_refractory = (
-            self.refractory if dataflow == "output-stationary" else 0
-        )
-
-    def steps(self) -> list[str]:
-        """The deterministic step plan for this recovery."""
-        return [f"run:{k}" for k in range(self.runs)] + ["consensus"]
-
-    def run_step(self, name: str, state: dict | None = None) -> dict:
-        """Execute one named step, returning the updated state dict."""
-        state = dict(state or {})
-        if name.startswith("run:"):
-            return self._step_run(int(name.split(":", 1)[1]), state)
-        if name == "consensus":
-            return self._step_consensus(state)
-        raise ConfigError(f"unknown fused recovery step {name!r}")
 
     def _fuse(self, raw: list[int], edges: list[int]) -> list[int]:
         """Cross-validate one run's RAW candidates against power edges.
@@ -201,12 +206,7 @@ class FusedBoundaryRecovery:
         return fused
 
     def _step_run(self, k: int, state: dict) -> dict:
-        robust = RobustRawBoundaryTracker(
-            min_support=self.min_support,
-            expiry=self.expiry,
-            refractory=self.refractory,
-            producer_refractory=self.producer_refractory,
-        )
+        robust = self._tracker()
         # One inference, two channels: the session tees the span stream
         # into the power probe (pre-bus, noise of its own) and the
         # memory channel feeding the RAW tracker.  Coalescing upstream
@@ -217,30 +217,9 @@ class FusedBoundaryRecovery:
         seg = segment_power_trace(trace, stage_overhead=self.stage_overhead)
         raw = [int(c) for c in robust.boundary_cycles]
         edges = [int(e) for e in seg.edges]
-        for key, value in (
-            ("raw_runs", raw),
-            ("power_runs", edges),
-            ("runs", self._fuse(raw, edges)),
-        ):
-            per_run = dict(state.get(key, {}))
-            per_run[str(k)] = value
-            state[key] = per_run
-        return state
-
-    def _step_consensus(self, state: dict) -> dict:
-        runs = state.get("runs", {})
-        missing = [k for k in range(self.runs) if str(k) not in runs]
-        if missing:
-            raise ConfigError(
-                f"consensus step needs all {self.runs} runs; missing {missing}"
-            )
-        per_run = [runs[str(k)] for k in range(self.runs)]
-        state["boundaries"] = [
-            int(b)
-            for b in consensus_boundaries(
-                per_run, quorum=self.quorum, tol=self.tol
-            )
-        ]
+        self._record(state, "raw_runs", k, raw)
+        self._record(state, "power_runs", k, edges)
+        self._record(state, "runs", k, self._fuse(raw, edges))
         return state
 
     def result(self, state: dict) -> FusedStructureResult:
@@ -249,105 +228,10 @@ class FusedBoundaryRecovery:
             state = self._step_consensus(dict(state))
         return FusedStructureResult(
             boundaries=list(state["boundaries"]),
-            runs=[list(state["runs"][str(k)]) for k in range(self.runs)],
-            raw_runs=[
-                list(state["raw_runs"][str(k)]) for k in range(self.runs)
-            ],
-            power_runs=[
-                list(state["power_runs"][str(k)]) for k in range(self.runs)
-            ],
+            runs=self._per_run(state, "runs"),
+            raw_runs=self._per_run(state, "raw_runs"),
+            power_runs=self._per_run(state, "power_runs"),
             quorum=self.quorum,
             tol=int(self.tol),
             confirm_tol=int(self.confirm_tol),
         )
-
-    def run(self, state: dict | None = None) -> FusedStructureResult:
-        """Drive every remaining step in order (the resume path skips
-        steps recorded in ``state["steps_done"]``)."""
-        state = dict(state or {})
-        done = list(state.get("steps_done", []))
-        for name in self.steps():
-            if name in done:
-                continue
-            state = self.run_step(name, state)
-            done.append(name)
-            state["steps_done"] = list(done)
-        return self.result(state)
-
-
-def fuse_boundaries(
-    session: DeviceSession,
-    runs: int = 1,
-    *,
-    min_support: int = 1,
-    expiry: int = 4096,
-    refractory: int | None = None,
-    quorum: int | None = None,
-    tol: int | None = None,
-    confirm_tol: int | None = None,
-    seed: int = 0,
-    dataflow: str = "output-stationary",
-    power: PowerModel | None = None,
-    stage_overhead: int | None = None,
-    augment_unmatched: bool = False,
-    max_power_segments: int = 64,
-) -> FusedStructureResult:
-    """Recover layer boundaries by memory+power cross-validation.
-
-    A thin driver over :class:`FusedBoundaryRecovery` (the
-    checkpointable step runner); running every step in order
-    in-process is bit-identical to driving the steps externally.
-
-    Args:
-        session: the metered device session; its channel model decides
-            both the bus noise and the power probe's read-out noise.
-        runs: observation runs to stack (default 1 — the point of the
-            fusion is to reach consensus-grade reliability without a
-            repeat budget).
-        min_support: RAW hysteresis support per run.  Defaults to the
-            *relaxed* setting (1): forged candidates are vetoed by the
-            power edges instead of by support counting.
-        expiry: candidate expiry window per run, in events.
-        refractory: post-commit suppression window per run, in cycles
-            (default: the channel's latency window).
-        quorum: runs that must agree on a fused boundary (default:
-            strict majority, ``runs // 2 + 1``).
-        tol: cross-run clustering tolerance in cycles (default: a
-            quarter of the latency window).
-        confirm_tol: how close a RAW candidate must land to a power
-            segment edge to survive the veto, in cycles (default: the
-            latency window plus two power quanta — the two channels'
-            own slacks).
-        seed: seed of the generic observation input.
-        dataflow: the victim's (identified) dataflow, forwarded to the
-            RAW tracker's producer filter.
-        power: power-proxy coefficients (device-physics model; defaults
-            apply).
-        stage_overhead: the device's public per-stage overhead in
-            cycles, used by the power segmentation (default: read off
-            the device's datasheet timing model).
-        augment_unmatched: also promote power edges with no nearby RAW
-            candidate to boundaries.  Off by default — deep victims'
-            intra-layer lulls masquerade as layer gaps on the power
-            channel alone.
-        max_power_segments: credibility gate for the veto — a run
-            whose power segmentation yields more edges than this is
-            treated as power-uninformative and keeps its RAW
-            candidates unfiltered.
-    """
-    return FusedBoundaryRecovery(
-        session,
-        runs,
-        min_support=min_support,
-        expiry=expiry,
-        refractory=refractory,
-        quorum=quorum,
-        tol=tol,
-        confirm_tol=confirm_tol,
-        seed=seed,
-        dataflow=dataflow,
-        power=power,
-        stage_overhead=stage_overhead,
-        augment_unmatched=augment_unmatched,
-        max_power_segments=max_power_segments,
-    ).run()

@@ -7,7 +7,7 @@ pieces, one per leak:
 * :class:`VotingChannel` — repeat-and-vote querying for the weight
   attack's counter channel, with a principled repeat budget
   (:func:`required_repeats`) and adaptive escalation;
-* :class:`RobustRawBoundaryTracker` / :func:`recover_boundaries` —
+* :class:`RobustRawBoundaryTracker` / :class:`BoundaryRecovery` —
   hysteresis + multi-run consensus boundary detection for the
   structure attack's trace channel;
 * :func:`calibrate_channel` — attacker-side estimation of the channel
@@ -31,7 +31,6 @@ from repro.attacks.robust.structure import (
     RawBoundaryCycleSink,
     RobustStructureResult,
     boundary_cycles_from_trace,
-    recover_boundaries,
 )
 from repro.attacks.robust.vote import (
     VotingChannel,
@@ -47,7 +46,6 @@ __all__ = [
     "BoundaryRecovery",
     "RawBoundaryCycleSink",
     "RobustStructureResult",
-    "recover_boundaries",
     "boundary_cycles_from_trace",
     "consensus_boundaries",
     "boundary_f1",

@@ -1,6 +1,6 @@
 """Noise-robust layer-boundary recovery over a lossy trace channel.
 
-:func:`recover_boundaries` is the structure attack's front line under a
+:class:`BoundaryRecovery` is the structure attack's front line under a
 noisy channel: it takes several metered observation runs (each run
 draws independent channel noise), detects boundaries per run with the
 hysteresis tracker, and keeps only boundaries a quorum of runs agrees
@@ -23,6 +23,7 @@ from repro.attacks.robust.boundary import (
     RobustRawBoundaryTracker,
     consensus_boundaries,
 )
+from repro.attacks.stepped import Stepped
 from repro.attacks.structure.trace_analysis import RawBoundaryTracker
 from repro.device import CoalescingSink, DeviceSession, TeeSink
 from repro.errors import ConfigError
@@ -31,7 +32,6 @@ __all__ = [
     "RawBoundaryCycleSink",
     "RobustStructureResult",
     "BoundaryRecovery",
-    "recover_boundaries",
     "boundary_cycles_from_trace",
 ]
 
@@ -92,20 +92,54 @@ class RobustStructureResult:
         return len(self.boundaries)
 
 
-class BoundaryRecovery:
-    """Checkpointable step/resume runner for consensus boundary recovery.
+class BoundaryRecovery(Stepped):
+    """Recover layer-boundary cycles by multi-run consensus.
 
-    One ``run:k`` step per observation run plus a final device-free
-    ``consensus`` step; each run's boundary cycles (robust and, with
-    ``compare_naive``, naive) are plain int lists, so the state dict is
-    JSON-serialisable as-is.  Run ``k`` observes with an explicit run
-    index (``observe_structure(run=k)``), pinning its channel noise
-    stream — a killed recovery resumed on a fresh session replays the
-    remaining runs under exactly the noise the uninterrupted run would
-    have drawn, making resume bit-identical.
+    A checkpointable step/resume runner: one ``run:k`` step per
+    observation run plus a final device-free ``consensus`` step; each
+    run's boundary cycles (robust and, with ``compare_naive``, naive)
+    are plain int lists, so the state dict is JSON-serialisable as-is.
+    Run ``k`` observes with an explicit run index
+    (``observe_structure(run=k)``), pinning its channel noise stream —
+    a killed recovery resumed on a fresh session replays the remaining
+    runs under exactly the noise the uninterrupted run would have
+    drawn, making resume bit-identical.  ``.run()`` drives every step.
 
-    Parameters are those of :func:`recover_boundaries`, which is the
-    thin all-steps-in-order driver over this class.
+    The per-run refractory and the cross-run clustering tolerance both
+    default from the channel's latency window — a property of the
+    attacker's *own probe*, so presuming it violates nothing in the
+    threat model: echoes of a transition appear for up to one window
+    after it (suppressed per run), while independent runs place the
+    same true boundary within a fraction of the window of each other
+    (clustered across runs at ``window // 4``).
+
+    Args:
+        session: the metered device session (its channel model decides
+            how noisy each observation run is).
+        runs: independent observation runs to stack.
+        min_support: hysteresis support per run (see
+            :class:`RobustRawBoundaryTracker`).
+        expiry: candidate expiry window per run, in events.
+        refractory: post-commit suppression window per run, in cycles
+            (default: the channel's latency window).
+        quorum: runs that must agree on a boundary (default: strict
+            majority, ``runs // 2 + 1``).
+        tol: clustering tolerance in cycles (default: a quarter of the
+            latency window).
+        seed: seed of the generic observation input (same input every
+            run — only the channel noise varies across runs).
+        compare_naive: also run the naive single-event RAW rule on the
+            identical post-channel streams, for ablation.
+        dataflow: the victim's (identified) dataflow.  Output-stationary
+            victims drain each OFM in one stage-end burst, so any write
+            delivered near a committed boundary is a channel echo and
+            is disqualified as a RAW producer for the full refractory.
+            Weight- and row-stationary victims stream OFM bursts from
+            the very start of each stage — there the producer filter
+            would eat the next boundary's genuine evidence, so it is
+            disabled and forged edges are left to ``min_support`` and
+            the cross-run quorum (see
+            :class:`RobustRawBoundaryTracker`).
     """
 
     def __init__(
@@ -146,20 +180,29 @@ class BoundaryRecovery:
 
     def run_step(self, name: str, state: dict | None = None) -> dict:
         """Execute one named step, returning the updated state dict."""
-        state = dict(state or {})
-        if name.startswith("run:"):
-            return self._step_run(int(name.split(":", 1)[1]), state)
+        state = self._begin_step(name, state)
         if name == "consensus":
             return self._step_consensus(state)
-        raise ConfigError(f"unknown boundary recovery step {name!r}")
+        return self._step_run(int(name.split(":", 1)[1]), state)
 
-    def _step_run(self, k: int, state: dict) -> dict:
-        robust = RobustRawBoundaryTracker(
+    def _tracker(self) -> RobustRawBoundaryTracker:
+        """A fresh per-run hysteresis tracker at this recovery's settings."""
+        return RobustRawBoundaryTracker(
             min_support=self.min_support,
             expiry=self.expiry,
             refractory=self.refractory,
             producer_refractory=self.producer_refractory,
         )
+
+    @staticmethod
+    def _record(state: dict, key: str, k: int, cycles: list[int]) -> None:
+        """Store run ``k``'s boundary cycles in the per-run map ``key``."""
+        per_run = dict(state.get(key, {}))
+        per_run[str(k)] = cycles
+        state[key] = per_run
+
+    def _step_run(self, k: int, state: dict) -> dict:
+        robust = self._tracker()
         if self.compare_naive:
             naive = RawBoundaryCycleSink()
             sink = TeeSink(robust, naive)
@@ -172,13 +215,11 @@ class BoundaryRecovery:
         self.session.observe_structure(
             seed=self.seed, sink=CoalescingSink(sink), run=k
         )
-        runs = dict(state.get("runs", {}))
-        runs[str(k)] = [int(c) for c in robust.boundary_cycles]
-        state["runs"] = runs
+        self._record(state, "runs", k, [int(c) for c in robust.boundary_cycles])
         if naive is not None:
-            naive_runs = dict(state.get("naive_runs", {}))
-            naive_runs[str(k)] = [int(c) for c in naive.boundary_cycles]
-            state["naive_runs"] = naive_runs
+            self._record(
+                state, "naive_runs", k, [int(c) for c in naive.boundary_cycles]
+            )
         return state
 
     def _step_consensus(self, state: dict) -> dict:
@@ -197,105 +238,24 @@ class BoundaryRecovery:
         ]
         return state
 
+    def _per_run(self, state: dict, key: str) -> list[list[int]]:
+        """The per-run map ``key`` of a completed state, in run order."""
+        per_run = state.get(key, {})
+        return [
+            list(per_run[str(k)]) for k in range(self.runs) if str(k) in per_run
+        ]
+
     def result(self, state: dict) -> RobustStructureResult:
         """Assemble the final result from a completed state."""
         if "boundaries" not in state:
             state = self._step_consensus(dict(state))
-        runs = state["runs"]
-        naive_runs = state.get("naive_runs", {})
         return RobustStructureResult(
             boundaries=list(state["boundaries"]),
-            runs=[list(runs[str(k)]) for k in range(self.runs)],
-            naive_runs=[
-                list(naive_runs[str(k)])
-                for k in range(self.runs)
-                if str(k) in naive_runs
-            ],
+            runs=self._per_run(state, "runs"),
+            naive_runs=self._per_run(state, "naive_runs"),
             quorum=self.quorum,
             tol=int(self.tol),
         )
-
-    def run(self, state: dict | None = None) -> RobustStructureResult:
-        """Drive every remaining step in order (the resume path skips
-        steps recorded in ``state["steps_done"]``)."""
-        state = dict(state or {})
-        done = list(state.get("steps_done", []))
-        for name in self.steps():
-            if name in done:
-                continue
-            state = self.run_step(name, state)
-            done.append(name)
-            state["steps_done"] = list(done)
-        return self.result(state)
-
-
-def recover_boundaries(
-    session: DeviceSession,
-    runs: int = 3,
-    *,
-    min_support: int = 3,
-    expiry: int = 4096,
-    refractory: int | None = None,
-    quorum: int | None = None,
-    tol: int | None = None,
-    seed: int = 0,
-    compare_naive: bool = False,
-    dataflow: str = "output-stationary",
-) -> RobustStructureResult:
-    """Recover layer-boundary cycles by multi-run consensus.
-
-    A thin driver over :class:`BoundaryRecovery` (the checkpointable
-    step runner); running every step in order in-process is
-    bit-identical to the historical monolithic implementation.
-
-    The per-run refractory and the cross-run clustering tolerance both
-    default from the channel's latency window — a property of the
-    attacker's *own probe*, so presuming it violates nothing in the
-    threat model: echoes of a transition appear for up to one window
-    after it (suppressed per run), while independent runs place the
-    same true boundary within a fraction of the window of each other
-    (clustered across runs at ``window // 4``).
-
-    Args:
-        session: the metered device session (its channel model decides
-            how noisy each observation run is).
-        runs: independent observation runs to stack.
-        min_support: hysteresis support per run (see
-            :class:`RobustRawBoundaryTracker`).
-        expiry: candidate expiry window per run, in events.
-        refractory: post-commit suppression window per run, in cycles
-            (default: the channel's latency window).
-        quorum: runs that must agree on a boundary (default: strict
-            majority, ``runs // 2 + 1``).
-        tol: clustering tolerance in cycles (default: a quarter of the
-            latency window).
-        seed: seed of the generic observation input (same input every
-            run — only the channel noise varies across runs).
-        compare_naive: also run the naive single-event RAW rule on the
-            identical post-channel streams, for ablation.
-        dataflow: the victim's (identified) dataflow.  Output-stationary
-            victims drain each OFM in one stage-end burst, so any write
-            delivered near a committed boundary is a channel echo and
-            is disqualified as a RAW producer for the full refractory.
-            Weight- and row-stationary victims stream OFM bursts from
-            the very start of each stage — there the producer filter
-            would eat the next boundary's genuine evidence, so it is
-            disabled and forged edges are left to ``min_support`` and
-            the cross-run quorum (see
-            :class:`RobustRawBoundaryTracker`).
-    """
-    return BoundaryRecovery(
-        session,
-        runs,
-        min_support=min_support,
-        expiry=expiry,
-        refractory=refractory,
-        quorum=quorum,
-        tol=tol,
-        seed=seed,
-        compare_naive=compare_naive,
-        dataflow=dataflow,
-    ).run()
 
 
 def boundary_cycles_from_trace(trace) -> list[int]:

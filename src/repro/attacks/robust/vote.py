@@ -239,6 +239,12 @@ class VotingChannel:
     def set_threshold(self, threshold: float) -> None:
         self._session.set_threshold(threshold)
 
+    @property
+    def fixed_repeats(self) -> int | None:
+        """Measurements per query under a calibrated sigma (``None``
+        in adaptive mode)."""
+        return self._fixed
+
     # -- pass-through device facts ----------------------------------------
     @property
     def session(self) -> DeviceSession:

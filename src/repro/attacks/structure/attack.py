@@ -18,6 +18,7 @@ from repro.device import (
     StructureObservation,
 )
 from repro.errors import ConfigError
+from repro.attacks.stepped import Stepped
 from repro.attacks.structure.constraints import DeviceKnowledge
 from repro.attacks.structure.dataflow_id import DataflowIdentifier
 from repro.attacks.structure.modules import detect_fire_modules
@@ -52,11 +53,11 @@ class StructureAttackResult:
         return self.analysis.num_layers
 
 
-class StructureAttack:
+class StructureAttack(Stepped):
     """Checkpointable step/resume runner for Algorithm 1.
 
-    The monolithic :func:`run_structure_attack` call is decomposed into
-    a deterministic plan of named steps — ``identify`` (only with
+    Algorithm 1 (:func:`run_structure_attack`) is decomposed into a
+    deterministic plan of named steps — ``identify`` (only with
     ``dataflow="auto"``), one ``observe:k`` per observation run, and a
     final ``enumerate`` — threaded through a JSON-serialisable *state*
     dict.  A campaign persists the state after each step; a killed
@@ -66,9 +67,36 @@ class StructureAttack:
     draws run ``k``'s noise stream no matter when it executes), the
     resumed result is bit-identical to the uninterrupted one.
 
-    Driving all steps in order through :meth:`run` reproduces the
-    original monolithic behaviour exactly; parameters are those of
-    :func:`run_structure_attack`.
+    :meth:`~repro.attacks.stepped.Stepped.run` drives every step in
+    order.  The trace is analysed span-by-span as the device runs, in
+    O(chunk) memory; the result's observation carries no materialised
+    trace.
+
+    Args:
+        sim: the victim device or an existing
+            :class:`~repro.device.DeviceSession` on it (pruning must be
+            off; Section 3 assumes a dense-write accelerator).  A bare
+            device is wrapped in a fresh session, whose ledger is
+            returned on the result.
+        x: optional input image; a generic random image by default.
+        tolerance: timing-filter tolerance.
+        rules: practicality rules (defaults per
+            :class:`~repro.attacks.structure.solver.PracticalityRules`).
+        use_modular_assumption: apply identical-module role constraints
+            when repeated fire modules are detected (Section 3.2).
+        enumerate_limit: abort enumeration past this many candidates
+            (the count is still computed exactly by DP).
+        runs: number of inferences to observe; per-layer durations are
+            averaged, countering device timing noise.
+        workers: partition the candidate enumeration over this many
+            worker processes (serial by default; the result is
+            bit-identical either way).
+        dataflow: the victim accelerator's loop order, deciding which
+            boundary rule decodes the trace (default: the simulator's
+            output-stationary default).  ``"auto"`` spends one extra
+            metered observation identifying it with
+            :class:`DataflowIdentifier` before decoding — the attack
+            has no a-priori schedule knowledge in that mode.
     """
 
     def __init__(
@@ -219,14 +247,12 @@ class StructureAttack:
         plan order (observe steps need the identify verdict under
         ``dataflow="auto"``; enumerate needs every observe).
         """
-        state = dict(state or {})
+        state = self._begin_step(name, state)
         if name == "identify":
             return self._step_identify(state)
-        if name.startswith("observe:"):
-            return self._step_observe(int(name.split(":", 1)[1]), state)
         if name == "enumerate":
             return self._step_enumerate(state)
-        raise ConfigError(f"unknown structure attack step {name!r}")
+        return self._step_observe(int(name.split(":", 1)[1]), state)
 
     # -- results -----------------------------------------------------------
     def result(self, state: dict) -> StructureAttackResult:
@@ -264,80 +290,13 @@ class StructureAttack:
             dataflow=self._resolved_dataflow(state),
         )
 
-    def run(self, state: dict | None = None) -> StructureAttackResult:
-        """Drive every remaining step in order and assemble the result.
-
-        ``state`` may carry a partial checkpoint; steps recorded in its
-        ``"steps_done"`` list are skipped (their products are already in
-        the state), which is the resume path.
-        """
-        state = dict(state or {})
-        done = list(state.get("steps_done", []))
-        for name in self.steps():
-            if name in done:
-                continue
-            state = self.run_step(name, state)
-            done.append(name)
-            state["steps_done"] = list(done)
-        return self.result(state)
-
 
 def run_structure_attack(
-    sim,
-    x: np.ndarray | None = None,
-    tolerance: float = 0.25,
-    rules: PracticalityRules | None = None,
-    use_modular_assumption: bool = True,
-    enumerate_limit: int = 100_000,
-    seed: int = 0,
-    runs: int = 1,
-    workers: int | None = None,
-    dataflow: str = "output-stationary",
+    sim, x: np.ndarray | None = None, **options
 ) -> StructureAttackResult:
     """Run Algorithm 1 against a victim accelerator.
 
-    A thin driver over :class:`StructureAttack` (the checkpointable
-    step runner): every step executes in order in-process, which is
-    bit-identical to the historical monolithic implementation.
-
-    Args:
-        sim: the victim device or an existing
-            :class:`~repro.device.DeviceSession` on it (pruning must be
-            off; Section 3 assumes a dense-write accelerator).  A bare
-            device is wrapped in a fresh session, whose ledger is
-            returned on the result.
-        x: optional input image; a generic random image by default.
-        tolerance: timing-filter tolerance.
-        rules: practicality rules (defaults per
-            :class:`~repro.attacks.structure.solver.PracticalityRules`).
-        use_modular_assumption: apply identical-module role constraints
-            when repeated fire modules are detected (Section 3.2).
-        enumerate_limit: abort enumeration past this many candidates
-            (the count is still computed exactly by DP).
-        runs: number of inferences to observe; per-layer durations are
-            averaged, countering device timing noise.
-        workers: partition the candidate enumeration over this many
-            worker processes (serial by default; the result is
-            bit-identical either way).
-        dataflow: the victim accelerator's loop order, deciding which
-            boundary rule decodes the trace (default: the simulator's
-            output-stationary default).  ``"auto"`` spends one extra
-            metered observation identifying it with
-            :class:`DataflowIdentifier` before decoding — the attack
-            has no a-priori schedule knowledge in that mode.
-
-    The trace is analysed span-by-span as the device runs, in O(chunk)
-    memory; the result's observation carries no materialised trace.
+    Drives every step of ``StructureAttack(sim, x, **options)`` in
+    order; the options are :class:`StructureAttack`'s.
     """
-    return StructureAttack(
-        sim,
-        x=x,
-        tolerance=tolerance,
-        rules=rules,
-        use_modular_assumption=use_modular_assumption,
-        enumerate_limit=enumerate_limit,
-        seed=seed,
-        runs=runs,
-        workers=workers,
-        dataflow=dataflow,
-    ).run()
+    return StructureAttack(sim, x, **options).run()

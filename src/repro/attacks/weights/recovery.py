@@ -53,6 +53,7 @@ import numpy as np
 
 from repro.errors import AttackError
 from repro.device import DeviceSession
+from repro.attacks.stepped import Stepped
 from repro.attacks.weights.target import AttackTarget
 from repro.parallel import get_pool, resolve_workers, shard_ranges
 
@@ -776,7 +777,7 @@ def _recover_shard(filter_range: tuple[int, int]):
     return attack._run_shard_local(), session.ledger
 
 
-class SteppedWeightAttack:
+class SteppedWeightAttack(Stepped):
     """Checkpointable step/resume runner for the weight attack.
 
     The filter axis is the attack's natural checkpoint granularity:
@@ -826,20 +827,16 @@ class SteppedWeightAttack:
 
     def run_step(self, name: str, state: dict | None = None) -> dict:
         """Recover one filter chunk; returns the updated state dict."""
-        try:
-            _, lo_s, hi_s = name.split(":")
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise AttackError(f"unknown weight attack step {name!r}") from None
+        state = self._begin_step(name, state)
+        _, lo, hi = name.split(":")
         attack = WeightAttack(
             self.channel,
             self.target,
             search_steps=self.search_steps,
             max_resolution_rounds=self.max_resolution_rounds,
-            filter_range=(lo, hi),
+            filter_range=(int(lo), int(hi)),
         )
         partial = attack._run_shard_local()
-        state = dict(state or {})
         filters = dict(state.get("filters", {}))
         for rec in partial.filters:
             filters[str(rec.filter_index)] = {
@@ -874,16 +871,3 @@ class SteppedWeightAttack:
             filters=recoveries,
             queries=self.channel.queries,
         )
-
-    def run(self, state: dict | None = None) -> WeightAttackResult:
-        """Drive every remaining step in order (the resume path skips
-        steps recorded in ``state["steps_done"]``)."""
-        state = dict(state or {})
-        done = list(state.get("steps_done", []))
-        for name in self.steps():
-            if name in done:
-                continue
-            state = self.run_step(name, state)
-            done.append(name)
-            state["steps_done"] = list(done)
-        return self.result(state)

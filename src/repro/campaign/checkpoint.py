@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign.spec import canonical_json
+from repro.errors import ConfigError
 
 __all__ = ["JobCheckpoint", "atomic_write_text"]
 
@@ -33,10 +34,13 @@ def atomic_write_text(path: Path, text: str, tmp_dir: Path) -> None:
 
 @dataclass
 class JobCheckpoint:
-    """Everything needed to resume one job exactly where it stopped."""
+    """Everything needed to resume one job exactly where it stopped.
+
+    ``done`` is the step cursor, persisted as ``steps_done``.
+    """
 
     job_id: str
-    steps_done: list = field(default_factory=list)
+    done: list = field(default_factory=list)
     state: dict = field(default_factory=dict)
     ledgers: list = field(default_factory=list)
     status: str = "pending"
@@ -51,10 +55,18 @@ class JobCheckpoint:
         path = JobCheckpoint.path(jobs_dir, job_id)
         if not path.exists():
             return JobCheckpoint(job_id=job_id)
-        d = json.loads(path.read_text())
+        try:
+            d = json.loads(path.read_text())
+        except ValueError as exc:
+            # Not treated as pending: that would forget the job's billed
+            # spend.  Only the operator can decide to re-run it.
+            raise ConfigError(
+                f"corrupt job checkpoint {path} ({exc}); delete "
+                f"{path.parent}/ to re-run that job from scratch"
+            ) from exc
         return JobCheckpoint(
             job_id=job_id,
-            steps_done=list(d.get("steps_done", [])),
+            done=list(d.get("steps_done", [])),
             state=dict(d.get("state", {})),
             ledgers=list(d.get("ledgers", [])),
             status=str(d.get("status", "pending")),
@@ -64,7 +76,7 @@ class JobCheckpoint:
     def save(self, jobs_dir: Path, tmp_dir: Path) -> None:
         payload = {
             "job_id": self.job_id,
-            "steps_done": list(self.steps_done),
+            "steps_done": list(self.done),
             "state": self.state,
             "ledgers": list(self.ledgers),
             "status": self.status,

@@ -25,8 +25,9 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro.attacks.stepped import drive
 from repro.campaign.checkpoint import JobCheckpoint, atomic_write_text
-from repro.campaign.jobs import build_runner, ledger_totals
+from repro.campaign.jobs import JOB_KINDS, build_runner, ledger_totals
 from repro.campaign.quota import QuotaBook
 from repro.campaign.spec import AttackJob, CampaignSpec, canonical_json
 from repro.campaign.store import ResultsStore
@@ -36,6 +37,7 @@ from repro.errors import ConfigError, QueryBudgetExceeded
 __all__ = ["Campaign"]
 
 _KILL_ENV = "REPRO_CAMPAIGN_KILL"
+_BUDGETS = ("max_queries", "max_inferences", "max_trace_bytes")
 _persisted_checkpoints = 0
 
 
@@ -77,29 +79,31 @@ def _execute_job(payload: dict) -> dict:
         "params": job.params,
     }
     cache = SharedQueryCache(root / "cache.sqlite")
+    ledgers: list = []
     try:
-        runner = build_runner(
+        runner, ledgers = build_runner(
             job.kind, job.params, shared_cache=cache, budgets=budgets
         )
-        ledgers = runner.ledgers()
         for ledger, snap in zip(ledgers, ckpt.ledgers):
+            # Restore the counters, then apply this dispatch's quota-
+            # derived budgets over the stale ones the snapshot carries:
+            # a resume cannot buy more than the tenant has left.
             ledger.restore(snap)
-        state = dict(ckpt.state)
-        for name in runner.steps():
-            if name in ckpt.steps_done:
-                continue
-            state = runner.run_step(name, state)
+            for axis in _BUDGETS:
+                setattr(ledger, axis, budgets.get(axis))
+
+        def checkpoint(name: str, state: dict) -> None:
             ckpt.state = state
-            ckpt.steps_done.append(name)
             ckpt.ledgers = [ledger.snapshot() for ledger in ledgers]
             ckpt.status = "running"
             ckpt.save(store.jobs_dir, store.tmp_dir)
             _maybe_kill()
-        record["metrics"] = runner.metrics(state)
+
+        state = drive(runner, dict(ckpt.state), ckpt.done, checkpoint)
+        record["metrics"] = JOB_KINDS[job.kind].metrics(runner, state)
         record["ledger"] = ledger_totals(ledgers)
         record["status"] = ckpt.status = "done"
     except QueryBudgetExceeded as exc:
-        ckpt.ledgers = [ledger.snapshot() for ledger in ledgers]
         record["status"] = ckpt.status = "failed:budget"
         record["error"] = ckpt.error = str(exc)
     except Exception as exc:  # noqa: BLE001 - one bad job must not sink the fleet
@@ -107,6 +111,9 @@ def _execute_job(payload: dict) -> dict:
         record["error"] = ckpt.error = f"{type(exc).__name__}: {exc}"
     finally:
         cache.close()
+    if ckpt.status != "done" and ledgers:
+        # Bill the failed step's device spend to the tenant.
+        ckpt.ledgers = [ledger.snapshot() for ledger in ledgers]
     ckpt.save(store.jobs_dir, store.tmp_dir)
     store.write_result(job, record)
     return {
@@ -161,32 +168,32 @@ class Campaign:
         }
 
     def _quota_book(
-        self, checkpoints: dict[str, JobCheckpoint]
+        self, checkpoints: dict[str, JobCheckpoint], skip: str | None = None
     ) -> QuotaBook:
+        """Every job's persisted spend, except job ``skip``'s, billed."""
         book = QuotaBook(self.spec.tenants)
         for job in self.jobs:
-            charge = _device_charge(checkpoints[job.job_id].ledgers)
-            book.charge(job.tenant, charge)
+            if job.job_id != skip:
+                charge = _device_charge(checkpoints[job.job_id].ledgers)
+                book.charge(job.tenant, charge)
         return book
 
-    def _budgets_for(
+    def _payload(
         self, job: AttackJob, checkpoints: dict[str, JobCheckpoint]
     ) -> dict:
-        """The job's session budgets: tenant quota minus *others'* spend.
+        """One job's dispatch: its session budgets are the tenant quota
+        minus *others'* spend.
 
         The job's own prior spend is excluded here because its restored
         ledger already carries those counters — the ledger budget then
         caps the job's lifetime total at exactly the tenant remainder.
         """
-        book = QuotaBook(self.spec.tenants)
-        for other in self.jobs:
-            if other.job_id == job.job_id:
-                continue
-            book.charge(
-                other.tenant,
-                _device_charge(checkpoints[other.job_id].ledgers),
-            )
-        return book.budgets(job.tenant)
+        book = self._quota_book(checkpoints, skip=job.job_id)
+        return {
+            "root": str(self.root),
+            "job": job.to_dict(),
+            "budgets": book.budgets(job.tenant),
+        }
 
     # -- execution ---------------------------------------------------------
     def _reclaim(self) -> None:
@@ -214,14 +221,7 @@ class Campaign:
         if workers is not None and workers > 1 and pending:
             from repro.parallel import get_pool
 
-            payloads = [
-                {
-                    "root": str(self.root),
-                    "job": job.to_dict(),
-                    "budgets": self._budgets_for(job, checkpoints),
-                }
-                for job in pending
-            ]
+            payloads = [self._payload(job, checkpoints) for job in pending]
             pool = get_pool(workers)
             pool.start()
             pool.map(_execute_job, payloads)
@@ -229,16 +229,7 @@ class Campaign:
             for job in pending:
                 # Serial enforcement is exact: each dispatch sees every
                 # earlier job's true ledger.
-                checkpoints[job.job_id] = JobCheckpoint.load(
-                    self.store.jobs_dir, job.job_id
-                )
-                _execute_job(
-                    {
-                        "root": str(self.root),
-                        "job": job.to_dict(),
-                        "budgets": self._budgets_for(job, checkpoints),
-                    }
-                )
+                _execute_job(self._payload(job, checkpoints))
                 checkpoints[job.job_id] = JobCheckpoint.load(
                     self.store.jobs_dir, job.job_id
                 )

@@ -1,26 +1,34 @@
-"""Campaign job kinds: stepwise attack runners behind one protocol.
+"""Campaign job kinds: one table of runner factories and metrics.
 
-Every job kind wraps one of the repo's checkpointable attack runners
+Each job kind is one row of :data:`JOB_KINDS`.  Its *factory* builds
+the job's :class:`~repro.attacks.stepped.Stepped` runner — one of the
+repo's checkpointable attack runners
 (:class:`~repro.attacks.robust.BoundaryRecovery`,
+:class:`~repro.attacks.fusion.FusedBoundaryRecovery`,
 :class:`~repro.attacks.weights.SteppedWeightAttack`,
 :class:`~repro.attacks.structure.StructureAttack`,
-:class:`~repro.attacks.clone.CloneAttack`) and speaks the same step
-protocol itself: ``steps()`` is a deterministic plan, ``run_step``
-threads a JSON-serialisable state dict, and ``metrics(state)``
-distils the completed state into the job's results record.  Metrics
-include *in-job truth figures* (ground truth is recomputed from the
-declarative victim spec inside the job — the campaign store never has
-to ship arrays around), and every figure written to results is
-invariant under kill-and-resume: noise streams are content- or
-run-index-keyed, and the ledger figures reported
-(``probe_lookups``, ``observations``, ``trace_events``,
-``repeat_queries``) count *lookups*, not cache-state-dependent device
-charges.
+:class:`~repro.attacks.clone.CloneAttack`) behind the plain prefix steps
+the kind puts in front of its plan (``truth``, ``calibrate``,
+``signature``) — and returns it with the ledgers the job meters.  Its
+*metrics* function distils the completed state into the job's results
+record.  The coordinator drives every kind through the one step loop,
+:func:`~repro.attacks.stepped.drive`.
+
+Metrics include *in-job truth figures* (ground truth is recomputed
+from the declarative victim spec inside the job — the campaign store
+never has to ship arrays around), and every figure written to results
+is invariant under kill-and-resume: noise streams are content- or
+run-index-keyed, and the ledger figures reported (``probe_lookups``,
+``observations``, ``trace_events``, ``repeat_queries``) count
+*lookups*, not cache-state-dependent device charges.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
+from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +40,7 @@ from repro.attacks.robust import (
     boundary_f1,
     calibrate_channel,
 )
+from repro.attacks.stepped import Stepped, SubPlan
 from repro.attacks.structure import (
     PracticalityRules,
     StructureAttack,
@@ -46,7 +55,7 @@ from repro.device import DeviceSession, QueryLedger, SharedQueryCache
 from repro.errors import ConfigError
 from repro.power import PowerModel
 
-__all__ = ["JOB_KINDS", "build_runner", "ledger_totals"]
+__all__ = ["JOB_KINDS", "JobKind", "JobRunner", "build_runner", "ledger_totals"]
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -68,184 +77,132 @@ def ledger_totals(ledgers: list[QueryLedger]) -> dict:
     }
 
 
-class _BudgetKwargs(dict):
-    """Quota-derived session budget keywords (may be empty)."""
+class JobRunner(Stepped):
+    """An attack runner behind plain ``state -> state`` prefix steps.
 
-
-class BoundaryRecoveryJob:
-    """Consensus boundary recovery against its own clean-trace truth.
-
-    Plan: ``truth`` (clean-channel observation of the same device
-    configuration, scored against later) followed by the
-    :class:`BoundaryRecovery` plan (``run:k`` per noisy observation,
-    then ``consensus``).
+    ``bind(state)``, when given, runs before every runner step and
+    before :meth:`result`: it rebuilds what the runner needs from the
+    products of a prefix step, which a resume may have skipped.
     """
 
     def __init__(
         self,
         params: dict,
-        shared_cache: SharedQueryCache | None,
-        budgets: dict,
+        runner: Stepped,
+        prefix: dict[str, Callable[[dict], dict]] | None = None,
+        bind: Callable[[dict], None] | None = None,
     ) -> None:
         self.params = params
-        self.session = job_session(
-            params, shared_cache=shared_cache, **budgets
-        )
-        # The truth observation is part of the job's metered activity:
-        # same device, ideal channel, one shared ledger.
-        self._truth_session = DeviceSession(
-            self.session.device,
-            params.get("stage"),
-            channel=ChannelModel.ideal(),
-            ledger=self.session.ledger,
-            shared_cache=shared_cache,
-        )
-        # The recovery decodes the device's own dataflow unless the
-        # spec pins a different (mismatched-estimator) one.
-        device = dict(params.get("device") or {})
-        self._recovery = BoundaryRecovery(
-            self.session,
-            int(params.get("runs", 3)),
-            compare_naive=bool(params.get("compare_naive", False)),
-            dataflow=str(
-                params.get(
-                    "dataflow", device.get("dataflow", "output-stationary")
-                )
-            ),
-        )
-
-    def ledgers(self) -> list[QueryLedger]:
-        return [self.session.ledger]
+        self.runner = runner
+        self.prefix = dict(prefix or {})
+        self.bind = bind or (lambda state: None)
 
     def steps(self) -> list[str]:
-        return ["truth"] + self._recovery.steps()
+        return [*self.prefix, *self.runner.steps()]
 
-    def run_step(self, name: str, state: dict) -> dict:
-        state = dict(state)
-        if name == "truth":
-            obs = self._truth_session.observe_structure(seed=0)
-            state["truth"] = [
-                int(c) for c in boundary_cycles_from_trace(obs.trace)
-            ]
-            return state
-        return self._recovery.run_step(name, state)
+    def run_step(self, name: str, state: dict | None = None) -> dict:
+        state = self._begin_step(name, state)
+        if name in self.prefix:
+            return self.prefix[name](state)
+        self.bind(state)
+        return self.runner.run_step(name, state)
 
-    def metrics(self, state: dict) -> dict:
-        result = self._recovery.result(state)
-        truth = [int(c) for c in state["truth"]]
-        window = self.session.channel.latency_window
-        tol = window + 50
-        robust = boundary_f1(result.boundaries, truth, tol=tol)
-        naive_f1 = (
-            float(
-                np.mean(
-                    [
-                        boundary_f1(n, truth, tol=tol).f1
-                        for n in result.naive_runs
-                    ]
-                )
-            )
-            if result.naive_runs
-            else None
-        )
-        gaps = np.diff(truth) if len(truth) > 1 else np.array([0])
-        return {
-            "boundaries": [int(b) for b in result.boundaries],
-            "truth_boundaries": len(truth),
-            "found_boundaries": len(result.boundaries),
-            "robust_f1": float(robust.f1),
-            "naive_f1_mean": naive_f1,
-            "exact": result.boundaries == truth,
-            "latency_window": int(window),
-            "min_truth_gap": int(np.min(gaps)),
-            "quorum": int(result.quorum),
-        }
+    def result(self, state: dict):
+        self.bind(state)
+        return self.runner.result(state)
 
 
-class PowerFusionJob:
-    """Single-channel vs fused boundary recovery at matched budgets.
+class JobKind(NamedTuple):
+    factory: Callable[..., tuple[JobRunner, list[QueryLedger]]]
+    metrics: Callable[[JobRunner, dict], dict]
 
-    ``mode`` selects the estimator on the *same* channel spec:
-    ``memory`` runs the consensus :class:`BoundaryRecovery` (the
-    memory bus alone), ``fused`` runs
-    :class:`~repro.attacks.fusion.FusedBoundaryRecovery` (one tee'd
-    inference per run observed on both the bus and the power rail).
+
+# -- boundary_recovery / power_fusion ---------------------------------------
+
+def _device_dataflow(params: dict) -> str:
+    return str(
+        dict(params.get("device") or {}).get("dataflow", "output-stationary")
+    )
+
+
+def _estimator_dataflow(params: dict) -> str:
+    """The device's own dataflow, unless the spec pins a different
+    (mismatched-estimator) one."""
+    return str(params.get("dataflow", _device_dataflow(params)))
+
+
+def _truth_step(
+    params: dict, session: DeviceSession, shared_cache
+) -> Callable[[dict], dict]:
+    """Prefix step: clean-channel boundary cycles, scored against later.
+
+    The truth observation is part of the job's metered activity: same
+    device, ideal channel, one shared ledger.
+    """
+    truth_session = DeviceSession(
+        session.device,
+        params.get("stage"),
+        channel=ChannelModel.ideal(),
+        ledger=session.ledger,
+        shared_cache=shared_cache,
+    )
+
+    def truth(state: dict) -> dict:
+        obs = truth_session.observe_structure(seed=0)
+        state["truth"] = [
+            int(c) for c in boundary_cycles_from_trace(obs.trace)
+        ]
+        return state
+
+    return truth
+
+
+def _boundary_recovery(params, shared_cache, budgets):
+    """Consensus boundary recovery against its own clean-trace truth."""
+    session = job_session(params, shared_cache=shared_cache, **budgets)
+    truth = _truth_step(params, session, shared_cache)
+    recovery = BoundaryRecovery(
+        session,
+        int(params.get("runs", 3)),
+        compare_naive=bool(params.get("compare_naive", False)),
+        dataflow=_estimator_dataflow(params),
+    )
+    return JobRunner(params, recovery, {"truth": truth}), [session.ledger]
+
+
+def _power_fusion(params, shared_cache, budgets):
+    """Memory-only (``mode="memory"``) vs fused boundary recovery.
+
     Each run costs one inference either way, so cells with equal
-    ``runs`` are at a matched observation budget by construction.
-
-    Plan: ``truth`` (clean-channel observation of the same device),
-    optionally ``calibrate`` (``calibrate_runs`` metered power probes
-    whose sigma/quantum/plateau estimate and recommended fusion
-    budget land in the metrics — the attacker-side basis for choosing
-    ``runs``), then the selected recovery's ``run:k``/``consensus``
-    plan.
+    ``runs`` are at a matched observation budget by construction.  An
+    optional ``calibrate`` step spends ``calibrate_runs`` metered power
+    probes whose noise estimate and recommended fusion budget land in
+    the metrics — the attacker-side basis for choosing ``runs``.
     """
-
-    def __init__(
-        self,
-        params: dict,
-        shared_cache: SharedQueryCache | None,
-        budgets: dict,
-    ) -> None:
-        self.params = params
-        self.session = job_session(
-            params, shared_cache=shared_cache, **budgets
+    session = job_session(params, shared_cache=shared_cache, **budgets)
+    truth = _truth_step(params, session, shared_cache)
+    mode = str(params.get("mode", "fused"))
+    if mode not in ("memory", "fused"):
+        raise ConfigError(f"unknown power_fusion mode {mode!r}")
+    runs = int(params.get("runs", 1))
+    dataflow = _estimator_dataflow(params)
+    if mode == "memory":
+        recovery = BoundaryRecovery(session, runs, dataflow=dataflow)
+    else:
+        power = dict(params.get("power") or {})
+        recovery = FusedBoundaryRecovery(
+            session,
+            runs,
+            dataflow=dataflow,
+            power=PowerModel(**{k: int(v) for k, v in power.items()}),
+            augment_unmatched=bool(params.get("augment_unmatched", False)),
         )
-        self._truth_session = DeviceSession(
-            self.session.device,
-            params.get("stage"),
-            channel=ChannelModel.ideal(),
-            ledger=self.session.ledger,
-            shared_cache=shared_cache,
-        )
-        self.mode = str(params.get("mode", "fused"))
-        if self.mode not in ("memory", "fused"):
-            raise ConfigError(f"unknown power_fusion mode {self.mode!r}")
-        self.calibrate_runs = int(params.get("calibrate_runs", 0))
-        runs = int(params.get("runs", 1))
-        device = dict(params.get("device") or {})
-        dataflow = str(
-            params.get(
-                "dataflow", device.get("dataflow", "output-stationary")
-            )
-        )
-        if self.mode == "memory":
-            self._recovery = BoundaryRecovery(
-                self.session, runs, dataflow=dataflow
-            )
-        else:
-            power = dict(params.get("power") or {})
-            self._recovery = FusedBoundaryRecovery(
-                self.session,
-                runs,
-                dataflow=dataflow,
-                power=PowerModel(**{k: int(v) for k, v in power.items()}),
-                augment_unmatched=bool(
-                    params.get("augment_unmatched", False)
-                ),
-            )
+    prefix = {"truth": truth}
+    calibrate_runs = int(params.get("calibrate_runs", 0))
+    if calibrate_runs:
 
-    def ledgers(self) -> list[QueryLedger]:
-        return [self.session.ledger]
-
-    def steps(self) -> list[str]:
-        plan = ["truth"]
-        if self.calibrate_runs:
-            plan.append("calibrate")
-        return plan + self._recovery.steps()
-
-    def run_step(self, name: str, state: dict) -> dict:
-        state = dict(state)
-        if name == "truth":
-            obs = self._truth_session.observe_structure(seed=0)
-            state["truth"] = [
-                int(c) for c in boundary_cycles_from_trace(obs.trace)
-            ]
-            return state
-        if name == "calibrate":
-            cal = calibrate_channel(
-                self.session, power_runs=self.calibrate_runs
-            )
+        def calibrate(state: dict) -> dict:
+            cal = calibrate_channel(session, power_runs=calibrate_runs)
             state["calibration"] = {
                 "power_sigma": cal.power_sigma,
                 "power_quantum": cal.power_quantum,
@@ -254,340 +211,277 @@ class PowerFusionJob:
                 "recommended_fusion_runs": cal.recommended_fusion_runs,
             }
             return state
-        return self._recovery.run_step(name, state)
 
-    def metrics(self, state: dict) -> dict:
-        result = self._recovery.result(state)
-        truth = [int(c) for c in state["truth"]]
-        window = self.session.channel.latency_window
-        score = boundary_f1(result.boundaries, truth, tol=window + 50)
-        out = {
-            "mode": self.mode,
-            "runs": int(self._recovery.runs),
-            "boundaries": [int(b) for b in result.boundaries],
-            "truth_boundaries": len(truth),
-            "found_boundaries": len(result.boundaries),
-            "f1": float(score.f1),
-            "exact": result.boundaries == truth,
-            "latency_window": int(window),
-            "quorum": int(result.quorum),
-            "power_samples": int(self.session.ledger.power_samples),
-        }
-        if "calibration" in state:
-            out["calibration"] = dict(state["calibration"])
-        return out
+        prefix["calibrate"] = calibrate
+    return JobRunner(params, recovery, prefix), [session.ledger]
 
 
-class WeightRecoveryJob:
+def _boundary_scores(job: JobRunner, state: dict):
+    """A boundary job's result, truth cycles, F1 tolerance and the
+    figures both boundary kinds report."""
+    result = job.result(state)
+    truth = [int(c) for c in state["truth"]]
+    window = job.runner.session.channel.latency_window
+    return result, truth, window + 50, {
+        "boundaries": [int(b) for b in result.boundaries],
+        "truth_boundaries": len(truth),
+        "found_boundaries": len(result.boundaries),
+        "exact": result.boundaries == truth,
+        "latency_window": int(window),
+        "quorum": int(result.quorum),
+    }
+
+
+def _boundary_metrics(job: JobRunner, state: dict) -> dict:
+    result, truth, tol, out = _boundary_scores(job, state)
+    naive = [boundary_f1(n, truth, tol=tol).f1 for n in result.naive_runs]
+    gaps = np.diff(truth) if len(truth) > 1 else np.array([0])
+    out["robust_f1"] = float(boundary_f1(result.boundaries, truth, tol=tol).f1)
+    out["naive_f1_mean"] = float(np.mean(naive)) if naive else None
+    out["min_truth_gap"] = int(np.min(gaps))
+    return out
+
+
+def _power_fusion_metrics(job: JobRunner, state: dict) -> dict:
+    result, truth, tol, out = _boundary_scores(job, state)
+    out["mode"] = str(job.params.get("mode", "fused"))
+    out["runs"] = int(job.runner.runs)
+    out["f1"] = float(boundary_f1(result.boundaries, truth, tol=tol).f1)
+    out["power_samples"] = int(job.runner.session.ledger.power_samples)
+    if "calibration" in state:
+        out["calibration"] = dict(state["calibration"])
+    return out
+
+
+# -- weight_recovery ---------------------------------------------------------
+
+def _weight_recovery(params, shared_cache, budgets):
     """Per-filter ``w/b`` recovery, scored against the spec's truth.
 
-    ``mode`` selects the estimator: ``naive`` reads the (possibly
-    noisy) counter once per probe, ``voted`` first calibrates the
-    channel then queries through repeat-and-vote.  Truth ratios come
-    from rebuilding the declarative victim in-job.
+    ``mode="naive"`` reads the (possibly noisy) counter once per probe;
+    ``mode="voted"`` first calibrates the channel, then queries through
+    repeat-and-vote at the calibrated sigma.
     """
-
-    def __init__(
-        self,
-        params: dict,
-        shared_cache: SharedQueryCache | None,
-        budgets: dict,
-    ) -> None:
-        self.params = params
-        conv = dict(params["victim"].get("conv") or {})
-        if not conv:
-            raise ConfigError("weight_recovery needs a 'conv' victim spec")
-        self.session = job_session(
-            params, shared_cache=shared_cache, **budgets
-        )
-        self.target = AttackTarget(
+    conv = dict(params["victim"].get("conv") or {})
+    if not conv:
+        raise ConfigError("weight_recovery needs a 'conv' victim spec")
+    session = job_session(params, shared_cache=shared_cache, **budgets)
+    mode = str(params.get("mode", "naive"))
+    if mode not in ("naive", "voted"):
+        raise ConfigError(f"unknown weight_recovery mode {mode!r}")
+    attack = SteppedWeightAttack(
+        session,
+        AttackTarget(
             w_ifm=int(conv["w"]),
             d_ifm=int(conv.get("c", 1)),
             d_ofm=int(conv.get("d", 3)),
             f_conv=int(conv.get("f", 3)),
             s_conv=int(conv.get("s", 1)),
+        ),
+        search_steps=int(params.get("search_steps", 28)),
+        filters_per_step=int(params.get("filters_per_step", 8)),
+    )
+    if mode == "naive":
+        return JobRunner(params, attack), [session.ledger]
+
+    def calibrate(state: dict) -> dict:
+        cal = calibrate_channel(
+            session, repeats=int(params.get("calibrate_repeats", 32))
         )
-        self.mode = str(params.get("mode", "naive"))
-        if self.mode not in ("naive", "voted"):
-            raise ConfigError(f"unknown weight_recovery mode {self.mode!r}")
-        self.search_steps = int(params.get("search_steps", 28))
-        self.filters_per_step = int(params.get("filters_per_step", 8))
-        self._attack: SteppedWeightAttack | None = None
-
-    def ledgers(self) -> list[QueryLedger]:
-        return [self.session.ledger]
-
-    def _stepped(self, state: dict) -> SteppedWeightAttack:
-        if self._attack is None:
-            channel = self.session
-            if self.mode == "voted":
-                sigma = state.get("calibrated_sigma")
-                if sigma is None:
-                    raise ConfigError(
-                        "voted mode needs the calibrate step first"
-                    )
-                channel = VotingChannel(self.session, sigma=float(sigma))
-            self._attack = SteppedWeightAttack(
-                channel,
-                self.target,
-                search_steps=self.search_steps,
-                filters_per_step=self.filters_per_step,
-            )
-        return self._attack
-
-    def steps(self) -> list[str]:
-        plan = ["calibrate"] if self.mode == "voted" else []
-        chunks = SteppedWeightAttack(
-            self.session,
-            self.target,
-            search_steps=self.search_steps,
-            filters_per_step=self.filters_per_step,
-        ).steps()
-        return plan + chunks
-
-    def run_step(self, name: str, state: dict) -> dict:
-        state = dict(state)
-        if name == "calibrate":
-            cal = calibrate_channel(
-                self.session,
-                repeats=int(self.params.get("calibrate_repeats", 32)),
-            )
-            state["calibrated_sigma"] = float(cal.counter_sigma)
-            return state
-        attack = self._stepped(state)
-        state = attack.run_step(name, state)
-        if isinstance(attack.channel, VotingChannel):
-            state["repeats"] = int(attack.channel.last_repeats or 1)
+        state["calibrated_sigma"] = float(cal.counter_sigma)
         return state
 
-    def metrics(self, state: dict) -> dict:
-        result = self._stepped(state).result(state)
-        victim = build_victim(dict(self.params["victim"]))
-        conv = victim.network.nodes["conv1/conv"].layer
-        ratios = result.ratio_tensor()
-        return {
-            "mode": self.mode,
-            "max_ratio_error": float(
-                result.max_ratio_error(conv.weight.value, conv.bias.value)
-            ),
-            "ratio_digest": _digest(ratios),
-            "resolved_fraction": float(result.resolved_mask().mean()),
-            "calibrated_sigma": state.get("calibrated_sigma"),
-            "repeats": int(state.get("repeats", 1)),
-            "repeat_queries": int(self.session.ledger.repeat_queries),
-        }
+    def vote(state: dict) -> None:
+        if attack.channel is not session:
+            return
+        sigma = state.get("calibrated_sigma")
+        if sigma is None:
+            raise ConfigError("voted mode needs the calibrate step first")
+        attack.channel = VotingChannel(session, sigma=float(sigma))
+
+    return (
+        JobRunner(params, attack, {"calibrate": calibrate}, vote),
+        [session.ledger],
+    )
 
 
-class StructureJob:
-    """Full identify-then-enumerate structure attack with in-job truth.
+def _weight_metrics(job: JobRunner, state: dict) -> dict:
+    result = job.result(state)
+    channel = job.runner.channel
+    victim = build_victim(dict(job.params["victim"]))
+    conv = victim.network.nodes["conv1/conv"].layer
+    return {
+        "mode": str(job.params.get("mode", "naive")),
+        "max_ratio_error": float(
+            result.max_ratio_error(conv.weight.value, conv.bias.value)
+        ),
+        "ratio_digest": _digest(result.ratio_tensor()),
+        "resolved_fraction": float(result.resolved_mask().mean()),
+        "calibrated_sigma": state.get("calibrated_sigma"),
+        "repeats": (
+            channel.fixed_repeats
+            if isinstance(channel, VotingChannel)
+            else 1
+        ),
+        "repeat_queries": int(channel.ledger.repeat_queries),
+    }
 
-    Plan: ``signature`` (device ground truth — stage windows and the
-    batch dataflow identifier on a raw clean trace, the bench-side
-    oracle of the dataflow ablation) followed by the
-    :class:`StructureAttack` plan.
+
+# -- structure ---------------------------------------------------------------
+
+def _signature(params: dict, state: dict) -> dict:
+    """Prefix step: device ground truth — stage windows and the batch
+    dataflow identifier on a raw clean trace (the bench-side oracle of
+    the dataflow ablation).
+
+    Not an attack measurement, so it runs on the raw simulator, outside
+    the metered session.
     """
-
-    def __init__(
-        self,
-        params: dict,
-        shared_cache: SharedQueryCache | None,
-        budgets: dict,
-    ) -> None:
-        self.params = params
-        self.session = job_session(
-            params, shared_cache=shared_cache, **budgets
+    victim = build_victim(dict(params["victim"]))
+    sim = build_device(victim, params.get("device"))
+    res = sim.run(np.zeros((1, *victim.network.input_shape)))
+    mem = sim.config.memory
+    sig = identify_dataflow(
+        res.trace,
+        victim.network.input_shape,
+        mem.element_bytes,
+        mem.block_bytes,
+    )
+    counts = [w.num_reads + w.num_writes for w in res.windows]
+    truth_idx = [0] + list(np.cumsum(counts[:-1]))
+    if _device_dataflow(params) == "output-stationary":
+        bounds = find_layer_boundaries(res.trace.addresses, res.trace.is_write)
+    else:
+        bounds = find_layer_boundaries_dataflow(
+            res.trace.addresses, res.trace.is_write, mem.block_bytes
         )
-        self._structure = StructureAttack(
-            self.session,
-            tolerance=float(params.get("tolerance", 0.25)),
-            rules=PracticalityRules(
-                exact_pool_division=bool(
-                    params.get("exact_pool_division", True)
-                )
-            ),
-            runs=int(params.get("runs", 1)),
-            dataflow=str(params.get("attack_dataflow", "auto")),
-        )
+    state["signature"] = {
+        "identified": sig.dataflow,
+        "boundary_f1": float(boundary_f1(bounds, truth_idx, tol=0).f1),
+        "found_boundaries": len(bounds),
+        "stages": len(res.windows),
+    }
+    return state
 
-    def ledgers(self) -> list[QueryLedger]:
-        return [self.session.ledger]
 
-    def steps(self) -> list[str]:
-        plan = ["signature"] if self.params.get("signature", True) else []
-        return plan + [f"attack:{s}" for s in self._structure.steps()]
+def _structure(params, shared_cache, budgets):
+    """Full identify-then-enumerate structure attack with in-job truth."""
+    session = job_session(params, shared_cache=shared_cache, **budgets)
+    attack = StructureAttack(
+        session,
+        tolerance=float(params.get("tolerance", 0.25)),
+        rules=PracticalityRules(
+            exact_pool_division=bool(params.get("exact_pool_division", True))
+        ),
+        runs=int(params.get("runs", 1)),
+        dataflow=str(params.get("attack_dataflow", "auto")),
+    )
+    prefix = (
+        {"signature": lambda state: _signature(params, state)}
+        if params.get("signature", True)
+        else {}
+    )
+    return (
+        JobRunner(params, SubPlan("attack", attack), prefix),
+        [session.ledger],
+    )
 
-    def _device_dataflow(self) -> str:
-        return str(
-            dict(self.params.get("device") or {}).get(
-                "dataflow", "output-stationary"
-            )
-        )
 
-    def run_step(self, name: str, state: dict) -> dict:
-        state = dict(state)
-        if name == "signature":
-            return self._step_signature(state)
-        if name.startswith("attack:"):
-            inner = dict(state.get("attack", {}))
-            sub = name.split(":", 1)[1]
-            inner = self._structure.run_step(sub, inner)
-            done = list(inner.get("steps_done", []))
-            if sub not in done:
-                done.append(sub)
-            inner["steps_done"] = done
-            state["attack"] = inner
-            return state
-        raise ConfigError(f"unknown structure step {name!r}")
-
-    def _step_signature(self, state: dict) -> dict:
-        # Device-side ground truth: not an attack measurement, so it
-        # runs on the raw simulator, outside the metered session.
-        victim = build_victim(dict(self.params["victim"]))
-        sim = build_device(victim, self.params.get("device"))
-        res = sim.run(np.zeros((1, *victim.network.input_shape)))
-        mem = sim.config.memory
-        sig = identify_dataflow(
-            res.trace,
-            victim.network.input_shape,
-            mem.element_bytes,
-            mem.block_bytes,
-        )
-        counts = [w.num_reads + w.num_writes for w in res.windows]
-        truth_idx = [0] + list(np.cumsum(counts[:-1]))
-        if self._device_dataflow() == "output-stationary":
-            bounds = find_layer_boundaries(
-                res.trace.addresses, res.trace.is_write
-            )
-        else:
-            bounds = find_layer_boundaries_dataflow(
-                res.trace.addresses, res.trace.is_write, mem.block_bytes
-            )
-        state["signature"] = {
-            "identified": sig.dataflow,
-            "boundary_f1": float(
-                boundary_f1(bounds, truth_idx, tol=0).f1
-            ),
-            "found_boundaries": len(bounds),
-            "stages": len(res.windows),
-        }
-        return state
-
-    def metrics(self, state: dict) -> dict:
-        result = self._structure.result(dict(state.get("attack", {})))
-        victim = build_victim(dict(self.params["victim"]))
-        truth = [
-            g for g in victim.geometries() if hasattr(g, "canonical")
+def _structure_metrics(job: JobRunner, state: dict) -> dict:
+    result = job.result(state)
+    victim = build_victim(dict(job.params["victim"]))
+    truth = [
+        g.canonical() for g in victim.geometries() if hasattr(g, "canonical")
+    ]
+    found = any(
+        [
+            layer.geometry.canonical()
+            for layer in cand.layers
+            if hasattr(layer.geometry, "canonical")
         ]
-        found = False
-        for cand in result.candidates:
-            layers = [
-                layer
-                for layer in cand.layers
-                if hasattr(layer.geometry, "canonical")
-            ]
-            if len(layers) == len(truth) and all(
-                layer.geometry.canonical() == true.canonical()
-                for layer, true in zip(layers, truth)
-            ):
-                found = True
-                break
-        out = {
-            "dataflow": self._device_dataflow(),
-            "attack_identified": result.dataflow,
-            "candidates": int(result.count),
-            "num_layers": int(result.num_layers),
-            "expected_layers": len(victim.stages),
-            "truth_found": found,
-        }
-        if "signature" in state:
-            out["signature"] = dict(state["signature"])
-        return out
+        == truth
+        for cand in result.candidates
+    )
+    out = {
+        "dataflow": _device_dataflow(job.params),
+        "attack_identified": result.dataflow,
+        "candidates": int(result.count),
+        "num_layers": int(result.num_layers),
+        "expected_layers": len(victim.stages),
+        "truth_found": found,
+    }
+    if "signature" in state:
+        out["signature"] = dict(state["signature"])
+    return out
 
 
-class CloneJob:
-    """End-to-end duplication: the paper's stated objective as a job.
+# -- clone -------------------------------------------------------------------
 
-    The probe/evaluation images come from the deterministic synthetic
-    dataset (``dataset`` sub-spec), so agreement figures are in-job
-    truth metrics like everything else.
-    """
+def _clone_dataset(params: dict):
+    """The deterministic synthetic probe/evaluation images."""
+    from repro.data import make_dataset
 
-    def __init__(
-        self,
-        params: dict,
-        shared_cache: SharedQueryCache | None,
-        budgets: dict,
-    ) -> None:
-        from repro.attacks.clone import CloneAttack
-        from repro.data import make_dataset
+    spec = dict(params.get("dataset", {}))
+    return make_dataset(
+        num_classes=int(spec.get("num_classes", 10)),
+        image_size=int(spec.get("image_size", 14)),
+        channels=int(spec.get("channels", 1)),
+        train_per_class=int(spec.get("train_per_class", 4)),
+        val_per_class=int(spec.get("val_per_class", 2)),
+        seed=int(spec.get("seed", 3)),
+    )
 
-        self.params = params
-        victim = build_victim(dict(params["victim"]))
-        self._victim = victim
-        dense = DeviceSession(
-            build_device(victim, {"pruning": False}),
+
+def _clone(params, shared_cache, budgets):
+    """End-to-end duplication: the paper's stated objective as a job."""
+    from repro.attacks.clone import CloneAttack
+
+    victim = build_victim(dict(params["victim"]))
+    dense, pruned = (
+        DeviceSession(
+            build_device(victim, {"pruning": pruning}),
             shared_cache=shared_cache,
             **budgets,
         )
-        pruned = DeviceSession(
-            build_device(victim, {"pruning": True}),
-            shared_cache=shared_cache,
-            **budgets,
-        )
-        ds_spec = dict(params.get("dataset", {}))
-        self._dataset = make_dataset(
-            num_classes=int(ds_spec.get("num_classes", 10)),
-            image_size=int(ds_spec.get("image_size", 14)),
-            channels=int(ds_spec.get("channels", 1)),
-            train_per_class=int(ds_spec.get("train_per_class", 4)),
-            val_per_class=int(ds_spec.get("val_per_class", 2)),
-            seed=int(ds_spec.get("seed", 3)),
-        )
-        self._attack = CloneAttack(
-            dense,
-            pruned,
-            self._dataset.train_images,
-            distill_epochs=int(params.get("distill_epochs", 10)),
-            seed=int(params.get("seed", 0)),
-        )
-
-    def ledgers(self) -> list[QueryLedger]:
-        return [self._attack.dense.ledger, self._attack.pruned.ledger]
-
-    def steps(self) -> list[str]:
-        return self._attack.steps()
-
-    def run_step(self, name: str, state: dict) -> dict:
-        return self._attack.run_step(name, dict(state))
-
-    def metrics(self, state: dict) -> dict:
-        from dataclasses import asdict
-
-        from repro.attacks.clone import prediction_agreement
-
-        result = self._attack.result(state)
-        return {
-            "geometry": asdict(result.geometry),
-            "structure_candidates": int(result.structure_candidates),
-            "weights_resolved_fraction": float(
-                result.weights_resolved_fraction
-            ),
-            "labeling_queries": int(result.labeling_queries),
-            "train_agreement": prediction_agreement(
-                self._victim, result.network, self._dataset.train_images
-            ),
-            "val_agreement": prediction_agreement(
-                self._victim, result.network, self._dataset.val_images
-            ),
-        }
+        for pruning in (False, True)
+    )
+    attack = CloneAttack(
+        dense,
+        pruned,
+        _clone_dataset(params).train_images,
+        distill_epochs=int(params.get("distill_epochs", 10)),
+        seed=int(params.get("seed", 0)),
+    )
+    return JobRunner(params, attack), [dense.ledger, pruned.ledger]
 
 
-JOB_KINDS = {
-    "boundary_recovery": BoundaryRecoveryJob,
-    "power_fusion": PowerFusionJob,
-    "weight_recovery": WeightRecoveryJob,
-    "structure": StructureJob,
-    "clone": CloneJob,
+def _clone_metrics(job: JobRunner, state: dict) -> dict:
+    from repro.attacks.clone import prediction_agreement
+
+    result = job.result(state)
+    # The victim the devices run, as the weight phase left it.
+    victim = job.runner.dense.device.staged
+    dataset = _clone_dataset(job.params)
+    return {
+        "geometry": asdict(result.geometry),
+        "structure_candidates": int(result.structure_candidates),
+        "weights_resolved_fraction": float(result.weights_resolved_fraction),
+        "labeling_queries": int(result.labeling_queries),
+        "train_agreement": prediction_agreement(
+            victim, result.network, dataset.train_images
+        ),
+        "val_agreement": prediction_agreement(
+            victim, result.network, dataset.val_images
+        ),
+    }
+
+
+JOB_KINDS: dict[str, JobKind] = {
+    "boundary_recovery": JobKind(_boundary_recovery, _boundary_metrics),
+    "power_fusion": JobKind(_power_fusion, _power_fusion_metrics),
+    "weight_recovery": JobKind(_weight_recovery, _weight_metrics),
+    "structure": JobKind(_structure, _structure_metrics),
+    "clone": JobKind(_clone, _clone_metrics),
 }
 
 
@@ -597,12 +491,12 @@ def build_runner(
     *,
     shared_cache: SharedQueryCache | None = None,
     budgets: dict | None = None,
-):
-    """Instantiate the stepwise runner for one job."""
+) -> tuple[JobRunner, list[QueryLedger]]:
+    """The stepwise runner for one job and the ledgers it meters."""
     try:
-        cls = JOB_KINDS[kind]
+        factory = JOB_KINDS[kind].factory
     except KeyError:
         raise ConfigError(
             f"unknown job kind {kind!r}; choose from {sorted(JOB_KINDS)}"
         ) from None
-    return cls(dict(params), shared_cache, dict(budgets or {}))
+    return factory(dict(params), shared_cache, dict(budgets or {}))

@@ -30,13 +30,13 @@ from repro.accel import (
     available_dataflows,
 )
 from repro.attacks.clone import clone_model, prediction_agreement
-from repro.attacks.fusion import fuse_boundaries, segment_power_trace
+from repro.attacks.fusion import FusedBoundaryRecovery, segment_power_trace
 from repro.attacks.robust import (
+    BoundaryRecovery,
     VotingChannel,
     boundary_cycles_from_trace,
     boundary_f1,
     calibrate_channel,
-    recover_boundaries,
 )
 from repro.attacks.structure import (
     PracticalityRules,
@@ -148,7 +148,7 @@ def cmd_structure(args) -> int:
         if channel.power_noisy:
             cal = calibrate_channel(session, power_runs=4)
             print(f"calibration: {cal.describe()}")
-        result = fuse_boundaries(session, runs=args.runs)
+        result = FusedBoundaryRecovery(session, runs=args.runs).run()
         print(f"channel: {channel.describe()}")
         print(f"fused boundaries over {args.runs} run(s) "
               f"(confirm tol {result.confirm_tol} cycles): "
@@ -188,7 +188,7 @@ def cmd_structure(args) -> int:
         # noisy channel run the consensus boundary recovery instead.
         session = DeviceSession(sim, channel=channel)
         runs = max(args.runs, 3)
-        result = recover_boundaries(session, runs=runs, compare_naive=True)
+        result = BoundaryRecovery(session, runs=runs, compare_naive=True).run()
         print(f"channel: {channel.describe()}")
         print(f"consensus boundaries over {runs} runs "
               f"(quorum {result.quorum}, tol {result.tol} cycles): "
@@ -318,7 +318,7 @@ def cmd_clone(args) -> int:
             channel=channel,
         )
         if args.fuse:
-            fused = fuse_boundaries(psession, runs=1)
+            fused = FusedBoundaryRecovery(psession, runs=1).run()
             print(f"fused structure pre-check: {fused.num_layers} "
                   f"layer(s) at {fused.boundaries}")
         else:

@@ -23,7 +23,7 @@ from repro.attacks.robust.boundary import (
     RobustRawBoundaryTracker,
     consensus_boundaries,
 )
-from repro.attacks.robust.structure import recover_boundaries
+from repro.attacks.robust.structure import BoundaryRecovery
 from repro.attacks.structure.dataflow_id import identify_dataflow
 from repro.attacks.structure.trace_analysis import (
     StreamingTraceAnalyzer,
@@ -131,7 +131,7 @@ def test_noisy_consensus_recovery_identical():
         sim = AcceleratorSim(build_model("lenet"), AcceleratorConfig())
         return DeviceSession(sim, channel=NOISY)
 
-    result = recover_boundaries(session(), runs=3, compare_naive=True)
+    result = BoundaryRecovery(session(), runs=3, compare_naive=True).run()
     window = NOISY.latency_window
     robust, naive = [], []
     for k in range(3):

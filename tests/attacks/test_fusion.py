@@ -10,13 +10,12 @@ import pytest
 from repro.accel import AcceleratorSim
 from repro.attacks.fusion import (
     FusedBoundaryRecovery,
-    fuse_boundaries,
     segment_power_trace,
 )
 from repro.attacks.robust import (
+    BoundaryRecovery,
     boundary_cycles_from_trace,
     boundary_f1,
-    recover_boundaries,
 )
 from repro.attacks.robust.calibrate import calibrate_channel
 from repro.channel import ChannelModel
@@ -150,7 +149,7 @@ def test_fused_recovery_ideal_channel_equals_truth():
         DeviceSession(AcceleratorSim(staged)).observe_structure(seed=0).trace
     )
     session = DeviceSession(AcceleratorSim(staged))
-    result = fuse_boundaries(session, runs=1)
+    result = FusedBoundaryRecovery(session, runs=1).run()
     assert result.boundaries == truth
     assert session.ledger.inferences == 1
     assert session.ledger.power_samples > 0
@@ -170,14 +169,14 @@ def test_fused_beats_memory_only_at_matched_budget_on_lenet():
     fused_session = DeviceSession(
         AcceleratorSim(build_lenet()), channel=channel
     )
-    fused = fuse_boundaries(fused_session, runs=1)
+    fused = FusedBoundaryRecovery(fused_session, runs=1).run()
     assert boundary_f1(fused.boundaries, truth, tol=tol).f1 == 1.0
     assert fused_session.ledger.inferences == 1
 
-    memory = recover_boundaries(
+    memory = BoundaryRecovery(
         DeviceSession(AcceleratorSim(build_lenet()), channel=channel),
         runs=1,
-    )
+    ).run()
     assert boundary_f1(memory.boundaries, truth, tol=tol).f1 < 1.0
 
 
@@ -247,13 +246,13 @@ def test_calibrate_rejects_single_power_run():
 # -- campaign job ----------------------------------------------------------
 
 def _run_job(params):
-    from repro.campaign.jobs import PowerFusionJob
+    from repro.campaign.jobs import JOB_KINDS, build_runner
 
-    job = PowerFusionJob(params, None, {})
+    job, _ = build_runner("power_fusion", params)
     state: dict = {}
     for name in job.steps():
         state = job.run_step(name, state)
-    return job.metrics(state)
+    return JOB_KINDS["power_fusion"].metrics(job, state)
 
 
 def test_power_fusion_job_fused_mode():
@@ -283,9 +282,9 @@ def test_power_fusion_job_memory_mode_touches_no_power():
 
 
 def test_power_fusion_job_rejects_unknown_mode():
-    from repro.campaign.jobs import PowerFusionJob
+    from repro.campaign.jobs import build_runner
 
     with pytest.raises(ConfigError):
-        PowerFusionJob(
-            {"victim": {"conv": {"w": 12}}, "mode": "both"}, None, {}
+        build_runner(
+            "power_fusion", {"victim": {"conv": {"w": 12}}, "mode": "both"}
         )

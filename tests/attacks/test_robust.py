@@ -9,6 +9,7 @@ import pytest
 
 from repro.accel import AcceleratorSim
 from repro.attacks.robust import (
+    BoundaryRecovery,
     BoundaryScore,
     RobustRawBoundaryTracker,
     VotingChannel,
@@ -16,7 +17,6 @@ from repro.attacks.robust import (
     boundary_f1,
     calibrate_channel,
     consensus_boundaries,
-    recover_boundaries,
     required_repeats,
     vote_confidence,
 )
@@ -394,7 +394,7 @@ def test_recover_boundaries_ideal_channel_is_exact():
     session = DeviceSession(
         AcceleratorSim(lenet), channel=ChannelModel.ideal()
     )
-    result = recover_boundaries(session, runs=3)
+    result = BoundaryRecovery(session, runs=3).run()
     assert result.boundaries == truth
     assert result.num_layers == len(truth)
 
@@ -417,11 +417,11 @@ def test_recover_boundaries_dataflow_aware_producer_filter():
     )
     session = DeviceSession(AcceleratorSim(lenet, config), channel=channel)
     tol = channel.latency_window + 50
-    presumed = recover_boundaries(session, runs=3)
+    presumed = BoundaryRecovery(session, runs=3).run()
     assert len(presumed.boundaries) < len(truth)
-    aware = recover_boundaries(
+    aware = BoundaryRecovery(
         session, runs=3, dataflow="weight-stationary"
-    )
+    ).run()
     assert boundary_f1(aware.boundaries, truth, tol=tol).f1 == 1.0
 
 
@@ -434,7 +434,7 @@ def test_recover_boundaries_survives_noisy_channel():
         drop_rate=0.02, dup_rate=0.01, cycle_sigma=60.0, seed=11
     )
     session = DeviceSession(AcceleratorSim(lenet), channel=channel)
-    result = recover_boundaries(session, runs=3, compare_naive=True)
+    result = BoundaryRecovery(session, runs=3, compare_naive=True).run()
     tol = channel.latency_window + 50
     assert boundary_f1(result.boundaries, truth, tol=tol).f1 == 1.0
     assert len(result.runs) == len(result.naive_runs) == 3

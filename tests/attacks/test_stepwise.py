@@ -1,12 +1,14 @@
-"""Stepwise runners recover bit-identically to the monolithic drivers.
+"""Stepwise runners recover bit-identically to an uninterrupted run.
 
-Every attack entry point now decomposes into a checkpointable step plan
-(:class:`StructureAttack`, :class:`BoundaryRecovery`,
-:class:`SteppedWeightAttack`, :class:`CloneAttack`).  These tests drive
-each plan the way a campaign would — state JSON round-tripped after
-every step, fresh device sessions mid-plan to simulate a kill — and
-assert the products are byte-for-byte equal to the historical
-single-call path.
+Every checkpointable attack (:class:`StructureAttack`,
+:class:`BoundaryRecovery`, :class:`FusedBoundaryRecovery`,
+:class:`SteppedWeightAttack`, :class:`CloneAttack`) is a
+:class:`~repro.attacks.stepped.Stepped` runner resumed by the one loop
+in :mod:`repro.attacks.stepped`.  These tests drive each plan the way a
+campaign would — state JSON round-tripped after every step, fresh
+device sessions mid-plan to simulate a kill — and assert the products
+are byte-for-byte equal to the all-steps ``.run()`` path.  Steps
+outside a runner's plan are rejected up front.
 """
 
 from __future__ import annotations
@@ -14,17 +16,20 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from repro.accel import AcceleratorSim
 from repro.attacks.clone import CloneAttack, clone_model
-from repro.attacks.robust import BoundaryRecovery, recover_boundaries
+from repro.attacks.robust import BoundaryRecovery
 from repro.attacks.structure.attack import StructureAttack, run_structure_attack
 from repro.attacks.structure.trace_analysis import analysis_to_dict
 from repro.attacks.weights.recovery import SteppedWeightAttack, WeightAttack
 from repro.attacks.weights.target import AttackTarget
+from repro.attacks.fusion import FusedBoundaryRecovery
 from repro.channel import ChannelModel
 from repro.data import make_dataset
 from repro.device import DeviceSession
+from repro.errors import ConfigError
 
 from tests.attacks.test_clone import build_victim
 from tests.conftest import build_conv_stage, pruned_session
@@ -89,7 +94,7 @@ def test_boundary_recovery_stepwise_resume_bit_identical():
     def fresh():
         return DeviceSession(AcceleratorSim(staged), channel=channel)
 
-    monolith = recover_boundaries(fresh(), runs=3, compare_naive=True)
+    monolith = BoundaryRecovery(fresh(), runs=3, compare_naive=True).run()
 
     state: dict = {}
     for name in ["run:0", "run:1"]:
@@ -198,3 +203,46 @@ def test_clone_stepwise_resume_bit_identical():
     assert mono_params.keys() == step_params.keys()
     for name, value in mono_params.items():
         np.testing.assert_array_equal(value, step_params[name], err_msg=name)
+
+
+_STAGED, _GEOM, _, _ = build_conv_stage(w=8, d=3, pool=None)
+
+
+def _session():
+    return DeviceSession(AcceleratorSim(_STAGED))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: StructureAttack(_session()), "observe:x"),
+        (lambda: StructureAttack(_session(), runs=1), "observe:7"),
+        (lambda: BoundaryRecovery(_session(), runs=3), "run:9"),
+        (lambda: FusedBoundaryRecovery(_session(), 1), "run:1"),
+        (
+            lambda: SteppedWeightAttack(
+                _session(),
+                AttackTarget.from_geometry(_GEOM),
+                filters_per_step=2,
+            ),
+            "filters:0:3",
+        ),
+        (
+            lambda: CloneAttack(
+                _session(),
+                _session(),
+                np.zeros((2, *_STAGED.network.input_shape)),
+            ),
+            "structure:observe:1",
+        ),
+    ],
+    ids=["structure", "structure-run", "boundary", "fused", "weights", "clone"],
+)
+def test_steps_outside_the_plan_are_rejected(build, name):
+    runner = build()
+    with pytest.raises(ConfigError) as info:
+        runner.run_step(name, {})
+    message = str(info.value)
+    assert type(runner).__name__ in message
+    assert repr(name) in message
+    assert str(runner.steps()) in message

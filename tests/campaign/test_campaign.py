@@ -196,3 +196,86 @@ def test_results_records_carry_no_cache_state(tmp_path):
         assert "cache_hits" not in blob
         assert "shared_hits" not in blob
         assert "channel_queries" not in blob
+
+
+def _kill_after(root, checkpoints: int) -> None:
+    """Run the campaign in a subprocess that dies after N checkpoints."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, REPRO_CAMPAIGN_KILL=str(checkpoints))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"from repro.campaign import Campaign; "
+         f"Campaign.load({str(root)!r}).run()"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 137, proc.stderr
+
+
+BOUNDARY_ONLY = {
+    "name": "boundary",
+    "sweeps": [{"kind": "boundary_recovery", "tenant": "structure",
+                "base": BOUNDARY_BASE}],
+}
+
+
+def test_resume_applies_fresh_budgets_over_checkpointed_ones(tmp_path):
+    from repro.campaign.coordinator import _execute_job
+
+    campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
+    _kill_after(tmp_path / "c", 1)
+    (job,) = campaign.jobs
+    ckpt = JobCheckpoint.load(campaign.store.jobs_dir, job.job_id)
+    assert "truth" in ckpt.state and "runs" not in ckpt.state
+    assert ckpt.ledgers[0]["inferences"] == 1
+    assert ckpt.ledgers[0]["max_inferences"] is None
+
+    # The tenant has no inferences left: the resumed job must not
+    # inherit the unlimited budget its checkpoint was saved under.
+    out = _execute_job({
+        "root": str(tmp_path / "c"),
+        "job": job.to_dict(),
+        "budgets": {"max_inferences": 0},
+    })
+    assert out["status"] == "failed:budget"
+    ckpt = JobCheckpoint.load(campaign.store.jobs_dir, job.job_id)
+    assert ckpt.ledgers[0]["inferences"] == 1
+
+
+def test_failed_step_spend_is_billed(tmp_path, monkeypatch):
+    from repro.attacks.robust import BoundaryRecovery
+
+    step_run = BoundaryRecovery._step_run
+
+    def observe_then_fail(self, k, state):
+        state = step_run(self, k, state)
+        if k == 1:
+            raise RuntimeError("decoder crashed")
+        return state
+
+    monkeypatch.setattr(BoundaryRecovery, "_step_run", observe_then_fail)
+    campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
+    status = campaign.run()
+    assert status["by_status"] == {"failed:error": 1}
+    (job,) = campaign.jobs
+    ckpt = JobCheckpoint.load(campaign.store.jobs_dir, job.job_id)
+    assert list(ckpt.state["runs"]) == ["0"]
+    # truth + run:0 + the failed run:1 all ran the device.
+    assert ckpt.ledgers[0]["inferences"] == 3
+    assert status["tenants"]["structure"]["spent"]["inferences"] == 3
+
+
+def test_corrupt_checkpoint_raises_typed_error(tmp_path):
+    campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
+    _kill_after(tmp_path / "c", 2)
+    (job,) = campaign.jobs
+    path = JobCheckpoint.path(campaign.store.jobs_dir, job.job_id)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    for call in (Campaign.load(tmp_path / "c").run, campaign.status):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(path) in str(info.value)
+        assert f"delete {path.parent}/" in str(info.value)
