@@ -23,6 +23,8 @@ channel of :class:`repro.device.DeviceSession`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
@@ -38,6 +40,7 @@ __all__ = [
     "DenseStageOracle",
     "SparseStageOracle",
     "make_stage_oracle",
+    "one_pattern_per_row",
 ]
 
 # A pixel coordinate in the stage input: (channel, row, col).
@@ -92,23 +95,21 @@ class StageOracle:
         """
         raise NotImplementedError
 
-    def nnz_batch(self, pixels: list[Pixel], values: np.ndarray) -> np.ndarray:
-        """Counts for ``B`` independent runs sharing one pixel pattern.
+    def nnz_batch(self, pixels, values) -> np.ndarray:
+        """Counts for ``B`` independent runs, in one call.
 
-        ``values`` has shape ``(B, len(pixels))``: row ``b`` is one full
-        device run, so the result row ``b`` equals ``nnz(pixels,
-        values[b])`` bit for bit.  Charged as ``B`` queries.  The base
-        implementation loops; backends may vectorise.
+        ``pixels`` is either one pattern shared by every row — then
+        ``values`` has shape ``(B, len(pixels))`` — or a list of ``B``
+        patterns, one per row, with ``values[b]`` of length
+        ``len(pixels[b])``.  Row ``b`` of the result equals
+        ``nnz(pattern_b, values[b])`` bit for bit.  Charged as ``B``
+        queries.  The base implementation loops; backends may
+        vectorise.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(pixels):
-            raise ConfigError(
-                f"values must be (batch, n_pixels) = (*, {len(pixels)}), "
-                f"got {values.shape}"
-            )
-        if len(values) == 0:
+        patterns, rows = _rows(pixels, values)
+        if not rows:
             return np.zeros((0, self.d_ofm), dtype=np.int64)
-        return np.stack([self.nnz(pixels, row) for row in values])
+        return np.stack([self.nnz(list(p), row) for p, row in zip(patterns, rows)])
 
     def set_threshold(self, threshold: float) -> None:
         """Adjust the stage's tunable pruning threshold, if it has one."""
@@ -123,6 +124,40 @@ class StageOracle:
                 )
         if len(set(pixels)) != len(pixels):
             raise ConfigError(f"duplicate pixels in {pixels}")
+
+
+def one_pattern_per_row(pixels) -> bool:
+    """Whether ``pixels`` lists one pattern per row (vs one shared pattern)."""
+    return len(pixels) > 0 and (
+        len(pixels[0]) == 0 or not np.isscalar(pixels[0][0])
+    )
+
+
+def _rows(pixels, values) -> tuple[list[tuple], list[np.ndarray]]:
+    """Normalise either ``nnz_batch`` form to (pattern, values) per row."""
+    if one_pattern_per_row(pixels):
+        if len(values) != len(pixels):
+            raise ConfigError(
+                f"need one value row per pattern, got {len(values)} rows "
+                f"for {len(pixels)} patterns"
+            )
+        patterns = [tuple(p) for p in pixels]
+        rows = [np.asarray(v, dtype=float).reshape(-1) for v in values]
+        for p, row in zip(patterns, rows):
+            if row.shape != (len(p),):
+                raise ConfigError(
+                    f"need one value per pixel, got {row.shape} for "
+                    f"{len(p)} pixels"
+                )
+        return patterns, rows
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(pixels):
+        raise ConfigError(
+            f"values must be (batch, n_pixels) = (*, {len(pixels)}), "
+            f"got {values.shape}"
+        )
+    pattern = tuple(pixels)
+    return [pattern] * len(values), list(values)
 
 
 class DenseStageOracle(StageOracle):
@@ -174,10 +209,50 @@ class DenseStageOracle(StageOracle):
         return counts
 
 
-class SparseStageOracle(StageOracle):
-    """Fast oracle: analytic constant region + dense affected box.
+class _Plan(NamedTuple):
+    """Index plan of one pixel pattern: which cells and windows it moves.
 
-    Correct for any input that is zero outside the provided pixels.
+    Only *indices* are stored, never weight or activation values, so a
+    memo of plans stays small however many filters the stage has.
+
+    * ``sizes`` is ``(cells, terms, members, windows)``.  The pattern
+      touches ``cells`` conv output cells, numbered in first-touch
+      order; every other cell keeps its all-zero-input value.
+    * Column ``t`` of ``terms`` is ``(cell, tap, pixel)``: add tap
+      ``w[:, tap] * value[pixel]`` to that cell.  Columns are sorted by
+      pixel, so each cell sums its pixels in pattern order (and a
+      one-pixel pattern's cells are its terms, in order).
+    * Pooled stages only: the ``k``-th pooled window containing a
+      touched cell owns the next ``windows[0, k]`` entries of
+      ``member`` (its touched cells); ``windows[1, k]`` is 1 if it also
+      holds an untouched cell.
+    """
+
+    sizes: tuple[int, int, int, int]
+    terms: np.ndarray  # (3, terms) intp
+    member: np.ndarray  # (members,) intp
+    windows: np.ndarray  # (2, windows) intp
+
+
+def _segment_sums(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum ``flags`` (N, D) over consecutive segments of ``lengths``."""
+    ends = np.cumsum(lengths)
+    if len(flags) and lengths.all():  # reduceat needs non-empty segments
+        return np.add.reduceat(flags, ends - lengths, axis=0, dtype=np.int64)
+    totals = np.zeros((len(flags) + 1, flags.shape[1]), dtype=np.int64)
+    np.cumsum(flags, axis=0, out=totals[1:])
+    return totals[ends] - totals[ends - lengths]
+
+
+class SparseStageOracle(StageOracle):
+    """Fast oracle: analytic constant region + recomputed touched cells.
+
+    Correct for any input that is zero outside the provided pixels: only
+    the conv cells a pixel reaches can differ from the per-filter
+    constant ``relu(b_f)``, and only pooled windows containing such a
+    cell can differ from its pooled image.  Every pattern's touched
+    cells and windows are planned once (:class:`_Plan`); a batch of runs
+    with any mix of patterns is then evaluated in one numpy pass.
     """
 
     def __init__(self, staged: StagedNetwork, stage_name: str):
@@ -188,7 +263,8 @@ class SparseStageOracle(StageOracle):
         self.input_shape = (geom.d_ifm, geom.w_ifm, geom.w_ifm)
         self.queries = 0
 
-        self._w = conv.weight.value  # (D, C, F, F)
+        # (D, C*F*F) view: column ``(c*F + di)*F + dj`` is one tap.
+        self._taps = conv.weight.value.reshape(self.d_ofm, -1)
         self._b = (
             conv.bias.value if conv.bias is not None else np.zeros(self.d_ofm)
         )
@@ -200,96 +276,92 @@ class SparseStageOracle(StageOracle):
 
         self._pool = pool
         if pool is not None:
-            self._pool_is_max = isinstance(pool, MaxPool2D)
             self._w_pool = pool_output_width(self._w_conv, pool.f, pool.stride, pool.pad)
-        # Constant plane value after activation (conv of all-zero input).
-        self._v0 = np.where(self._b > self._thr, self._b, 0.0)
-        self._base_nnz = self._compute_base_nnz()
+        self._plans: dict[tuple, _Plan] = {}
+        self._set_constant()
 
     def set_threshold(self, threshold: float) -> None:
         if not isinstance(self._act, ThresholdReLU):
             raise ConfigError("stage activation has no tunable threshold")
         self._act.set_threshold(threshold)
         self._thr = threshold
-        self._v0 = np.where(self._b > self._thr, self._b, 0.0)
-        self._base_nnz = self._compute_base_nnz()
+        self._set_constant()
 
-    # -- constant-input analysis ------------------------------------------
-    def _pool_window_cells(self, p_idx: int) -> tuple[int, int]:
-        """Valid conv-coordinate range [lo, hi) of pooled index ``p_idx``."""
-        pool = self._pool
-        lo = p_idx * pool.stride - pool.pad
-        hi = lo + pool.f
-        return max(0, lo), min(self._w_conv, hi)
+    def _set_constant(self) -> None:
+        """Per-plane state of the all-zero input at the current threshold.
 
-    def _compute_base_nnz(self) -> np.ndarray:
-        """Per-plane non-zero count for the all-zero input."""
-        if self._pool is None:
-            plane = self._w_conv * self._w_conv
-            return np.where(self._v0 > 0, plane, 0).astype(np.int64)
-        # Pooled plane of a constant v0: max pool gives v0 everywhere
-        # (ceil mode guarantees >= 1 valid cell per window); avg pool
-        # gives v0 * cells / F^2, zero iff v0 is zero.
-        plane = self._w_pool * self._w_pool
-        return np.where(self._v0 > 0, plane, 0).astype(np.int64)
+        Every cell equals ``b`` and is active iff ``b`` clears the
+        threshold.  Max pooling then gives that value everywhere (ceil
+        mode guarantees >= 1 valid cell per window); average pooling
+        gives ``b * cells / F^2`` for an active cell, zero otherwise.
+        """
+        self._const_on = self._b > self._thr
+        width = self._w_conv if self._pool is None else self._w_pool
+        self._base_nnz = np.where(self._const_on, width * width, 0).astype(
+            np.int64
+        )
 
-    # -- affected-box machinery ------------------------------------------------
-    def _conv_coord_range(self, padded: int) -> tuple[int, int]:
-        """Conv output indices [lo, hi] whose window covers ``padded``."""
+    # -- planning ----------------------------------------------------------
+    def _conv_coord_range(self, padded: int) -> range:
+        """Conv output indices whose window covers ``padded``."""
         lo = -(-(padded - self._f + 1) // self._s)  # ceil
         hi = padded // self._s
-        return max(0, lo), min(self._w_conv - 1, hi)
+        return range(max(0, lo), min(self._w_conv - 1, hi) + 1)
 
-    def _affected_conv_box(
-        self, pixels: list[Pixel]
-    ) -> tuple[int, int, int, int]:
-        a0 = b0 = 10**9
-        a1 = b1 = -1
-        for _, i, j in pixels:
-            ra = self._conv_coord_range(i + self._p)
-            rb = self._conv_coord_range(j + self._p)
-            if ra[0] > ra[1] or rb[0] > rb[1]:
-                continue
-            a0, a1 = min(a0, ra[0]), max(a1, ra[1])
-            b0, b1 = min(b0, rb[0]), max(b1, rb[1])
-        if a1 < 0:  # no output affected at all
-            return 0, -1, 0, -1
-        return a0, a1, b0, b1
+    def _pool_coord_range(self, cell: int) -> range:
+        """Pooled indices whose window covers conv index ``cell``."""
+        pool = self._pool
+        # window of pooled index p covers [p*s - pad, p*s - pad + f)
+        p_lo = -(-(cell + pool.pad - pool.f + 1) // pool.stride)
+        p_hi = (cell + pool.pad) // pool.stride
+        return range(max(0, p_lo), min(self._w_pool - 1, p_hi) + 1)
 
-    def _box_values(
-        self,
-        pixels: list[Pixel],
-        values: np.ndarray,
-        box: tuple[int, int, int, int],
-    ) -> np.ndarray:
-        """Post-activation conv outputs over the box, all filters.
+    def _pool_window_size(self, p_idx: int) -> int:
+        """Valid conv cells along one axis of pooled index ``p_idx``."""
+        lo = p_idx * self._pool.stride - self._pool.pad
+        return min(self._w_conv, lo + self._pool.f) - max(0, lo)
 
-        ``values`` is ``(B, n_pixels, d_ofm)`` — per-run, per-filter input
-        values.  Returns array (B, d_ofm, a1-a0+1, b1-b0+1).  Every run in
-        the batch shares the pixel pattern, so the accumulation below is
-        elementwise along the batch axis and each output row is bitwise
-        what the unbatched evaluation of that run would produce.
-        """
-        a0, a1, b0, b1 = box
-        batch = values.shape[0]
-        y = np.broadcast_to(
-            self._b[None, :, None, None],
-            (batch, self.d_ofm, a1 - a0 + 1, b1 - b0 + 1),
-        ).copy()
-        for k, (c, i, j) in enumerate(pixels):
+    def _plan(self, pattern: tuple) -> _Plan:
+        plan = self._plans.get(pattern)
+        if plan is not None:
+            return plan
+        self._check_pixels(list(pattern))
+        f = self._f
+        cells: dict[tuple[int, int], int] = {}
+        terms = []
+        for k, (c, i, j) in enumerate(pattern):
             ip, jp = i + self._p, j + self._p
-            for a in range(a0, a1 + 1):
-                di = ip - a * self._s
-                if not 0 <= di < self._f:
-                    continue
-                for b in range(b0, b1 + 1):
-                    dj = jp - b * self._s
-                    if not 0 <= dj < self._f:
-                        continue
-                    y[:, :, a - a0, b - b0] += (
-                        self._w[None, :, c, di, dj] * values[:, k, :]
-                    )
-        return np.where(y > self._thr, y, 0.0)
+            for a in self._conv_coord_range(ip):
+                for b in self._conv_coord_range(jp):
+                    cell = cells.setdefault((a, b), len(cells))
+                    tap = (c * f + ip - a * self._s) * f + jp - b * self._s
+                    terms.append((cell, tap, k))
+        windows: dict[tuple[int, int], list[int]] = {}
+        if self._pool is not None:
+            for (a, b), cell in cells.items():
+                for pa in self._pool_coord_range(a):
+                    for pb in self._pool_coord_range(b):
+                        windows.setdefault((pa, pb), []).append(cell)
+        keys = sorted(windows)
+        member = [cell for key in keys for cell in windows[key]]
+        plan = _Plan(
+            sizes=(len(cells), len(terms), len(member), len(keys)),
+            terms=np.array(terms, dtype=np.intp).reshape(-1, 3).T.copy(),
+            member=np.array(member, dtype=np.intp),
+            windows=np.array(
+                [
+                    [len(windows[key]) for key in keys],
+                    [
+                        self._pool_window_size(pa) * self._pool_window_size(pb)
+                        > len(windows[(pa, pb)])
+                        for pa, pb in keys
+                    ],
+                ],
+                dtype=np.intp,
+            ).reshape(2, -1),
+        )
+        self._plans[pattern] = plan
+        return plan
 
     # -- queries -------------------------------------------------------------
     def nnz(self, pixels: list[Pixel], values: np.ndarray) -> np.ndarray:
@@ -299,8 +371,8 @@ class SparseStageOracle(StageOracle):
                 f"need one value per pixel, got {values.shape} for "
                 f"{len(pixels)} pixels"
             )
-        expanded = np.repeat(values[:, None], self.d_ofm, axis=1)
-        return self._count(pixels, expanded[None], charge=1)[0]
+        self.queries += 1
+        return self._count([tuple(pixels)], values[None, :, None])[0]
 
     def nnz_per_filter(
         self, pixels: list[Pixel], values: np.ndarray
@@ -311,99 +383,68 @@ class SparseStageOracle(StageOracle):
                 f"values must be (n_pixels, d_ofm) = "
                 f"({len(pixels)}, {self.d_ofm}), got {values.shape}"
             )
-        return self._count(pixels, values[None], charge=self.d_ofm)[0]
+        self.queries += self.d_ofm
+        return self._count([tuple(pixels)], values[None])[0]
 
-    def nnz_batch(self, pixels: list[Pixel], values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(pixels):
-            raise ConfigError(
-                f"values must be (batch, n_pixels) = (*, {len(pixels)}), "
-                f"got {values.shape}"
-            )
-        batch = len(values)
-        if batch == 0:
+    def nnz_batch(self, pixels, values) -> np.ndarray:
+        patterns, rows = _rows(pixels, values)
+        if not rows:
             return np.zeros((0, self.d_ofm), dtype=np.int64)
-        expanded = np.repeat(values[:, :, None], self.d_ofm, axis=2)
-        return self._count(pixels, expanded, charge=batch)
+        widths = {len(row) for row in rows}
+        if len(widths) == 1:
+            x = np.stack(rows)
+        else:
+            x = np.zeros((len(rows), max(widths)))
+            for b, row in enumerate(rows):
+                x[b, : len(row)] = row
+        self.queries += len(rows)
+        return self._count(patterns, x[:, :, None])
 
-    def _count(
-        self, pixels: list[Pixel], values: np.ndarray, charge: int
-    ) -> np.ndarray:
-        """Batched count: ``values`` is (B, n_pixels, d_ofm) → (B, d_ofm)."""
-        self._check_pixels(pixels)
-        self.queries += charge
-        batch = values.shape[0]
-        box = self._affected_conv_box(pixels)
-        a0, a1, b0, b1 = box
-        if a1 < a0:
-            return np.repeat(self._base_nnz[None], batch, axis=0)
-        act = self._box_values(pixels, values, box)
+    def _count(self, patterns: list[tuple], x: np.ndarray) -> np.ndarray:
+        """Counts of ``len(patterns)`` runs in one numpy pass.
 
+        ``x[r, k]`` is run ``r``'s value at its ``k``-th pixel: shape
+        ``(runs, n_pixels, 1)`` for one input shared by every filter, or
+        ``(runs, n_pixels, d_ofm)`` for a per-filter input.  Each touched
+        cell accumulates ``b + w_0*x_0 + w_1*x_1 ...`` in pixel order,
+        the float operations the dense layers perform.
+        """
+        plans = [self._plan(p) for p in patterns]
+        n_runs = len(plans)
+        sizes = np.array([pl.sizes for pl in plans], dtype=np.intp)
+        run_cells = sizes[:, 0]
+        cell_base = np.cumsum(run_cells) - run_cells
+        cell, tap, px = np.concatenate([pl.terms for pl in plans], axis=1)
+        inputs = x[np.repeat(np.arange(n_runs), sizes[:, 1]), px]
+        contrib = self._taps[:, tap].T * inputs
+        if x.shape[1] == 1:
+            y = self._b + contrib
+        else:
+            # One pixel per pass: no cell repeats within a pass, and each
+            # cell sums its pixels in pattern order.
+            cell += np.repeat(cell_base, sizes[:, 1])
+            y = np.empty((int(run_cells.sum()), self.d_ofm))
+            y[:] = self._b
+            for k in range(x.shape[1]):
+                sel = px == k
+                y[cell[sel]] += contrib[sel]
+        active = y > self._thr
         if self._pool is None:
-            box_area = (a1 - a0 + 1) * (b1 - b0 + 1)
-            base_in_box = np.where(self._v0 > 0, box_area, 0)
-            new_in_box = np.count_nonzero(
-                act.reshape(batch, self.d_ofm, -1), axis=2
-            )
-            return self._base_nnz[None] - base_in_box[None] + new_in_box
-        return self._count_pooled(act, box)
-
-    def _count_pooled(
-        self, act: np.ndarray, box: tuple[int, int, int, int]
-    ) -> np.ndarray:
-        a0, a1, b0, b1 = box
-        batch = act.shape[0]
-        pool = self._pool
-        # Pooled indices whose window intersects the box.
-        pa0, pa1 = self._pool_coord_range(a0, a1)
-        pb0, pb1 = self._pool_coord_range(b0, b1)
-        if pa1 < pa0 or pb1 < pb0:
-            return np.repeat(self._base_nnz[None], batch, axis=0)
-
-        n_affected = (pa1 - pa0 + 1) * (pb1 - pb0 + 1)
-        base_in_affected = np.where(self._v0 > 0, n_affected, 0)
-        new_nonzero = np.zeros((batch, self.d_ofm), dtype=np.int64)
-        for pa in range(pa0, pa1 + 1):
-            r_lo, r_hi = self._pool_window_cells(pa)
-            for pb in range(pb0, pb1 + 1):
-                c_lo, c_hi = self._pool_window_cells(pb)
-                total_cells = (r_hi - r_lo) * (c_hi - c_lo)
-                # Cells of this window inside the recomputed box.
-                br_lo, br_hi = max(r_lo, a0), min(r_hi, a1 + 1)
-                bc_lo, bc_hi = max(c_lo, b0), min(c_hi, b1 + 1)
-                in_box = max(0, br_hi - br_lo) * max(0, bc_hi - bc_lo)
-                outside = total_cells - in_box
-                if in_box > 0:
-                    patch = act[
-                        :, :, br_lo - a0 : br_hi - a0, bc_lo - b0 : bc_hi - b0
-                    ]
-                    patch = patch.reshape(batch, self.d_ofm, -1)
-                else:
-                    patch = np.zeros((batch, self.d_ofm, 0))
-                if self._pool_is_max:
-                    box_max = (
-                        patch.max(axis=2)
-                        if patch.shape[2]
-                        else np.full((batch, self.d_ofm), -np.inf)
-                    )
-                    if outside > 0:
-                        pooled = np.maximum(box_max, self._v0)
-                    else:
-                        pooled = box_max
-                else:
-                    pooled = (
-                        patch.sum(axis=2) + outside * self._v0
-                    ) / (pool.f * pool.f)
-                new_nonzero += pooled != 0
-        return self._base_nnz[None] - base_in_affected[None] + new_nonzero
-
-    def _pool_coord_range(self, lo: int, hi: int) -> tuple[int, int]:
-        """Pooled indices whose window intersects conv rows [lo, hi]."""
-        pool = self._pool
-        # window of pooled index p covers [p*s - pad, p*s - pad + f)
-        p_lo = -(-(lo + pool.pad - pool.f + 1) // pool.stride)
-        p_hi = (hi + pool.pad) // pool.stride
-        return max(0, p_lo), min(self._w_pool - 1, p_hi)
+            changed = run_cells
+            moved = _segment_sums(active, changed)
+        else:
+            # Rectified cells are >= 0, so a pooled window (max or
+            # average) is non-zero iff one of its cells is; untouched
+            # cells hold the constant.
+            member = np.concatenate([pl.member for pl in plans])
+            member += np.repeat(cell_base, sizes[:, 2])
+            size, rest = np.concatenate([pl.windows for pl in plans], axis=1)
+            on = _segment_sums(active[member], size) > 0
+            on |= (rest > 0)[:, None] & self._const_on
+            changed = sizes[:, 3]
+            moved = _segment_sums(on, changed)
+        const = np.where(self._const_on, changed[:, None], 0)
+        return self._base_nnz - const + moved
 
 
 def make_stage_oracle(

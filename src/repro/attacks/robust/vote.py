@@ -40,7 +40,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from repro.device import DeviceSession
+from repro.device import DeviceSession, one_pattern_per_row
 from repro.errors import ConfigError
 
 __all__ = ["VotingChannel", "required_repeats", "vote_confidence"]
@@ -221,8 +221,21 @@ class VotingChannel:
         )
 
     def query_per_filter(self, pixels, values) -> np.ndarray:
+        if one_pattern_per_row(pixels):
+            # Several probes in one call: each gets its own vote, exactly
+            # as if it had been asked alone.
+            return np.stack(
+                [self.query_per_filter(p, v) for p, v in zip(pixels, values)]
+            )
         return self._measure(
             lambda r: self._session.query_per_filter(pixels, values, rep=r)
+        )
+
+    def query_repeat(self, pixels, values, repeats: int) -> np.ndarray:
+        """Refused: a voted reply is already the consensus of repeats."""
+        raise ConfigError(
+            "VotingChannel already repeats every query; call query_repeat "
+            "on the raw session (.session) to see individual measurements"
         )
 
     def fork(self, index: int | None = None) -> "VotingChannel":
@@ -251,10 +264,12 @@ class VotingChannel:
         return self._session
 
     def __getattr__(self, name: str):
-        # Everything not overridden (per_plane, input_shape, d_ofm,
-        # input_range, ledger, queries, threshold, ...) is the
+        # Device facts not overridden (per_plane, input_shape, d_ofm,
+        # input_range, ledger, queries, threshold, ...) are the
         # session's business.  Dunders/privates stay local so attribute
-        # errors during construction cannot recurse.
-        if name.startswith("_"):
+        # errors during construction cannot recurse, and query methods
+        # are never forwarded: one the wrapper does not define would
+        # silently skip the vote.
+        if name.startswith(("_", "query")):
             raise AttributeError(name)
         return getattr(self._session, name)

@@ -34,19 +34,32 @@ extension):
 4. Missing crossings identify zero weights (paper: "zero-valued weights
    can be identified from missing zero-crossing points").
 
-Binary searches for all ``D_OFM`` filters advance in lockstep through
-batched per-filter queries, so the whole 96-filter AlexNet CONV1 case
-study runs in minutes on one core.  Because plane ``f``'s count in a
-per-filter batch depends only on run ``f``'s own input, every filter's
-search trajectory is independent of every other filter's — the attack
-therefore shards by contiguous filter ranges across worker processes
-(``workers > 1``), each worker driving its own forked
+Two axes run in lockstep.  Across filters, every probe is a per-filter
+batch: plane ``f``'s count depends only on run ``f``'s own input, so all
+``D_OFM`` filters search at once.  Across weights, each weight's search
+is a generator that yields its probe requests, and each round
+advances many weights together, sending every pending probe of a step
+to the device in one multi-pattern call.  A weight starts once every
+lexicographically earlier active weight it *conflicts* with has
+finished; two weights conflict when either one's search may read the
+other's status or ratio cells (:meth:`WeightAttack._read_set`, derived
+from the same probe-plan helpers the search uses).  A search writes
+only its own cell, so every weight sees exactly the state the serial
+order gives it, and the ratios, statuses and query ledger equal the
+one-weight-at-a-time order kept in :mod:`repro.reference`.  Weights of
+the same pixel always conflict, so concurrent probes never share a
+pixel pattern and the session cache answers them as in that order.
+
+Filter ranges are independent too: ``workers > 1`` shards the filters
+over worker processes, each driving its own forked
 :class:`~repro.device.DeviceSession`, with ratios bit-identical to the
-serial run.  The lockstep batching *inside* a shard is unchanged.
+serial run.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +89,19 @@ class WeightStatus:
     SATURATED = "saturated"  # positive bias + pooling: channel is silent
 
 
-_RESOLVED = (WeightStatus.RECOVERED, WeightStatus.ZERO)
+# A weight's search: yields ``(pixels, values_per_filter)`` probe
+# requests, receives each probe's per-filter counts, returns its result.
+Search = Generator[tuple[list, np.ndarray], np.ndarray, object]
+
+
+@dataclass
+class _RecoveryState:
+    """What the searches of one attack share: baseline and recovered cells."""
+
+    base: np.ndarray  # (d_ofm,) all-zero-input counts
+    bias_pos: np.ndarray  # (d_ofm,) bool
+    ratios: np.ndarray  # (d_ofm, d_ifm, f, f) float
+    status: np.ndarray  # (d_ofm, d_ifm, f, f) object (status strings)
 
 
 @dataclass
@@ -207,42 +232,44 @@ class WeightAttack:
         v = 1.0 + rho * x
         return np.where(bias_positive, v > 0, v < 0)
 
-    def _measure(self, pixels, values_per_filter: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            self.channel.query_per_filter(pixels, values_per_filter)
-        )
-
     def _model_counts(
         self,
         x: np.ndarray,
         known_rho: np.ndarray,
         bias_pos: np.ndarray,
         base: np.ndarray,
-        window_groups: list[list[int]] | None,
+        members: np.ndarray | None,
     ) -> np.ndarray:
         """Expected counts if the new weight were zero.
 
         ``known_rho`` is (d_ofm, n_known).  Without pooling each cell
-        contributes its own pixel; with pooling, ``window_groups`` lists,
-        per affected window, the indices (into the known list) of its
-        known member cells — a window is active iff any member is (the
-        channel only distinguishes zero from non-zero, so max and
+        contributes its own pixel; with pooling, row ``g`` of
+        ``members`` (see :meth:`_member_matrix`) indexes the known cells
+        of one affected window — a window is active iff any member is
+        (the channel only distinguishes zero from non-zero, so max and
         average pooling behave identically here).
         """
-        if known_rho.shape[1] == 0 and window_groups is None:
+        if known_rho.shape[1] == 0 and members is None:
             return base.astype(np.int64)
         act = self._cell_active(known_rho, x[:, None], bias_pos[:, None])
-        act0 = np.broadcast_to(bias_pos[:, None], act.shape)
-        if window_groups is None:
-            return base + (act.astype(np.int64) - act0.astype(np.int64)).sum(axis=1)
+        if members is None:
+            # Each known cell counts relative to its x = 0 state (active
+            # iff the bias is positive).
+            return base + act.sum(axis=1) - known_rho.shape[1] * bias_pos
         # Pooled path is only reachable for negative-bias filters
         # (positive bias saturates the channel), so windows are inactive
         # at x = 0 and activate when any known member does.
-        delta = np.zeros(self._d, dtype=np.int64)
-        for members in window_groups:
-            if members:
-                delta += act[:, members].any(axis=1).astype(np.int64)
-        return base + delta
+        return base + act[:, members].any(axis=2).sum(axis=1)
+
+    @staticmethod
+    def _member_matrix(groups: list[list[int]]) -> np.ndarray:
+        """Non-empty window groups as one index matrix; short rows repeat
+        their first member, which leaves every window's ``any`` as is."""
+        groups = [g for g in groups if g]
+        width = max(map(len, groups), default=0)
+        return np.array(
+            [g + g[:1] * (width - len(g)) for g in groups], dtype=np.intp
+        ).reshape(len(groups), width)
 
     # ------------------------------------------------------------------
     # Geometry helpers for one probe
@@ -329,7 +356,7 @@ class WeightAttack:
         groups: list[list[int]] | None,
         new_idx: list[int],
         todo: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Search:
         """Search both sides of zero for the new weight's crossing.
 
         Returns ``(found, crossing, fully_visible)`` — ``fully_visible``
@@ -338,6 +365,7 @@ class WeightAttack:
         """
         found = np.zeros(self._d, dtype=bool)
         crossing = np.zeros(self._d)
+        members = None if groups is None else self._member_matrix(groups)
         visible_p = self._side_limit(groups or [], new_idx, known_rho, 1.0)
         visible_n = self._side_limit(groups or [], new_idx, known_rho, -1.0)
         for sign, limit in ((1.0, visible_p), (-1.0, visible_n)):
@@ -346,8 +374,8 @@ class WeightAttack:
                 continue
             hi = sign * limit
             probe = np.where(live, hi, 0.0)
-            measured = self._measure(pixels, probe[None, :])
-            modeled = self._model_counts(probe, known_rho, bias_pos, base, groups)
+            measured = yield pixels, probe[None, :]
+            modeled = self._model_counts(probe, known_rho, bias_pos, base, members)
             moved = live & ((measured - modeled) != 0)
             if not moved.any():
                 continue
@@ -355,9 +383,9 @@ class WeightAttack:
             cur_hi = hi.copy()
             for _ in range(self.search_steps):
                 mid = np.where(moved, 0.5 * (lo + cur_hi), 0.0)
-                measured = self._measure(pixels, mid[None, :])
+                measured = yield pixels, mid[None, :]
                 modeled = self._model_counts(
-                    mid, known_rho, bias_pos, base, groups
+                    mid, known_rho, bias_pos, base, members
                 )
                 flipped = (measured - modeled) != 0
                 cur_hi = np.where(moved & flipped, mid, cur_hi)
@@ -380,7 +408,7 @@ class WeightAttack:
         bias_pos: np.ndarray,
         base: np.ndarray,
         todo: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Search:
         """One probe of weight (wi, wj) via output (a, b).
 
         Only filters whose other connected weights are all resolved are
@@ -388,12 +416,13 @@ class WeightAttack:
         """
         pixels, known = self._probe_plan(c, wi, wj, a, b)
         if known:
-            dep_ok = np.ones(self._d, dtype=bool)
-            for (_, _, ki, kj) in known:
-                dep_ok &= np.isin(status[:, c, ki, kj], _RESOLVED)
-            known_rho = np.stack(
-                [ratios[:, c, ki, kj] for (_, _, ki, kj) in known], axis=1
-            )
+            ki = [k[2] for k in known]
+            kj = [k[3] for k in known]
+            dep = status[:, c, ki, kj]
+            dep_ok = (
+                (dep == WeightStatus.RECOVERED) | (dep == WeightStatus.ZERO)
+            ).all(axis=1)
+            known_rho = ratios[:, c, ki, kj]
         else:
             dep_ok = np.ones(self._d, dtype=bool)
             known_rho = np.zeros((self._d, 0))
@@ -408,7 +437,7 @@ class WeightAttack:
             groups, new_idx = self._window_groups(known, a, b)
         else:
             groups, new_idx = None, []
-        found, crossing, fully_visible = self._residual_search(
+        found, crossing, fully_visible = yield from self._residual_search(
             pixels, known_rho, bias_pos, base, groups, new_idx, attempt
         )
         with np.errstate(divide="ignore"):
@@ -465,7 +494,7 @@ class WeightAttack:
         ratios: np.ndarray,
         status: np.ndarray,
         todo: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> Search:
         """Recover masked (wi, wj) via anchored probe + corner search.
 
         Pixel (wi, wj) is held at an anchor ``v``; a searcher pixel
@@ -489,13 +518,9 @@ class WeightAttack:
                 pixels, known = self._probe_plan(c, wi, wj, ca, cb)
             except AttackError:
                 continue
-            known_rho = (
-                np.stack(
-                    [ratios[:, c, ki, kj] for (_, _, ki, kj) in known], axis=1
-                )
-                if known
-                else np.zeros((self._d, 0))
-            )
+            known_rho = ratios[
+                :, c, [k[2] for k in known], [k[3] for k in known]
+            ]
             groups, new_idx = self._window_groups(known, ca, cb)
             for (pr, pc) in searcher_pixels:
                 if (c, pr, pc) == pixels[0]:
@@ -510,7 +535,7 @@ class WeightAttack:
                 )
                 if not (todo & ok_s & ~found).any():
                     continue
-                self._two_pixel_with_searcher(
+                yield from self._two_pixel_with_searcher(
                     pixels, (c, pr, pc), rho_s, todo & ok_s,
                     known_rho, groups, new_idx, found, rho_new,
                 )
@@ -527,7 +552,7 @@ class WeightAttack:
         new_idx: list[int],
         found: np.ndarray,
         rho_new: np.ndarray,
-    ) -> None:
+    ) -> Search:
         """Anchor + searcher sweep; updates ``found``/``rho_new`` in place."""
         two_pixels = pixels + [searcher_pixel]
         for v_sign in (1.0, -1.0):
@@ -546,10 +571,8 @@ class WeightAttack:
                     if not live.any():
                         break
                     hi = np.where(live, x_sign * self.x_max, 0.0)
-                    g0 = self._measure(
-                        two_pixels, np.stack([anchor, np.zeros(self._d)])
-                    )
-                    g1 = self._measure(two_pixels, np.stack([anchor, hi]))
+                    g0 = yield two_pixels, np.stack([anchor, np.zeros(self._d)])
+                    g1 = yield two_pixels, np.stack([anchor, hi])
                     moved = live & (g0 != g1)
                     if not moved.any():
                         continue
@@ -557,9 +580,7 @@ class WeightAttack:
                     cur_hi = hi.copy()
                     for _ in range(self.search_steps):
                         mid = np.where(moved, 0.5 * (lo + cur_hi), 0.0)
-                        gm = self._measure(
-                            two_pixels, np.stack([anchor, mid])
-                        )
+                        gm = yield two_pixels, np.stack([anchor, mid])
                         flipped = gm != g0
                         cur_hi = np.where(moved & flipped, mid, cur_hi)
                         lo = np.where(moved & ~flipped, mid, lo)
@@ -583,17 +604,20 @@ class WeightAttack:
 
     def _resolve_weight(
         self,
-        c: int,
-        i: int,
-        j: int,
-        ratios: np.ndarray,
-        status: np.ndarray,
-        bias_pos: np.ndarray,
-        base: np.ndarray,
+        state: _RecoveryState,
+        pos: tuple[int, int, int],
         todo: np.ndarray,
         deep: bool,
-    ) -> bool:
-        """Attempt to resolve weight (c, i, j) for all ``todo`` filters."""
+    ) -> Search:
+        """Attempt to resolve weight ``pos = (c, i, j)`` for all ``todo``
+        filters.
+
+        A generator over the probes it needs (see :data:`Search`); it
+        returns whether it resolved anything and writes only the
+        ``[:, c, i, j]`` cells of ``state.ratios``/``state.status``.
+        """
+        c, i, j = pos
+        ratios, status = state.ratios, state.status
         progress = False
         pending = todo.copy()
         outputs = self._alternate_outputs(i, j) if deep else [(0, 0)]
@@ -601,8 +625,9 @@ class WeightAttack:
         for (a, b) in outputs:
             if not pending.any():
                 break
-            found, rho, proven_zero = self._attempt_probe(
-                c, i, j, a, b, ratios, status, bias_pos, base, pending
+            found, rho, proven_zero = yield from self._attempt_probe(
+                c, i, j, a, b, ratios, status, state.bias_pos, state.base,
+                pending,
             )
             if found.any():
                 ratios[found, c, i, j] = rho[found]
@@ -617,7 +642,9 @@ class WeightAttack:
             pending &= ~newly_zero
             progress = True
         if deep and pending.any() and self.target.has_pool and (i, j) != (0, 0):
-            found, rho = self._two_pixel(c, i, j, ratios, status, pending)
+            found, rho = yield from self._two_pixel(
+                c, i, j, ratios, status, pending
+            )
             if found.any():
                 ratios[found, c, i, j] = rho[found]
                 status[found, c, i, j] = WeightStatus.RECOVERED
@@ -647,66 +674,138 @@ class WeightAttack:
         return self._run_shard_local()
 
     def _run_shard_local(self) -> WeightAttackResult:
-        """Serial recovery of this attack's own filter range."""
+        """Recovery of this attack's own filter range in this process."""
+        state = self._start()
+        for round_no in range(1 + self.max_resolution_rounds):
+            if not self._run_round(state, deep=round_no > 0):
+                break
+        return self._finish(state)
+
+    def _start(self) -> _RecoveryState:
+        """Baseline query, bias signs and the empty recovery arrays."""
         t = self.target
         base = np.asarray(self.channel.query([(0, 0, 0)], [0.0]))
         plane = (t.w_pool if t.has_pool else t.w_conv) ** 2
         bias_pos = base >= plane
-        ratios = np.zeros((self._d, t.d_ifm, t.f_conv, t.f_conv))
-        status = np.full(
-            (self._d, t.d_ifm, t.f_conv, t.f_conv),
-            WeightStatus.UNKNOWN,
-            dtype=object,
-        )
+        shape = (self._d, t.d_ifm, t.f_conv, t.f_conv)
+        status = np.full(shape, WeightStatus.UNKNOWN, dtype=object)
         if t.has_pool:
             # A positive bias keeps every pooled window non-zero for any
             # input: the count never changes and the channel is silent.
             status[bias_pos] = WeightStatus.SATURATED
+        return _RecoveryState(base, bias_pos, np.zeros(shape), status)
 
-        positions = [
-            (c, i, j)
-            for c in range(t.d_ifm)
-            for i in range(t.f_conv)
-            for j in range(t.f_conv)
+    def _active(
+        self, state: _RecoveryState
+    ) -> list[tuple[tuple[int, int, int], np.ndarray]]:
+        """This round's weights in lexicographic order, each with the
+        filters to attempt.  A weight's own status changes only through
+        its own search, so this can be read at the start of the round."""
+        status = state.status
+        todo = (status == WeightStatus.UNKNOWN) | (status == WeightStatus.MASKED)
+        todo &= self._shard_mask[:, None, None, None]
+        return [
+            (pos, todo[(slice(None), *pos)])
+            for pos in zip(*(axis.tolist() for axis in np.nonzero(todo.any(axis=0))))
         ]
 
-        # Main pass + resolution rounds over alternate probes.
-        for round_no in range(1 + self.max_resolution_rounds):
-            progress = False
-            for (c, i, j) in positions:
-                todo = (
-                    np.isin(
-                        status[:, c, i, j],
-                        (WeightStatus.UNKNOWN, WeightStatus.MASKED),
-                    )
-                    & self._shard_mask
-                )
-                if not todo.any():
+    def _read_set(
+        self, c: int, i: int, j: int, deep: bool
+    ) -> set[tuple[int, int, int]]:
+        """Every cell whose status or ratio the search of (c, i, j) may
+        read in a round: its own, the known cells of each probe it may
+        make, and (two-pixel rounds) each corner searcher's weight."""
+        outputs = self._alternate_outputs(i, j) if deep else [(0, 0)]
+        reads = {(c, i, j)}
+        for a, b in outputs:
+            _, known = self._probe_plan(c, i, j, a, b)
+            reads.update((c, ki, kj) for _, _, ki, kj in known)
+        if deep and self.target.has_pool and (i, j) != (0, 0):
+            s = self.target.s_conv
+            for (ca, cb), searcher_pixels in self._corner_searchers():
+                try:
+                    _, known = self._probe_plan(c, i, j, ca, cb)
+                except AttackError:
                     continue
-                progress |= self._resolve_weight(
-                    c, i, j, ratios, status, bias_pos, base, todo,
-                    deep=round_no > 0,
+                reads.update((c, ki, kj) for _, _, ki, kj in known)
+                reads.update(
+                    (c, pr - ca * s, pc - cb * s) for pr, pc in searcher_pixels
                 )
-            if not progress:
-                break
+        return reads
 
+    def _run_round(self, state: _RecoveryState, deep: bool) -> bool:
+        """One pass over the active weights; returns whether any resolved.
+
+        Weight ``k`` waits for every earlier active weight it conflicts
+        with (either reads the other's cell), so it starts from the state
+        the serial order would give it.  Each step then sends the pending
+        probe of every running search to the device in one call.
+        """
+        active = self._active(state)
+        index = {pos: k for k, (pos, _) in enumerate(active)}
+        edges = set()
+        for k, (pos, _) in enumerate(active):
+            for cell in self._read_set(*pos, deep):
+                m = index.get(cell)
+                if m is not None and m != k:
+                    edges.add((min(k, m), max(k, m)))
+        later: list[list[int]] = [[] for _ in active]
+        waits = [0] * len(active)
+        for k, m in edges:
+            later[k].append(m)
+            waits[m] += 1
+
+        progress = False
+        ready = [k for k, n in enumerate(waits) if n == 0]
+        running: dict[int, tuple[Search, tuple]] = {}
+
+        def advance(k: int, search: Search, reply) -> None:
+            nonlocal progress
+            try:
+                running[k] = (search, search.send(reply))
+            except StopIteration as stop:
+                running.pop(k, None)
+                progress |= bool(stop.value)
+                for m in later[k]:
+                    waits[m] -= 1
+                    if waits[m] == 0:
+                        heapq.heappush(ready, m)
+
+        while ready or running:
+            while ready:
+                k = heapq.heappop(ready)
+                pos, todo = active[k]
+                advance(k, self._resolve_weight(state, pos, todo, deep), None)
+            if not running:
+                break
+            order = sorted(running)
+            replies = self.channel.query_per_filter(
+                [running[k][1][0] for k in order],
+                [running[k][1][1] for k in order],
+            )
+            for k, reply in zip(order, np.asarray(replies)):
+                advance(k, running[k][0], reply)
+        return progress
+
+    def _finish(self, state: _RecoveryState) -> WeightAttackResult:
+        """Mark never-attempted weights masked and assemble the result."""
+        status = state.status
         unknown = (status == WeightStatus.UNKNOWN) & self._shard_mask[
             :, None, None, None
         ]
         status[unknown] = WeightStatus.MASKED
-
         lo, hi = self.filter_range
         filters = [
             FilterRecovery(
                 filter_index=f,
-                bias_positive=bool(bias_pos[f]),
-                ratios=ratios[f],
+                bias_positive=bool(state.bias_pos[f]),
+                ratios=state.ratios[f],
                 status=status[f],
             )
             for f in range(lo, hi)
         ]
         return WeightAttackResult(
-            target=t, filters=filters, queries=self.channel.queries
+            target=self.target, filters=filters, queries=self.channel.queries
         )
 
     def _run_sharded(self) -> WeightAttackResult:

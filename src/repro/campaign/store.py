@@ -23,6 +23,7 @@ from pathlib import Path
 
 from repro.campaign.checkpoint import atomic_write_text
 from repro.campaign.spec import AttackJob, canonical_json
+from repro.errors import ConfigError
 
 __all__ = ["ResultsStore"]
 
@@ -51,7 +52,15 @@ class ResultsStore:
         path = self.result_path(job_id)
         if not path.exists():
             return None
-        return json.loads(path.read_text())
+        try:
+            return json.loads(path.read_text())
+        except ValueError as exc:
+            # The record is derived: a finished job rebuilds it from its
+            # checkpoint without touching the device again.
+            raise ConfigError(
+                f"corrupt job result {path} ({exc}); delete {path} and run "
+                "the campaign again to rebuild it from the job's checkpoint"
+            ) from exc
 
     def consolidate(self, jobs: list[AttackJob]) -> int:
         """Rewrite ``results.jsonl`` in spec order from per-job files.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.simulator import AcceleratorSim, SimulationResult
-from repro.device import DeviceSession
+from repro.device import DeviceSession, one_pattern_per_row
 
 __all__ = ["PaddedChannel", "PaddingOverhead", "measure_padding_overhead"]
 
@@ -87,7 +87,17 @@ class PaddedChannel:
         return np.stack(rows)
 
     def query_per_filter(self, pixels, values):
+        if one_pattern_per_row(pixels):
+            # Several probes in one call: each is padded (and charged)
+            # exactly as if it had been asked alone.
+            return np.stack(
+                [self.query_per_filter(p, v) for p, v in zip(pixels, values)]
+            )
         counts = self._inner.query_per_filter(pixels, values)
+        return self._constant(counts)
+
+    def query_repeat(self, pixels, values, repeats: int):
+        counts = self._inner.query_repeat(pixels, values, repeats)
         return self._constant(counts)
 
     def set_threshold(self, threshold: float) -> None:

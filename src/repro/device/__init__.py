@@ -15,6 +15,7 @@ under :mod:`repro.attacks` imports simulator or oracle internals
 directly.
 """
 
+from repro.accel.oracle import one_pattern_per_row
 from repro.accel.sinks import CoalescingSink, TeeSink
 from repro.device.observation import StructureObservation
 from repro.device.backends import (
@@ -52,4 +53,5 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "available_backends",
+    "one_pattern_per_row",
 ]

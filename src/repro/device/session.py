@@ -30,7 +30,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.accel.oracle import Pixel, StageOracle
+from repro.accel.oracle import Pixel, StageOracle, one_pattern_per_row
 from repro.accel.simulator import AcceleratorConfig, SimulationResult
 from repro.accel.sinks import MaterializeSink, TeeSink
 from repro.accel.timing import TimingModel
@@ -602,7 +602,7 @@ class DeviceSession:
 
     def _check_values(self, values: np.ndarray) -> None:
         lo, hi = self.input_range
-        if np.any(values < lo) or np.any(values > hi):
+        if values.size and (values.min() < lo or values.max() > hi):
             raise ThreatModelViolation(
                 f"input value outside device range [{lo}, {hi}]"
             )
@@ -614,13 +614,15 @@ class DeviceSession:
         return np.array([int(counts.sum())], dtype=np.int64)
 
     def _replies(
-        self, pixels: list[Pixel], rows: np.ndarray, rep: int = 0
+        self, patterns: list[tuple], rows: list[np.ndarray], rep: int = 0
     ) -> list[np.ndarray]:
         """Cached replies for a batch of device runs.
 
-        ``rows[b]`` holds the pixel values of run ``b``.  Cache misses
-        are deduplicated and evaluated through the backend in a single
-        ``nnz_batch`` call; only distinct uncached runs are charged.
+        Run ``b`` drives ``patterns[b]`` with the pixel values
+        ``rows[b]``.  Cache misses are deduplicated and evaluated through
+        the backend in a single ``nnz_batch`` call; only distinct
+        uncached runs are charged, all-or-nothing, before the device
+        runs.
 
         ``rep`` indexes independent physical measurements of the same
         configuration: under a noisy counter channel each repetition
@@ -631,13 +633,12 @@ class DeviceSession:
         between serial and sharded execution.
         """
         oracle = self._channel_oracle()
-        pixel_key = tuple(pixels)
         keys = [
-            (self._threshold, pixel_key, row.tobytes(), rep) for row in rows
+            (self._threshold, pattern, row.tobytes(), rep)
+            for pattern, row in zip(patterns, rows)
         ]
         replies: list[np.ndarray | None] = [None] * len(keys)
         pending: dict[tuple, list[int]] = {}
-        pending_rows: list[np.ndarray] = []
         hits = 0
         shared_hits = 0
         for b, key in enumerate(keys):
@@ -665,11 +666,13 @@ class DeviceSession:
                             self._cache.put(key, reply)
                         continue
                 pending[key] = [b]
-                pending_rows.append(np.asarray(rows[b], dtype=float))
-        if pending_rows:
+        if pending:
             # Budget check happens before the device runs.
-            self.ledger.charge_channel(len(pending_rows))
-            counts = oracle.nnz_batch(list(pixels), np.stack(pending_rows))
+            self.ledger.charge_channel(len(pending))
+            first = [runs[0] for runs in pending.values()]
+            counts = oracle.nnz_batch(
+                [patterns[b] for b in first], [rows[b] for b in first]
+            )
             noisy = self.channel.counter_noisy
             for key, row_counts in zip(pending, counts):
                 reply = self._observed(row_counts)
@@ -686,7 +689,7 @@ class DeviceSession:
                     self._shared.put_reply(self._probe_key(key), reply)
                 for b in pending[key]:
                     replies[b] = reply
-        self.ledger.record_cache(hits=hits, misses=len(pending_rows))
+        self.ledger.record_cache(hits=hits, misses=len(pending))
         if shared_hits:
             self.ledger.record_shared_hits(shared_hits)
         return replies  # type: ignore[return-value]
@@ -706,7 +709,7 @@ class DeviceSession:
                 f"{len(pixels)} pixels"
             )
         self._check_values(values)
-        return self._replies(pixels, values[None, :], rep)[0]
+        return self._replies([tuple(pixels)], [values], rep)[0]
 
     def query_repeat(
         self, pixels: list[Pixel], values, repeats: int
@@ -745,36 +748,50 @@ class DeviceSession:
         if len(values) == 0:
             width = self.d_ofm if self.per_plane else 1
             return np.zeros((0, width), dtype=np.int64)
-        return np.stack(self._replies(pixels, values, rep))
+        pattern = tuple(pixels)
+        return np.stack(self._replies([pattern] * len(values), list(values), rep))
 
-    def query_per_filter(
-        self, pixels: list[Pixel], values: np.ndarray, rep: int = 0
-    ) -> np.ndarray:
+    def query_per_filter(self, pixels, values, rep: int = 0) -> np.ndarray:
         """Batch of ``d_ofm`` runs, value column ``f`` read via plane ``f``.
 
-        Physically this is ``d_ofm`` separate device runs; the session
-        decomposes it that way, so runs repeated across filters (idle
-        filters probing 0.0, shared bracket endpoints) hit the cache and
-        are charged once.
+        ``values`` has shape ``(len(pixels), d_ofm)``.  Physically this is
+        ``d_ofm`` separate device runs; the session decomposes it that
+        way, so runs repeated across filters (idle filters probing 0.0,
+        shared bracket endpoints) hit the cache and are charged once.
+
+        With ``pixels`` a list of ``P`` patterns and ``values`` a list of
+        ``P`` such arrays, all ``P * d_ofm`` runs go to the device in one
+        batch (charged all-or-nothing) and the result has shape
+        ``(P, d_ofm)``; row ``p`` equals the one-pattern call on probe
+        ``p``.
         """
         if not self.per_plane:
             raise ThreatModelViolation(
                 "per-filter queries need per-plane substreams; this device "
                 "writes one aggregate stream"
             )
+        multi = one_pattern_per_row(pixels)
+        probes = list(zip(pixels, values)) if multi else [(pixels, values)]
         d_ofm = self.d_ofm
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(pixels), d_ofm):
-            raise ConfigError(
-                f"values must be (n_pixels, d_ofm) = "
-                f"({len(pixels)}, {d_ofm}), got {values.shape}"
-            )
-        self._check_values(values)
-        rows = np.ascontiguousarray(values.T)
-        replies = self._replies(pixels, rows, rep)
-        return np.array(
-            [replies[f][f] for f in range(d_ofm)], dtype=np.int64
-        )
+        patterns: list[tuple] = []
+        blocks: list[np.ndarray] = []
+        for probe_pixels, probe_values in probes:
+            probe_values = np.asarray(probe_values, dtype=float)
+            if probe_values.shape != (len(probe_pixels), d_ofm):
+                raise ConfigError(
+                    f"values must be (n_pixels, d_ofm) = "
+                    f"({len(probe_pixels)}, {d_ofm}), got {probe_values.shape}"
+                )
+            patterns += [tuple(probe_pixels)] * d_ofm
+            blocks.append(np.ascontiguousarray(probe_values.T))
+        self._check_values(np.concatenate(blocks, axis=1))
+        rows = [row for block in blocks for row in block]
+        replies = np.stack(self._replies(patterns, rows, rep))
+        # Run p * d_ofm + f is read through plane f.
+        counts = replies[
+            np.arange(len(rows)), np.tile(np.arange(d_ofm), len(probes))
+        ].reshape(len(probes), d_ofm).astype(np.int64, copy=False)
+        return counts if multi else counts[0]
 
     def set_threshold(self, threshold: float) -> None:
         """Tune the device's pruning threshold (Minerva-style extension).

@@ -1,9 +1,11 @@
-"""Reference oracles of the vectorised synthesis, decode and power paths.
+"""Reference oracles of the vectorised synthesis, decode, power and
+weight-recovery paths.
 
 The simulator replays cached read plans, the decoders fold whole chunks
-through sort-based kernels and the power proxy is a SWAR popcount; each
-is admissible only because it is bit-identical to the straightforward
-per-tile, per-event or whole-trace implementation kept here.  The
+through sort-based kernels, the power proxy is a SWAR popcount and the
+weight attack runs its searches in lockstep; each is admissible only
+because it is bit-identical to the straightforward per-tile, per-event,
+whole-trace or one-weight-at-a-time implementation kept here.  The
 identity tests, the golden digests and the ``benchmarks.perf``
 reference arms compare against these functions.  They are never
 optimised, and nothing in production imports this module (a guard test
@@ -26,6 +28,11 @@ from repro.attacks.structure.trace_analysis import (
     TraceAnalysis,
     _BlockIntervalSet,
 )
+from repro.attacks.weights.recovery import (
+    Search,
+    WeightAttack,
+    WeightAttackResult,
+)
 from repro.device import StructureObservation
 from repro.errors import TraceError
 from repro.power.model import PowerModel, PowerTrace
@@ -37,6 +44,7 @@ __all__ = [
     "raw_boundaries_reference",
     "robust_boundaries_reference",
     "power_reference",
+    "weight_attack_reference",
 ]
 
 
@@ -441,3 +449,38 @@ def power_reference(
     return PowerTrace(
         samples=np.array(samples, dtype=np.int64), quantum=model.quantum
     )
+
+
+# -- weight recovery -------------------------------------------------------------
+
+def _drive_alone(channel, search: Search) -> bool:
+    """Run one weight's search to completion, one probe per device call."""
+    try:
+        request = next(search)
+        while True:
+            pixels, values = request
+            request = search.send(
+                np.asarray(channel.query_per_filter(pixels, values))
+            )
+    except StopIteration as stop:
+        return bool(stop.value)
+
+
+def weight_attack_reference(attack: WeightAttack) -> WeightAttackResult:
+    """Algorithm 2 in the serial order: one weight at a time.
+
+    The oracle of :meth:`WeightAttack._run_shard_local` (the attack's
+    own filter range, in this process): the same per-weight searches,
+    driven in lexicographic order within each round, each probe its own
+    one-pattern ``query_per_filter`` call.  Ratios, statuses and the
+    session ledger must match the lockstep schedule exactly.
+    """
+    state = attack._start()
+    for round_no in range(1 + attack.max_resolution_rounds):
+        progress = False
+        for pos, todo in attack._active(state):
+            search = attack._resolve_weight(state, pos, todo, round_no > 0)
+            progress |= _drive_alone(attack.channel, search)
+        if not progress:
+            break
+    return attack._finish(state)

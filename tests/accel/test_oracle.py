@@ -164,30 +164,59 @@ def test_oracle_requires_activation():
         SparseStageOracle(staged, "c1")
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     f=st.integers(1, 4),
     s=st.integers(1, 3),
+    pad=st.integers(0, 1),
     fp=st.integers(0, 3),
-    px_i=st.integers(0, 9),
-    px_j=st.integers(0, 9),
+    kind=st.sampled_from(["max", "avg"]),
+    threshold=st.sampled_from([None, 0.0, 0.6]),
+    coords=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ),
     value=st.floats(-10, 10, allow_nan=False),
 )
-def test_sparse_dense_equivalence_property(seed, f, s, fp, px_i, px_j, value):
+def test_sparse_dense_equivalence_property(
+    seed, f, s, pad, fp, kind, threshold, coords, value
+):
+    """One multi-pattern sparse batch equals the dense layers row by row.
+
+    Covers one- and two-pixel patterns mixed in one call, max, average
+    and overlapping pools (pool stride below its window), conv strides
+    above 1, a padded conv and a tuned threshold rectifier.
+    """
     if s > f:
         return
     pool = PoolSpec(fp, max(1, fp - 1), 0) if fp >= 2 else None
     w = 10
-    conv_out = (w - f) // s + 1
+    conv_out = (w + 2 * pad - f) // s + 1
     if pool and pool.f > conv_out:
         return
     staged, _, _, _ = build_conv_stage(
-        w=w, c=1, d=4, f=f, s=s, pool=pool, seed=seed
+        w=w, c=1, d=4, f=f, s=s, p=pad, pool=pool, pool_kind=kind,
+        relu_threshold=threshold, seed=seed,
     )
     dense = DenseStageOracle(staged, "conv1")
     sparse = SparseStageOracle(staged, "conv1")
-    pixels = [(0, px_i, px_j)]
+    if threshold is not None:
+        dense.set_threshold(threshold + 0.25)
+        sparse.set_threshold(threshold + 0.25)
+    pixels = [(0, i, j) for i, j in coords]
     np.testing.assert_array_equal(
-        dense.nnz(pixels, [value]), sparse.nnz(pixels, [value])
+        dense.nnz(pixels[:1], [value]), sparse.nnz(pixels[:1], [value])
+    )
+    patterns = [[px] for px in pixels] + [
+        [a, b] for a, b in zip(pixels, pixels[1:] + pixels[:1]) if a != b
+    ]
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=len(p)) * 5 for p in patterns]
+    rows[0] = np.array([value])
+    batch = sparse.nnz_batch(patterns, rows)
+    np.testing.assert_array_equal(
+        batch, np.stack([dense.nnz(p, v) for p, v in zip(patterns, rows)])
     )

@@ -279,3 +279,25 @@ def test_corrupt_checkpoint_raises_typed_error(tmp_path):
             call()
         assert str(path) in str(info.value)
         assert f"delete {path.parent}/" in str(info.value)
+
+
+def test_corrupt_result_raises_typed_error_and_rebuilds(tmp_path):
+    campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
+    campaign.run()
+    reference = campaign.store.results_path.read_bytes()
+    (job,) = campaign.jobs
+    spent = JobCheckpoint.load(campaign.store.jobs_dir, job.job_id).ledgers
+    path = campaign.store.result_path(job.job_id)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ConfigError) as info:
+        Campaign.load(tmp_path / "c").run()
+    assert str(path) in str(info.value)
+    assert f"delete {path}" in str(info.value)
+    # Following the advice rebuilds the record from the checkpoint alone.
+    path.unlink()
+    resumed = Campaign.load(tmp_path / "c")
+    resumed.run()
+    assert resumed.store.results_path.read_bytes() == reference
+    # ... without running the device again.
+    assert JobCheckpoint.load(resumed.store.jobs_dir, job.job_id).ledgers == spent

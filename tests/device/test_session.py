@@ -265,3 +265,90 @@ def test_shape_validation():
         session.query_batch(PIXEL, np.zeros((2, 3)))
     with pytest.raises(ConfigError):
         session.query_per_filter(PIXEL, np.zeros((2, geom.d_ofm)))
+
+
+# -- multi-pattern per-filter queries and the channel wrappers ----------------
+
+def _probes(session):
+    d = session.d_ofm
+    return (
+        [[(0, 2, 2)], [(1, 4, 3)], [(0, 2, 2), (1, 0, 5)]],
+        [np.full((1, d), 1.5), np.linspace(-2, 2, d)[None], np.ones((2, d))],
+    )
+
+
+def test_multi_pattern_per_filter_equals_one_probe_at_a_time():
+    staged, _, _, _ = build_conv_stage(seed=5, pool=PoolSpec(2, 2, 0))
+    batched, alone = pruned_session(staged), pruned_session(staged)
+    patterns, values = _probes(batched)
+    counts = batched.query_per_filter(patterns, values)
+    assert counts.shape == (3, batched.d_ofm) and counts.dtype == np.int64
+    for row, p, v in zip(counts, patterns, values):
+        np.testing.assert_array_equal(row, alone.query_per_filter(p, v))
+    assert batched.ledger.snapshot() == alone.ledger.snapshot()
+
+
+def test_multi_pattern_per_filter_is_charged_all_or_nothing():
+    staged, _, _, _ = build_conv_stage(seed=5)
+    session = pruned_session(staged, max_queries=2)
+    patterns, values = _probes(session)
+    with pytest.raises(QueryBudgetExceeded):
+        session.query_per_filter(patterns, values)
+    assert session.ledger.channel_queries == 0
+
+
+def test_channel_wrappers_define_every_query_method():
+    from repro.attacks.robust import VotingChannel
+    from repro.defenses import PaddedChannel
+
+    names = [
+        name
+        for name, member in vars(DeviceSession).items()
+        if name.startswith("query") and callable(member)
+    ]
+    assert {"query", "query_batch", "query_per_filter", "query_repeat"} <= set(
+        names
+    )
+    for wrapper in (VotingChannel, PaddedChannel):
+        missing = [name for name in names if name not in vars(wrapper)]
+        assert not missing, f"{wrapper.__name__} lacks {missing}"
+
+
+def test_wrappers_answer_multi_pattern_queries_probe_by_probe():
+    from repro.attacks.robust import VotingChannel
+    from repro.channel import ChannelModel
+    from repro.defenses import PaddedChannel
+
+    staged, _, _, _ = build_conv_stage(seed=5, pool=PoolSpec(2, 2, 0))
+    noisy = ChannelModel(counter_sigma=0.5, seed=5)
+    batched = VotingChannel(pruned_session(staged, channel=noisy), repeats=3)
+    alone = VotingChannel(pruned_session(staged, channel=noisy), repeats=3)
+    patterns, values = _probes(batched)
+    counts = batched.query_per_filter(patterns, values)
+    for row, p, v in zip(counts, patterns, values):
+        np.testing.assert_array_equal(row, alone.query_per_filter(p, v))
+    assert batched.measurements == alone.measurements == 3
+    assert batched.ledger.snapshot() == alone.ledger.snapshot()
+
+    padded = PaddedChannel(pruned_session(staged))
+    counts = padded.query_per_filter(patterns, values)
+    expected = padded.query_per_filter(patterns[0], values[0])
+    assert counts.shape == (3, padded.d_ofm)
+    assert (counts == expected).all()
+    np.testing.assert_array_equal(
+        padded.query_repeat(PIXEL, [1.0], 2), np.stack([expected] * 2)
+    )
+
+
+def test_voting_channel_refuses_unvoted_queries():
+    from repro.attacks.robust import VotingChannel
+
+    staged, _, _, _ = build_conv_stage(seed=5)
+    voting = VotingChannel(pruned_session(staged))
+    with pytest.raises(ConfigError):
+        voting.query_repeat(PIXEL, [1.0], 3)
+    # A query form the wrapper does not define is never forwarded to
+    # the raw session, where it would skip the vote.
+    with pytest.raises(AttributeError):
+        voting.query_raw
+    assert voting.queries == 0
