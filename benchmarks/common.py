@@ -27,7 +27,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 RESULTS_STORE = RESULTS_DIR / "results.jsonl"
 
 
-def run_campaign(name: str, spec: dict, workers: int | None = None) -> list:
+def run_campaign(name: str, spec: dict) -> list:
     """Run a campaign spec in a scratch directory; benches are clients.
 
     Returns ``[(AttackJob, record), ...]`` in spec-expansion order and
@@ -40,7 +40,7 @@ def run_campaign(name: str, spec: dict, workers: int | None = None) -> list:
         tempfile.mkdtemp(prefix=f"repro-bench-{name}-{os.getpid()}-")
     ) / "campaign"
     campaign = Campaign.create(spec, root)
-    campaign.run(workers=workers)
+    campaign.run()
     by_id = {r["job"]: r for r in campaign.store.read_all()}
     pairs = []
     for job in campaign.jobs:

@@ -1,10 +1,13 @@
-"""Persistent performance benchmarks for the parallel execution layer.
+"""Persistent kernel and parallel-layer benchmarks.
 
-``python -m benchmarks.perf`` times the attack pipeline's three hot
-loops (candidate ranking, sharded weight recovery, structure-candidate
-enumeration) plus the raw simulator throughput at ``workers = 1`` and
-``workers = N``, verifies the parallel results are bit-identical to the
-serial ones, and writes ``BENCH_perf.json`` at the repo root.
+``python -m benchmarks.perf`` times the two sharded attack loops
+(candidate ranking, sharded weight recovery) at ``workers = 1`` and
+``workers = N`` and verifies the parallel results are bit-identical to
+the serial ones; it also times the vectorised trace kernels against
+their reference oracles, the streaming memory footprint, the noisy
+channel and campaign throughput.  It writes ``BENCH_perf.json`` at the
+repo root — only when the throughput gate passes, so a regressed run
+never becomes the next run's baseline.
 
 Schema (one entry per bench name)::
 

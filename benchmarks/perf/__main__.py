@@ -38,7 +38,6 @@ from repro.nn.shapes import PoolSpec  # noqa: E402
 from repro.nn.spec import LayerGeometry  # noqa: E402
 from repro.nn.stages import StagedNetworkBuilder  # noqa: E402
 from repro.nn.zoo import build_alexnet, build_lenet, build_model  # noqa: E402
-from repro.parallel import WorkerPool, get_pool  # noqa: E402
 from repro.reference import (  # noqa: E402
     decode_reference,
     power_reference,
@@ -163,102 +162,6 @@ def bench_weights(workers: int, quick: bool, scale: str) -> dict:
         r1.status_tensor() == rn.status_tensor()
     ).all()
     return _entry(serial_s, parallel_s, workers, scale, identical)
-
-
-# -- bench: structure-candidate enumeration ----------------------------------
-def bench_structure(workers: int, quick: bool, scale: str) -> dict:
-    staged = build_model("lenet" if quick else "convnet")
-
-    def run(w):
-        return run_structure_attack(
-            AcceleratorSim(staged), tolerance=0.25, workers=w
-        )
-
-    serial_s, r1 = _timed(lambda: run(1))
-    parallel_s, rn = _timed(lambda: run(workers))
-    identical = r1.count == rn.count and [
-        c.describe() for c in r1.candidates
-    ] == [c.describe() for c in rn.candidates]
-    return _entry(serial_s, parallel_s, workers, scale, identical)
-
-
-# -- bench: raw simulator throughput -----------------------------------------
-_SIM = None
-
-
-def _sim_init(staged) -> None:
-    global _SIM
-    _SIM = AcceleratorSim(staged)
-
-
-def _sim_run(seed: int) -> int:
-    x = np.random.default_rng(seed).normal(size=(1, *_SIM.staged.network.input_shape))
-    return _SIM.run(x).total_cycles
-
-
-def bench_simulator(workers: int, quick: bool, scale: str) -> dict:
-    staged = build_model("lenet")
-    n_runs = 4 if quick else 16
-
-    def run(w):
-        pool = get_pool(w, initializer=_sim_init, initargs=(staged,))
-        return pool.map(_sim_run, list(range(n_runs)))
-
-    serial_s, r1 = _timed(lambda: run(1))
-    parallel_s, rn = _timed(lambda: run(workers))
-    return _entry(serial_s, parallel_s, workers, scale, r1 == rn)
-
-
-# -- bench: persistent-pool reuse (cold fork-per-call vs warm registry) --------
-def _pool_task(i: int) -> int:
-    return (i * i) ^ (i << 1)
-
-
-def bench_pool_reuse(workers: int, quick: bool, scale: str) -> dict:
-    """Pool startup amortisation: fresh pool per call vs one warm pool.
-
-    The cold arm pays fork + barrier + teardown on every call, the
-    pattern the attack loops used before the registry; the warm arm
-    dispatches into the already-running registry pool.  Results must be
-    equal task for task — reuse may only change wall time.
-    """
-    calls = 2 if quick else 5
-    items = list(range(workers * 16))
-
-    def cold_call():
-        with WorkerPool(workers, initializer=None) as pool:
-            return pool.map(_pool_task, items)
-
-    warm_pool = get_pool(workers)
-
-    def warm_call():
-        return warm_pool.map(_pool_task, items)
-
-    warm_call()  # ensure the registry pool is actually warm before timing
-    cold_s, cold_r = _timed(lambda: [cold_call() for _ in range(calls)])
-    warm_s, warm_r = _timed(lambda: [warm_call() for _ in range(calls)])
-    entry = _entry(cold_s, warm_s, workers, scale, cold_r == warm_r)
-    entry.update(calls=calls, tasks_per_call=len(items))
-    return entry
-
-
-# -- bench: batched task submission (map vs map_batched) -----------------------
-def bench_batching(workers: int, quick: bool, scale: str) -> dict:
-    """Dispatch amortisation for many short tasks.
-
-    ``map`` round-trips one pickle per task; ``map_batched`` groups
-    tasks so per-dispatch overhead is paid once per batch.  Output
-    order and values are identical by contract.
-    """
-    n_tasks = 64 if quick else 512
-    items = list(range(n_tasks))
-    pool = get_pool(workers)
-    pool.map(_pool_task, items[:workers])  # warm before timing
-    map_s, r_map = _timed(lambda: pool.map(_pool_task, items))
-    batched_s, r_batched = _timed(lambda: pool.map_batched(_pool_task, items))
-    entry = _entry(map_s, batched_s, workers, scale, r_map == r_batched)
-    entry.update(tasks=n_tasks)
-    return entry
 
 
 # -- bench: trace-synthesis throughput (reference vs vectorised) ---------------
@@ -704,16 +607,17 @@ def bench_channel(workers: int, quick: bool, scale: str) -> dict:
     return entry
 
 
-# -- bench: campaign scheduling + fleet cache reuse ----------------------------
+# -- bench: campaign throughput + shared cache reuse ---------------------------
 def bench_campaign(workers: int, quick: bool, scale: str) -> dict:
-    """Campaign throughput: jobs/minute and fleet-wide cache reuse.
+    """Campaign throughput: jobs/minute and campaign-wide cache reuse.
 
-    Runs one tiny grid with a duplicated cell twice — serial, then on
-    ``workers`` pool workers.  The duplicate cell must be answered
-    entirely by the campaign's shared content-addressed cache, so the
-    hit-rate is structural, not incidental; ``identical`` asserts the
-    two runs' ``results.jsonl`` match byte for byte.  ``jobs/minute``
-    (parallel arm) feeds the throughput-regression gate.
+    Runs one tiny grid with a duplicated cell twice, each time in a
+    fresh directory (campaigns run their jobs serially).  The duplicate
+    cell must be answered entirely by the campaign's shared
+    content-addressed cache, so the hit-rate is structural, not
+    incidental; ``identical`` asserts the two runs' ``results.jsonl``
+    match byte for byte.  ``jobs/minute`` of the first run feeds the
+    throughput-regression gate.
     """
     import shutil
 
@@ -734,11 +638,11 @@ def bench_campaign(workers: int, quick: bool, scale: str) -> dict:
         }],
     }
 
-    def run(w):
+    def run():
         root = Path(tempfile.mkdtemp(prefix="repro-perf-campaign-"))
         try:
             campaign = Campaign.create(spec, root / "campaign")
-            campaign.run(workers=w)
+            campaign.run()
             text = (root / "campaign" / "results.jsonl").read_bytes()
             shared = lookups = 0
             for job in campaign.jobs:
@@ -750,14 +654,16 @@ def bench_campaign(workers: int, quick: bool, scale: str) -> dict:
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
-    serial_s, (r1, n_jobs, shared, lookups) = _timed(lambda: run(1))
-    parallel_s, (rn, _, _, _) = _timed(lambda: run(workers))
+    serial_s, (r1, n_jobs, shared, lookups) = _timed(run)
+    r2 = run()[0]
     hit_rate = shared / lookups if lookups else 0.0
-    entry = _entry(serial_s, parallel_s, workers, scale, r1 == rn)
+    entry = _entry(
+        serial_s, serial_s, 1, scale, r1 == r2, multi_worker=False
+    )
     entry.update(
         jobs=n_jobs,
-        jobs_per_minute=round(n_jobs / parallel_s * 60, 2)
-        if parallel_s else 0.0,
+        jobs_per_minute=round(n_jobs / serial_s * 60, 2)
+        if serial_s else 0.0,
         cache_hit_rate=round(hit_rate, 4),
         shared_hits=int(shared),
         probe_lookups=int(lookups),
@@ -769,10 +675,6 @@ def bench_campaign(workers: int, quick: bool, scale: str) -> dict:
 BENCHES = {
     "ranking": bench_ranking,
     "weights": bench_weights,
-    "structure": bench_structure,
-    "simulator": bench_simulator,
-    "pool_reuse": bench_pool_reuse,
-    "batching": bench_batching,
     "events_per_second": bench_throughput,
     "decode_events_per_second": bench_decode,
     "power": bench_power,
@@ -915,12 +817,14 @@ def main(argv: list[str] | None = None) -> int:
         "quick": args.quick,
     }
     failures = check_throughput_regression(baseline, results, effective)
-    args.output.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nwrote {args.output}")
     if failures:
+        # The baseline stays as it was: overwriting it with the
+        # regressed figures would let the next run pass against them.
         for line in failures:
             print(f"ERROR: {line}", file=sys.stderr)
         return 1
+    args.output.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"\nwrote {args.output}")
     if args.profile is not None:
         _write_profile(args.profile, args.quick)
     return 0

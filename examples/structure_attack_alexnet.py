@@ -9,7 +9,7 @@ structure count (paper: 24).
 Usage::
 
     python examples/structure_attack_alexnet.py [--tolerance 0.05] \
-        [--workers 4] [--dataflow row-stationary]
+        [--dataflow row-stationary]
 
 The victim's dataflow (loop order) is configurable; the attack is not
 told which one runs — it identifies the schedule from one observation
@@ -42,9 +42,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="timing filter tolerance (Algorithm 1 step 4)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for candidate enumeration "
-                             "(default: serial; results are bit-identical)")
     parser.add_argument("--dataflow", choices=available_dataflows(),
                         default="output-stationary",
                         help="the victim accelerator's loop order")
@@ -60,7 +57,6 @@ def main() -> None:
         session,
         tolerance=args.tolerance,
         rules=PracticalityRules(exact_pool_division=True),
-        workers=args.workers,
         dataflow="auto",
     )
     print(f"dataflow identified from the trace: {result.dataflow}")

@@ -32,13 +32,10 @@ from repro.accel.simulator import (
 )
 from repro.accel.sinks import (
     MaterializeSink,
-    SharedSpanBuffer,
-    SharedSpanHandle,
     SpoolSink,
     StageStats,
     StatsSink,
     TeeSink,
-    reclaim_shared_segments,
     reclaim_spool_dirs,
 )
 from repro.accel.tiling import BufferConfig, plan_conv_tiles, plan_fc_tiles
@@ -65,10 +62,7 @@ __all__ = [
     "WRITE",
     "TRACE_EVENT_BYTES",
     "MaterializeSink",
-    "SharedSpanBuffer",
-    "SharedSpanHandle",
     "SpoolSink",
-    "reclaim_shared_segments",
     "reclaim_spool_dirs",
     "StatsSink",
     "StageStats",

@@ -19,24 +19,14 @@ is bounded by what the chosen sink retains rather than by trace length:
 * :class:`TeeSink` fans one span stream out to several sinks.
 * :class:`CoalescingSink` re-batches a fragmented span stream into
   decode-sized chunks for the attack-side vectorised decoders.
-
-:class:`SharedSpanBuffer` backs span storage with one
-``multiprocessing.shared_memory`` block so spans cross a worker-process
-boundary without pickling their event arrays: a producer appends spans
-in a worker, ships the picklable :class:`SharedSpanHandle` (a name and
-two integers) to the consumer, and the consumer attaches and reads the
-same physical pages.  :class:`MaterializeSink` and :class:`SpoolSink`
-accept ``buffer=`` to write straight into one.
 """
 
 from __future__ import annotations
 
 import os
-import secrets
 import shutil
 import tempfile
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 from typing import Iterator
 
@@ -48,13 +38,10 @@ from repro.accel.trace import TRACE_EVENT_BYTES, MemoryTrace, TraceSpan
 __all__ = [
     "CoalescingSink",
     "MaterializeSink",
-    "SharedSpanBuffer",
-    "SharedSpanHandle",
     "SpoolSink",
     "StatsSink",
     "StageStats",
     "TeeSink",
-    "reclaim_shared_segments",
     "reclaim_spool_dirs",
 ]
 
@@ -77,40 +64,14 @@ def _owner_pid(name: str, prefix: str) -> int | None:
     return int(pid_part) if pid_part.isdigit() else None
 
 
-def reclaim_shared_segments() -> list[str]:
-    """Unlink ``/dev/shm`` span segments whose owning process died.
-
-    :class:`SharedSpanBuffer` names every segment
-    ``repro-span-<pid>-<token>``; a process killed between create and
-    unlink (SIGKILL takes no finally blocks) leaks the segment until
-    reboot.  This sweep removes exactly the segments whose embedded
-    pid is no longer alive — live processes' buffers are untouched.
-    Returns the names removed.  No-op on platforms without ``/dev/shm``.
-    """
-    shm_dir = Path("/dev/shm")
-    removed: list[str] = []
-    if not shm_dir.is_dir():
-        return removed
-    for path in sorted(shm_dir.glob("repro-span-*")):
-        pid = _owner_pid(path.name, "repro-span-")
-        if pid is None or _pid_alive(pid):
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        removed.append(path.name)
-    return removed
-
-
 def reclaim_spool_dirs(base: str | None = None) -> list[str]:
     """Remove spool directories whose owning process died.
 
     Private :class:`SpoolSink` directories are created as
     ``repro-spool-<pid>-<random>`` under the system temp dir; an
-    abnormal exit strands them with their ``.npz`` chunks.  Like
-    :func:`reclaim_shared_segments`, only directories owned by dead
-    pids are swept.  Returns the paths removed.
+    abnormal exit (SIGKILL takes no finally blocks) strands them with
+    their ``.npz`` chunks.  Only directories whose embedded pid is no
+    longer alive are swept.  Returns the paths removed.
     """
     root = Path(base or tempfile.gettempdir())
     removed: list[str] = []
@@ -126,232 +87,15 @@ def reclaim_spool_dirs(base: str | None = None) -> list[str]:
     return removed
 
 
-@dataclass(frozen=True)
-class SharedSpanHandle:
-    """Picklable reference to a :class:`SharedSpanBuffer`.
-
-    Everything a peer process needs to attach: the shared-memory
-    segment name, the buffer capacity, and how many events were valid
-    when the handle was taken.  A handle pickles to a few dozen bytes
-    regardless of how many events the buffer holds — that is the whole
-    point.
-    """
-
-    name: str
-    capacity: int
-    used: int
-
-
-class SharedSpanBuffer:
-    """Fixed-capacity span storage in POSIX shared memory.
-
-    Events live in one ``multiprocessing.shared_memory`` segment as
-    three parallel arrays (structure-of-arrays, matching
-    :class:`~repro.accel.trace.TraceSpan`): ``capacity`` int64 cycles,
-    then ``capacity`` int64 addresses, then ``capacity`` one-byte
-    write flags — :data:`~repro.accel.trace.TRACE_EVENT_BYTES` per
-    event, the adversary's wire size.  :meth:`append` copies a span in
-    (the one unavoidable copy); every read — :meth:`span`,
-    :meth:`arrays` — is a zero-copy numpy view of the shared pages, so
-    spans produced in a worker process reach the parent without
-    pickling.
-
-    Lifecycle: the creating process owns the segment and must
-    :meth:`unlink` it exactly once; every process that attached (or
-    created) must :meth:`release` its local mapping.  The context
-    manager does both on the creator and just releases on attachers.
-    Zero-copy views die with the mapping — consumers that outlive the
-    buffer must copy first (:meth:`MaterializeSink.trace` does).
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        _shm: shared_memory.SharedMemory | None = None,
-        _used: int = 0,
-    ) -> None:
-        if capacity <= 0:
-            raise TraceError(
-                f"shared span buffer capacity must be positive, got {capacity}"
-            )
-        self.capacity = capacity
-        if _shm is None:
-            # Distinctive prefix so leak checks (and humans inspecting
-            # /dev/shm) can attribute segments to this subsystem.
-            name = f"repro-span-{os.getpid()}-{secrets.token_hex(4)}"
-            self._shm = shared_memory.SharedMemory(
-                name=name, create=True, size=capacity * TRACE_EVENT_BYTES
-            )
-            self._owner = True
-        else:
-            self._shm = _shm
-            self._owner = False
-        self._name = self._shm.name
-        self._used = _used
-        buf = self._shm.buf
-        self._cycles = np.ndarray((capacity,), np.int64, buffer=buf)
-        self._addresses = np.ndarray(
-            (capacity,), np.int64, buffer=buf, offset=8 * capacity
-        )
-        self._flags = np.ndarray(
-            (capacity,), np.uint8, buffer=buf, offset=16 * capacity
-        )
-
-    # -- producer side ----------------------------------------------------
-    def append(self, span: TraceSpan) -> tuple[int, int]:
-        """Copy one span in; returns its ``(offset, length)`` segment."""
-        n = len(span)
-        if self._cycles is None:
-            raise TraceError("shared span buffer has been released")
-        if self._used + n > self.capacity:
-            raise TraceError(
-                f"shared span buffer full: {self._used}+{n} events exceed "
-                f"capacity {self.capacity}"
-            )
-        off = self._used
-        self._cycles[off : off + n] = span.cycles
-        self._addresses[off : off + n] = span.addresses
-        self._flags[off : off + n] = span.is_write
-        self._used = off + n
-        return off, n
-
-    def clear(self) -> None:
-        """Forget all events (sole-writer reuse, e.g. a spool's tail)."""
-        self._used = 0
-
-    # -- consumer side ----------------------------------------------------
-    @property
-    def used(self) -> int:
-        return self._used
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size of the whole segment."""
-        return self.capacity * TRACE_EVENT_BYTES
-
-    def span(self, offset: int, length: int) -> TraceSpan:
-        """Zero-copy view of one appended segment."""
-        if self._cycles is None:
-            raise TraceError("shared span buffer has been released")
-        if offset < 0 or offset + length > self._used:
-            raise TraceError(
-                f"span segment [{offset}, {offset + length}) outside the "
-                f"{self._used} valid events"
-            )
-        sl = slice(offset, offset + length)
-        return TraceSpan(
-            self._cycles[sl],
-            self._addresses[sl],
-            self._flags[sl].view(bool),
-        )
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy views of every valid event (cycles, addresses, flags)."""
-        span = self.span(0, self._used)
-        return span.cycles, span.addresses, span.is_write
-
-    # -- crossing the process boundary ------------------------------------
-    def handle(self) -> SharedSpanHandle:
-        return SharedSpanHandle(
-            name=self._shm.name, capacity=self.capacity, used=self._used
-        )
-
-    @classmethod
-    def attach(
-        cls, handle: SharedSpanHandle, adopt: bool = False
-    ) -> "SharedSpanBuffer":
-        """Map an existing buffer created in another process.
-
-        ``adopt=True`` transfers unlink duty to this process — the
-        producer-consumer pattern: a pool worker fills a buffer,
-        releases its mapping (without unlinking) and ships the handle;
-        the parent attaches with ``adopt=True`` and owns cleanup.
-        """
-        try:
-            shm = shared_memory.SharedMemory(name=handle.name)
-        except FileNotFoundError as exc:
-            raise TraceError(
-                f"shared span buffer {handle.name!r} does not exist "
-                "(already unlinked?)"
-            ) from exc
-        # All our processes are multiprocessing children sharing one
-        # resource tracker, so the attach-side registration is a
-        # duplicate set-add there — harmless, and it keeps the segment
-        # leak-protected until whoever owns it calls unlink() (which
-        # unregisters exactly once).
-        buf = cls(handle.capacity, _shm=shm, _used=handle.used)
-        buf._owner = adopt
-        return buf
-
-    # -- lifecycle ---------------------------------------------------------
-    def release(self) -> None:
-        """Drop this process's mapping (idempotent).
-
-        All zero-copy views must be dead first; numpy keeps the mapping
-        pinned while any view is alive, and closing under a live view
-        raises ``BufferError`` rather than invalidating it silently.
-        """
-        if self._shm is None:
-            return
-        self._cycles = self._addresses = self._flags = None
-        self._shm.close()
-        self._shm = None
-
-    def unlink(self) -> None:
-        """Destroy the segment itself (creator's duty, idempotent).
-
-        Legal while mappings are still open (POSIX semantics: the pages
-        survive until the last mapping releases); callable after
-        :meth:`release` too, in which case the segment is reopened just
-        long enough to unlink it.
-        """
-        if not self._owner:
-            return
-        self._owner = False
-        if self._shm is not None:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-            return
-        try:
-            shm = shared_memory.SharedMemory(name=self._name)
-        except FileNotFoundError:
-            return
-        resource_tracker.unregister(shm._name, "shared_memory")
-        shm.close()
-        shm.unlink()
-
-    def __enter__(self) -> "SharedSpanBuffer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink()
-        self.release()
-
-
 class MaterializeSink:
-    """Retains every span; :meth:`trace` freezes them into a trace.
+    """Retains every span; :meth:`trace` freezes them into a trace."""
 
-    With ``buffer=`` the events are copied straight into a
-    :class:`SharedSpanBuffer` instead of retaining span objects — the
-    shared-buffer fast path: the sink then holds only ``(offset,
-    length)`` segment pairs, and a peer process can rebuild the stream
-    from the buffer's handle without any event ever being pickled.
-    """
-
-    def __init__(self, buffer: SharedSpanBuffer | None = None) -> None:
-        self._buffer = buffer
-        self._segments: list[tuple[int, int]] = []
+    def __init__(self) -> None:
         self._spans: list[TraceSpan] = []
         self._num_events = 0
 
     def emit(self, span: TraceSpan) -> None:
-        if self._buffer is not None:
-            self._segments.append(self._buffer.append(span))
-        else:
-            self._spans.append(span)
+        self._spans.append(span)
         self._num_events += len(span)
 
     def begin_stage(self, name: str, kind: str) -> None:
@@ -364,34 +108,18 @@ class MaterializeSink:
     def num_events(self) -> int:
         return self._num_events
 
-    @property
-    def segments(self) -> list[tuple[int, int]]:
-        """Buffer segments emitted so far (shared-buffer mode only)."""
-        return list(self._segments)
-
     def spans(self) -> Iterator[TraceSpan]:
-        """Replay the retained stream (zero-copy in shared-buffer mode)."""
-        if self._buffer is not None:
-            for off, n in self._segments:
-                yield self._buffer.span(off, n)
-        else:
-            yield from self._spans
+        """Replay the retained stream."""
+        yield from self._spans
 
     def trace(self) -> MemoryTrace:
         """The materialised trace (always a private copy, safe to keep)."""
-        spans = list(self.spans())
+        spans = self._spans
         if not spans:
             return MemoryTrace(
                 np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool)
             )
-        if len(spans) == 1:
-            # np.concatenate of one chunk would alias it; the trace must
-            # survive the buffer, so copy explicitly.
-            return MemoryTrace(
-                spans[0].cycles.copy(),
-                spans[0].addresses.copy(),
-                spans[0].is_write.copy(),
-            )
+        # np.concatenate copies even a single chunk.
         return MemoryTrace(
             np.concatenate([s.cycles for s in spans]),
             np.concatenate([s.addresses for s in spans]),
@@ -408,27 +136,16 @@ class SpoolSink:
     first, then the still-buffered tail) in trace order, one chunk in
     memory at a time, and may be called repeatedly.
 
-    With ``buffer=`` the in-memory tail lives in a
-    :class:`SharedSpanBuffer` instead of a span list — the
-    shared-buffer fast path: flushes write straight from the shared
-    pages, and the unspilled tail is readable by a peer process through
-    the buffer's handle without pickling.  The sink assumes sole
-    ownership of the buffer's contents (flushing clears it); the buffer
-    object's lifecycle — release/unlink — stays with whoever created
-    it.
-
     Args:
         budget_bytes: buffered wire bytes that trigger a flush.
         directory: where chunk files go; a private temporary directory
             (removed by :meth:`cleanup`) by default.
-        buffer: optional shared-memory backing for the in-memory tail.
     """
 
     def __init__(
         self,
         budget_bytes: int = 1 << 20,
         directory: str | None = None,
-        buffer: SharedSpanBuffer | None = None,
     ) -> None:
         if budget_bytes <= 0:
             raise TraceError(
@@ -443,8 +160,6 @@ class SpoolSink:
             directory
             or tempfile.mkdtemp(prefix=f"repro-spool-{os.getpid()}-")
         )
-        self._buffer = buffer
-        self._segments: list[tuple[int, int]] = []
         self._pending: list[TraceSpan] = []
         self._pending_bytes = 0
         self._chunks: list[Path] = []
@@ -452,10 +167,7 @@ class SpoolSink:
 
     # -- sink protocol ----------------------------------------------------
     def emit(self, span: TraceSpan) -> None:
-        if self._buffer is not None:
-            self._segments.append(self._buffer.append(span))
-        else:
-            self._pending.append(span)
+        self._pending.append(span)
         self._pending_bytes += span.nbytes
         self._num_events += len(span)
         if self._pending_bytes > self.budget_bytes:
@@ -469,32 +181,16 @@ class SpoolSink:
 
     # -- spilling ---------------------------------------------------------
     def _flush(self) -> None:
-        if self._buffer is not None:
-            if not self._segments:
-                return
-            path = self._dir / f"chunk_{len(self._chunks):06d}.npz"
-            start = self._segments[0][0]
-            total = sum(n for _, n in self._segments)
-            tail = self._buffer.span(start, total)  # appends are contiguous
-            np.savez(
-                path,
-                cycles=tail.cycles,
-                addresses=tail.addresses,
-                is_write=tail.is_write,
-            )
-            self._segments = []
-            self._buffer.clear()
-        else:
-            if not self._pending:
-                return
-            path = self._dir / f"chunk_{len(self._chunks):06d}.npz"
-            np.savez(
-                path,
-                cycles=np.concatenate([s.cycles for s in self._pending]),
-                addresses=np.concatenate([s.addresses for s in self._pending]),
-                is_write=np.concatenate([s.is_write for s in self._pending]),
-            )
-            self._pending = []
+        if not self._pending:
+            return
+        path = self._dir / f"chunk_{len(self._chunks):06d}.npz"
+        np.savez(
+            path,
+            cycles=np.concatenate([s.cycles for s in self._pending]),
+            addresses=np.concatenate([s.addresses for s in self._pending]),
+            is_write=np.concatenate([s.is_write for s in self._pending]),
+        )
+        self._pending = []
         self._chunks.append(path)
         self._pending_bytes = 0
 
@@ -506,11 +202,7 @@ class SpoolSink:
                 yield TraceSpan(
                     data["cycles"], data["addresses"], data["is_write"]
                 )
-        if self._buffer is not None:
-            for off, n in self._segments:
-                yield self._buffer.span(off, n)
-        else:
-            yield from self._pending
+        yield from self._pending
 
     def trace(self) -> MemoryTrace:
         """Materialise the whole spool (export paths only — O(trace))."""
@@ -545,9 +237,6 @@ class SpoolSink:
             path.unlink(missing_ok=True)
         self._chunks = []
         self._pending = []
-        self._segments = []
-        if self._buffer is not None:
-            self._buffer.clear()
         self._pending_bytes = 0
         self._num_events = 0
         if self._own_dir:

@@ -204,9 +204,6 @@ class CloneAttack(Stepped):
         t1, t2: thresholds for the exact weight recovery.
         tolerance: structure-attack timing tolerance.
         distill_epochs: training epochs on the victim-labelled probes.
-        workers: worker processes for the structure phase's candidate
-            enumeration (the threshold weight recovery is already
-            batched per filter and runs serially).
         dataflow: the victim accelerator's loop order, forwarded to the
             structure phase (``"auto"`` identifies it from one extra
             observation).
@@ -223,7 +220,6 @@ class CloneAttack(Stepped):
         distill_epochs: int = 10,
         lr: float = 3e-3,
         seed: int = 0,
-        workers: int | None = None,
         dataflow: str = "output-stationary",
     ) -> None:
         # Anything already speaking the session surface passes through —
@@ -245,7 +241,6 @@ class CloneAttack(Stepped):
                 self.dense,
                 tolerance=tolerance,
                 rules=PracticalityRules(exact_pool_division=True),
-                workers=workers,
                 dataflow=dataflow,
             ),
         )

@@ -88,9 +88,6 @@ class StructureAttack(Stepped):
             (the count is still computed exactly by DP).
         runs: number of inferences to observe; per-layer durations are
             averaged, countering device timing noise.
-        workers: partition the candidate enumeration over this many
-            worker processes (serial by default; the result is
-            bit-identical either way).
         dataflow: the victim accelerator's loop order, deciding which
             boundary rule decodes the trace (default: the simulator's
             output-stationary default).  ``"auto"`` spends one extra
@@ -109,7 +106,6 @@ class StructureAttack(Stepped):
         enumerate_limit: int = 100_000,
         seed: int = 0,
         runs: int = 1,
-        workers: int | None = None,
         dataflow: str = "output-stationary",
     ) -> None:
         self.session = sim if isinstance(sim, DeviceSession) else DeviceSession(sim)
@@ -120,7 +116,6 @@ class StructureAttack(Stepped):
         self.enumerate_limit = enumerate_limit
         self.seed = seed
         self.runs = runs
-        self.workers = workers
         self._auto = dataflow == "auto"
         if self._auto:
             self._dataflow = None
@@ -225,7 +220,7 @@ class StructureAttack(Stepped):
         )
         count = search.count()
         candidates = (
-            search.enumerate(self.enumerate_limit, workers=self.workers)
+            search.enumerate(self.enumerate_limit)
             if count <= self.enumerate_limit
             else []
         )

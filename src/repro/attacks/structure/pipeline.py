@@ -43,7 +43,6 @@ from repro.attacks.structure.trace_analysis import (
     TraceAnalysis,
 )
 from repro.nn.spec import FCGeometry, LayerGeometry
-from repro.parallel import get_pool, resolve_workers, shard_indices
 
 __all__ = [
     "ShapeState",
@@ -324,7 +323,10 @@ class StructureSearch:
         if index == self.analysis.num_layers:
             results.append(CandidateStructure(tuple(prefix)))
             if len(results) > limit:
-                raise SolverError(_limit_message(limit))
+                raise SolverError(
+                    f"more than {limit} candidate structures; use "
+                    "count() or tighten constraints"
+                )
             return
         for cand, out, new_micro in self._candidates_at(
             index, frontier, micro
@@ -336,60 +338,12 @@ class StructureSearch:
             )
             prefix.pop()
 
-    def _initial_frontier(self) -> dict[int, ShapeState]:
-        return {INPUT_SOURCE: self._input_state}
-
-    def _enumerate_first_options(
-        self, first_indices: list[int], limit: int
-    ) -> list[CandidateStructure]:
-        """DFS restricted to the given first-layer candidate options.
-
-        This is the parallel partitioning unit: the DFS forest's roots
-        are the first layer's candidate options, and each worker walks
-        a contiguous subset of roots.  Concatenating the per-root
-        results in option order reproduces the serial DFS order.
-        """
-        frontier = self._initial_frontier()
-        options = self._candidates_at(0, frontier, {})
+    def enumerate(self, limit: int = 100_000) -> list[CandidateStructure]:
+        """All candidate structures (DFS); raises if ``limit`` exceeded."""
         results: list[CandidateStructure] = []
-        for k in first_indices:
-            cand, out, new_micro = options[k]
-            self._dfs(
-                1, self._step_frontier(0, frontier, out),
-                new_micro, [cand], results, limit,
-            )
-        return results
-
-    def enumerate(
-        self, limit: int = 100_000, workers: int | None = None
-    ) -> list[CandidateStructure]:
-        """All candidate structures (DFS); raises if ``limit`` exceeded.
-
-        ``workers > 1`` partitions the DFS by first-layer candidate
-        across worker processes; the concatenated result (and the
-        over-``limit`` error) is identical to the serial walk.
-        """
-        n_workers = resolve_workers(workers)
-        if n_workers > 1 and self.analysis.num_layers > 0:
-            frontier = self._initial_frontier()
-            first = self._candidates_at(0, frontier, {})
-            if len(first) > 1:
-                shards = shard_indices(len(first), n_workers)
-                # Registry pool: enumerate is called per probe batch in
-                # a search loop, so warm workers matter; the registry
-                # owns the pool's lifetime.
-                pool = get_pool(
-                    len(shards),
-                    initializer=_enumerate_init,
-                    initargs=(self, limit),
-                )
-                shard_results = pool.map(_enumerate_shard, shards)
-                results = [c for chunk in shard_results for c in chunk]
-                if len(results) > limit:
-                    raise SolverError(_limit_message(limit))
-                return results
-        results: list[CandidateStructure] = []
-        self._dfs(0, self._initial_frontier(), {}, [], results, limit)
+        self._dfs(
+            0, {INPUT_SOURCE: self._input_state}, {}, [], results, limit
+        )
         return results
 
     def count(self) -> int:
@@ -423,27 +377,3 @@ class StructureSearch:
             frozenset({(INPUT_SOURCE, self._input_state)}),
             frozenset(),
         )
-
-
-def _limit_message(limit: int) -> str:
-    return (
-        f"more than {limit} candidate structures; use "
-        "count() or tighten constraints"
-    )
-
-
-# Worker-process state for the partitioned enumeration: the search
-# object (fork-inherited, including its per-layer solve cache) and the
-# global candidate limit.
-_ENUM_STATE: tuple[StructureSearch, int] | None = None
-
-
-def _enumerate_init(search: StructureSearch, limit: int) -> None:
-    global _ENUM_STATE
-    _ENUM_STATE = (search, limit)
-
-
-def _enumerate_shard(first_indices: list[int]) -> list[CandidateStructure]:
-    assert _ENUM_STATE is not None, "worker used before _enumerate_init"
-    search, limit = _ENUM_STATE
-    return search._enumerate_first_options(first_indices, limit)

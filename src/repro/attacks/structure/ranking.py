@@ -10,7 +10,7 @@ Every candidate's training run is independent — distinct network,
 distinct optimiser state, a shuffling seed derived from
 ``(seed, index)`` and weight init keyed on the candidate's name — so the
 loop shards perfectly across worker processes.  ``workers > 1`` trains
-candidates in a :class:`~repro.parallel.WorkerPool`; rankings are
+candidates through :func:`~repro.parallel.fork_map`; rankings are
 bit-identical to the serial path at any worker count.
 """
 
@@ -26,7 +26,7 @@ from repro.attacks.structure.reconstruct import reconstruct_network
 from repro.errors import ConfigError
 from repro.nn.optim import SGD, Adam
 from repro.nn.train import Trainer
-from repro.parallel import get_pool
+from repro.parallel import fork_map
 
 __all__ = ["RankedCandidate", "rank_candidates", "candidate_seed"]
 
@@ -148,13 +148,10 @@ def rank_candidates(
         epochs=epochs, depth_scale=depth_scale, lr=lr, momentum=momentum,
         batch_size=batch_size, seed=seed, optimizer=optimizer,
     )
-    # Registry pool: warm workers are reused across rank_candidates
-    # calls (the context re-broadcasts only when it changes), and
-    # batched submission amortises per-task dispatch over the many
-    # short candidate evaluations.  The registry owns the pool's
-    # lifetime — no close here.
-    pool = get_pool(workers, initializer=_rank_init, initargs=(context,))
-    ranked = pool.map_batched(_rank_one, list(enumerate(candidates)))
+    ranked = fork_map(
+        _rank_one, enumerate(candidates), workers,
+        initializer=_rank_init, initargs=(context,),
+    )
     # Stable sort on (-top1, index): ties cannot reorder by worker count.
     ranked.sort(key=lambda r: (-r.top1, r.index))
     return ranked

@@ -68,7 +68,7 @@ from repro.errors import AttackError
 from repro.device import DeviceSession
 from repro.attacks.stepped import Stepped
 from repro.attacks.weights.target import AttackTarget
-from repro.parallel import get_pool, resolve_workers, shard_ranges
+from repro.parallel import fork_map, resolve_workers, shard_ranges
 
 __all__ = [
     "WeightStatus",
@@ -821,12 +821,10 @@ class WeightAttack:
             search_steps=self.search_steps,
             max_resolution_rounds=self.max_resolution_rounds,
         )
-        # Registry pool: stays warm across layers / repeated attacks on
-        # the same victim; the registry owns its lifetime.
-        pool = get_pool(
-            len(shards), initializer=_shard_init, initargs=(context,)
+        shard_results = fork_map(
+            _recover_shard, shards, len(shards),
+            initializer=_shard_init, initargs=(context,),
         )
-        shard_results = pool.map(_recover_shard, shards)
         filters: list[FilterRecovery] = []
         for result, ledger in shard_results:
             filters.extend(result.filters)

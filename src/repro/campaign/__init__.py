@@ -1,4 +1,4 @@
-"""Campaign service: resumable, metered, fleet-scale attack jobs.
+"""Campaign service: resumable, metered attack jobs.
 
 The attack modules answer "can this victim be reverse engineered?";
 this package answers "run that question across a whole grid of

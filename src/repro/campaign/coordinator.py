@@ -1,4 +1,4 @@
-"""The campaign coordinator: resumable, metered, fleet-scale attacks.
+"""The campaign coordinator: resumable, metered attack campaigns.
 
 A campaign lives in one directory::
 
@@ -8,16 +8,16 @@ A campaign lives in one directory::
     <root>/results.jsonl   consolidated results, spec order
     <root>/tmp/            atomic-write staging
 
-:class:`Campaign` expands the spec into jobs, schedules them serially
-or onto the process's warm :func:`~repro.parallel.get_pool` registry,
-persists a checkpoint after every attack step, and bills every ledger
-snapshot to its tenant's quota.  ``run`` *is* ``resume``: completed
-jobs are skipped, partially-done jobs restore their ledger snapshot
-and re-enter their step plan at the first missing step, and identical
-probes anywhere in the fleet are answered from the shared cache
-instead of the victim.  Fault injection for the CI smoke test:
-``REPRO_CAMPAIGN_KILL=<n>`` hard-exits the process after the *n*-th
-persisted checkpoint, which is exactly the window a real crash hits.
+:class:`Campaign` expands the spec into jobs, runs them one after
+another in spec order, persists a checkpoint after every attack step,
+and bills every ledger snapshot to its tenant's quota.  ``run`` *is*
+``resume``: completed jobs are skipped, partially-done jobs restore
+their ledger snapshot and re-enter their step plan at the first missing
+step, and identical probes anywhere in the campaign are answered from
+the shared cache instead of the victim.  Fault injection for the CI
+smoke test: ``REPRO_CAMPAIGN_KILL=<n>`` hard-exits the process after
+the *n*-th persisted checkpoint, which is exactly the window a real
+crash hits.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro.accel.sinks import reclaim_spool_dirs
 from repro.attacks.stepped import drive
 from repro.campaign.checkpoint import JobCheckpoint, atomic_write_text
 from repro.campaign.jobs import JOB_KINDS, build_runner, ledger_totals
@@ -62,7 +63,7 @@ def _device_charge(snapshots: list) -> dict:
 
 
 def _execute_job(payload: dict) -> dict:
-    """Run (or finish) one job inside whatever process holds it."""
+    """Run (or finish) one job."""
     root = Path(payload["root"])
     job = AttackJob.from_dict(payload["job"])
     budgets = dict(payload.get("budgets", {}))
@@ -106,7 +107,7 @@ def _execute_job(payload: dict) -> dict:
     except QueryBudgetExceeded as exc:
         record["status"] = ckpt.status = "failed:budget"
         record["error"] = ckpt.error = str(exc)
-    except Exception as exc:  # noqa: BLE001 - one bad job must not sink the fleet
+    except Exception as exc:  # noqa: BLE001 - one bad job must not sink the campaign
         record["status"] = ckpt.status = "failed:error"
         record["error"] = ckpt.error = f"{type(exc).__name__}: {exc}"
     finally:
@@ -124,7 +125,7 @@ def _execute_job(payload: dict) -> dict:
 
 
 class Campaign:
-    """One campaign directory and its job fleet."""
+    """One campaign directory and its jobs."""
 
     def __init__(self, root: Path | str, spec: CampaignSpec) -> None:
         self.root = Path(root)
@@ -196,19 +197,10 @@ class Campaign:
         }
 
     # -- execution ---------------------------------------------------------
-    def _reclaim(self) -> None:
-        """Sweep leaked resources from dead processes before running."""
-        from repro.accel.sinks import (
-            reclaim_shared_segments,
-            reclaim_spool_dirs,
-        )
-
-        reclaim_shared_segments()
-        reclaim_spool_dirs()
-
-    def run(self, workers: int | None = None) -> dict:
+    def run(self) -> dict:
         """Run every pending job; completed ones are skipped (= resume)."""
-        self._reclaim()
+        # Spool directories stranded by a killed earlier run.
+        reclaim_spool_dirs()
         checkpoints = self._checkpoints()
         pending = [
             job
@@ -218,21 +210,13 @@ class Campaign:
                 and self.store.read_result(job.job_id) is not None
             )
         ]
-        if workers is not None and workers > 1 and pending:
-            from repro.parallel import get_pool
-
-            payloads = [self._payload(job, checkpoints) for job in pending]
-            pool = get_pool(workers)
-            pool.start()
-            pool.map(_execute_job, payloads)
-        else:
-            for job in pending:
-                # Serial enforcement is exact: each dispatch sees every
-                # earlier job's true ledger.
-                _execute_job(self._payload(job, checkpoints))
-                checkpoints[job.job_id] = JobCheckpoint.load(
-                    self.store.jobs_dir, job.job_id
-                )
+        for job in pending:
+            # Quota enforcement is exact: each dispatch sees every
+            # earlier job's true ledger.
+            _execute_job(self._payload(job, checkpoints))
+            checkpoints[job.job_id] = JobCheckpoint.load(
+                self.store.jobs_dir, job.job_id
+            )
         self.store.consolidate(self.jobs)
         return self.status()
 

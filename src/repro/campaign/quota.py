@@ -8,10 +8,9 @@ charges from persisted ledger snapshots — the same
 carry — and hands each new job the tenant's *remaining* allowance as
 its session budgets, so overruns surface as the ledger's own
 :class:`~repro.errors.QueryBudgetExceeded` mid-measurement, never as
-an after-the-fact reconciliation.  Enforcement is exact under serial
-scheduling; a parallel fleet caps each in-flight job at the remaining
-allowance observed at dispatch (concurrent same-tenant jobs may
-overlap within one wave — the next wave sees their true ledgers).
+an after-the-fact reconciliation.  Jobs run one after another, so
+enforcement is exact: each dispatch sees every earlier job's true
+ledger.
 """
 
 from __future__ import annotations

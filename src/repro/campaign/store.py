@@ -12,8 +12,8 @@ No timestamps, no hostnames, no cache-state-dependent figures: the
 file is a pure function of the spec and the victims' physics, so a
 kill-and-resume campaign reproduces it byte for byte — the property
 the CI smoke job asserts.  The store is regenerated from per-job
-result files after every run, which also makes it safe under any
-scheduling order of a parallel fleet.
+result files after every run, so a damaged ``results.jsonl`` is
+rebuilt by the next ``repro campaign resume``.
 """
 
 from __future__ import annotations
@@ -82,10 +82,20 @@ class ResultsStore:
         return len(lines)
 
     def read_all(self) -> list[dict]:
-        if not self.results_path.exists():
+        path = self.results_path
+        if not path.exists():
             return []
-        return [
-            json.loads(line)
-            for line in self.results_path.read_text().splitlines()
-            if line.strip()
-        ]
+        try:
+            return [
+                json.loads(line)
+                for line in path.read_text().splitlines()
+                if line.strip()
+            ]
+        except ValueError as exc:
+            # Torn by a crash mid-write of a non-atomic copy, or edited:
+            # the file is derived from the per-job results.
+            raise ConfigError(
+                f"corrupt campaign results {path} ({exc}); delete {path} "
+                "and run 'repro campaign resume' to rebuild it from "
+                "jobs/*/result.json"
+            ) from exc

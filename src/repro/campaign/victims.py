@@ -1,8 +1,7 @@
 """Deterministic victim / device / channel construction from job params.
 
 Every campaign job describes its victim declaratively so any process —
-coordinator, warm pool worker, a resume days later — rebuilds exactly
-the same device.  Two victim families cover the repo's experiments:
+the first run, a resume days later — rebuilds exactly the same device.  Two victim families cover the repo's experiments:
 
 * ``{"model": "lenet", ...}`` — a zoo model
   (:func:`repro.nn.zoo.build_model` keyword arguments pass through);

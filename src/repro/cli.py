@@ -51,7 +51,6 @@ from repro.channel import ChannelModel
 from repro.data import make_dataset
 from repro.device import DeviceSession, QueryLedger
 from repro.nn.shapes import PoolSpec
-from repro.parallel import shutdown_pools
 from repro.nn.spec import LayerGeometry
 from repro.nn.stages import StagedNetworkBuilder
 from repro.nn.zoo import MODEL_BUILDERS, build_model
@@ -210,7 +209,7 @@ def cmd_structure(args) -> int:
     # observation identifying the dataflow, then decodes with it.
     result = run_structure_attack(
         sim, tolerance=args.tolerance, rules=rules, runs=args.runs,
-        workers=args.workers, dataflow="auto",
+        dataflow="auto",
     )
     print(f"dataflow identified: {result.dataflow}")
     print(f"layers detected: {len(result.boundaries)}")
@@ -342,7 +341,7 @@ def cmd_clone(args) -> int:
     weight_channel = _voted_channel(pruned, channel, args.repeats)
     result = clone_model(
         dense, weight_channel, ds.train_images, distill_epochs=args.epochs,
-        workers=args.workers, dataflow=args.dataflow,
+        dataflow=args.dataflow,
     )
     stolen = result.network.network.nodes[
         f"{result.network.stages[0].name}/conv"
@@ -395,7 +394,7 @@ def cmd_campaign(args) -> int:
         campaign = Campaign.create(spec, root)
     else:
         campaign = Campaign.load(root)
-    status = campaign.run(workers=args.workers)
+    status = campaign.run()
     done = status["by_status"].get("done", 0)
     print(json.dumps(status, indent=2, sort_keys=True))
     print(f"\ncampaign {status['name']}: {done}/{status['jobs']} jobs done; "
@@ -429,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--loose-rules", action="store_true")
     st.add_argument("--show", type=int, default=1,
                     help="candidates to print in full")
-    _add_workers_flag(st)
     _add_channel_flags(st)
     _add_power_flags(st)
     st.set_defaults(func=cmd_structure)
@@ -446,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="vote over this many repeated measurements per "
                          "query (0: auto — single-shot on a clean "
                          "channel, calibrated repeats on a noisy one)")
-    _add_workers_flag(wt)
+    wt.add_argument("--workers", type=int, default=None,
+                    help="worker processes sharding the filters (default: "
+                         "serial; -1 uses every core this process may run "
+                         "on; results are bit-identical at any count)")
     _add_channel_flags(wt)
     wt.set_defaults(func=cmd_weights)
 
@@ -458,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--repeats", type=int, default=0,
                     help="vote over this many repeated measurements per "
                          "query in the weights phase (0: auto)")
-    _add_workers_flag(cl)
     _add_channel_flags(cl)
     _add_power_flags(cl)
     cl.set_defaults(func=cmd_clone)
@@ -477,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--spec", default=None,
                     help="campaign spec JSON file (only with 'run' on a "
                          "new directory)")
-    _add_workers_flag(cp)
     cp.set_defaults(func=cmd_campaign)
     return parser
 
@@ -559,26 +558,9 @@ def _voted_channel(session: DeviceSession, channel: ChannelModel, repeats):
     )
 
 
-def _add_workers_flag(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the attack's parallel loops "
-             "(default: serial; -1 uses all cores available to this "
-             "process per its scheduler affinity; workers stay warm in "
-             "a persistent pool across the command's attack calls; "
-             "results are bit-identical at any worker count)",
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    finally:
-        # Attack loops draw warm workers from the process-level pool
-        # registry; release them when the command finishes rather than
-        # at interpreter exit.
-        shutdown_pools()
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,11 +1,11 @@
-"""Leak guard: abnormal exits must not strand shared-memory or spool files.
+"""Leak guard: abnormal exits must not strand spool files.
 
-SIGKILL takes no finally blocks: a worker killed mid-attack leaves its
-``/dev/shm`` span segment and its spool directory behind.  Both carry
-the owner's pid in their name, so the reclaim sweepers can attribute
-and remove exactly the dead owners' leavings — which the campaign
-coordinator runs before every fleet start.  The kill path here is a
-real subprocess killed with SIGKILL while its resources are live.
+SIGKILL takes no finally blocks: a process killed mid-attack leaves its
+spool directory behind.  The directory carries the owner's pid in its
+name, so the reclaim sweeper can attribute and remove exactly the dead
+owners' leavings — which the campaign coordinator runs before every
+campaign run.  The kill path here is a real subprocess killed with
+SIGKILL while its spool is live.
 """
 
 from __future__ import annotations
@@ -16,37 +16,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.accel import (
-    SharedSpanBuffer,
-    SpoolSink,
-    reclaim_shared_segments,
-    reclaim_spool_dirs,
-)
+from repro.accel import SpoolSink, reclaim_spool_dirs
 
 _CHILD = r"""
 import json, os, signal, sys
 import numpy as np
-from repro.accel import SharedSpanBuffer, SpoolSink
+from repro.accel import SpoolSink
 from repro.accel.trace import TraceSpan
 
-buf = SharedSpanBuffer(256)
-# A SIGKILL of just this process would still let Python's resource
-# tracker (a separate helper process) unlink the segment; the leak the
-# sweeper exists for is the tracker dying too (OOM killer / kill of the
-# whole process group).  Unregistering models that crash shape.
-from multiprocessing import resource_tracker
-resource_tracker.unregister(buf._shm._name, "shared_memory")
 sink = SpoolSink(budget_bytes=64)
 span = TraceSpan(
     np.arange(16, dtype=np.int64),
     np.arange(16, dtype=np.int64),
     np.zeros(16, dtype=bool),
 )
-buf.append(span)
 sink.emit(span)  # past the 64-byte budget: spills a chunk file
-print(json.dumps({"shm": buf.handle().name, "spool": str(sink._dir)}))
+print(json.dumps({"spool": str(sink._dir)}))
 sys.stdout.flush()
 os.kill(os.getpid(), signal.SIGKILL)  # no cleanup runs
 """
@@ -62,44 +47,26 @@ def _spawn_and_kill() -> dict:
     return json.loads(proc.stdout)
 
 
-@pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="needs POSIX /dev/shm"
-)
 def test_sigkill_leavings_are_reclaimed_and_live_resources_spared():
     leaked = _spawn_and_kill()
-    shm_path = Path("/dev/shm") / leaked["shm"]
     spool_path = Path(leaked["spool"])
-    assert shm_path.exists(), "the kill must actually leak the segment"
     assert spool_path.is_dir(), "the kill must actually leak the spool dir"
     assert list(spool_path.glob("chunk_*.npz")), "spool chunk expected"
 
-    # This process's own live resources must survive the sweep.
-    live_buf = SharedSpanBuffer(64)
+    # This process's own live spool must survive the sweep.
     live_sink = SpoolSink()
     try:
-        removed_segments = reclaim_shared_segments()
-        removed_spools = reclaim_spool_dirs()
-        assert leaked["shm"] in removed_segments
-        assert str(spool_path) in removed_spools
-        assert not shm_path.exists()
+        assert str(spool_path) in reclaim_spool_dirs()
         assert not spool_path.exists()
-        assert (Path("/dev/shm") / live_buf.handle().name).exists()
         assert live_sink._dir.is_dir()
     finally:
         live_sink.cleanup()
-        live_buf.release()
-        live_buf.unlink()
 
 
-@pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="needs POSIX /dev/shm"
-)
 def test_reclaim_is_idempotent_and_ignores_foreign_names(tmp_path):
     leaked = _spawn_and_kill()
-    reclaim_shared_segments()
     reclaim_spool_dirs()
     # Second sweep: nothing of ours left to remove.
-    assert leaked["shm"] not in reclaim_shared_segments()
     assert all(
         leaked["spool"] != path for path in reclaim_spool_dirs()
     )

@@ -176,17 +176,6 @@ def test_status_reports_cache_and_counts(tmp_path):
     assert after["cache"]["probes"] > 0
 
 
-def test_parallel_run_matches_serial(tmp_path):
-    serial = Campaign.create(dict(TINY_SPEC, name="ser"), tmp_path / "s")
-    serial.run()
-    parallel = Campaign.create(dict(TINY_SPEC, name="ser"), tmp_path / "p")
-    parallel.run(workers=2)
-    assert (
-        (tmp_path / "s" / "results.jsonl").read_bytes()
-        == (tmp_path / "p" / "results.jsonl").read_bytes()
-    )
-
-
 def test_results_records_carry_no_cache_state(tmp_path):
     """Records list only lookup figures, never hit/miss splits."""
     campaign = Campaign.create(dict(TINY_SPEC, name="det"), tmp_path / "c")
@@ -301,3 +290,21 @@ def test_corrupt_result_raises_typed_error_and_rebuilds(tmp_path):
     assert resumed.store.results_path.read_bytes() == reference
     # ... without running the device again.
     assert JobCheckpoint.load(resumed.store.jobs_dir, job.job_id).ledgers == spent
+
+
+def test_torn_results_file_raises_typed_error_and_rebuilds(tmp_path):
+    from repro.cli import main
+
+    campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
+    campaign.run()
+    path = campaign.store.results_path
+    reference = path.read_bytes()
+    path.write_bytes(reference[: len(reference) // 2])  # torn last line
+    with pytest.raises(ConfigError) as info:
+        main(["campaign", "status", "--dir", str(tmp_path / "c")])
+    assert str(path) in str(info.value)
+    assert "repro campaign resume" in str(info.value)
+    # Following the advice rebuilds the file from the per-job results.
+    path.unlink()
+    assert main(["campaign", "resume", "--dir", str(tmp_path / "c")]) == 0
+    assert path.read_bytes() == reference

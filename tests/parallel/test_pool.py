@@ -1,17 +1,17 @@
-"""Unit tests for the process-pool layer and its sharding helpers."""
+"""Unit tests for the per-call fork map and its sharding helpers."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.parallel import (
-    WorkerPool,
     available_cpus,
+    fork_map,
     resolve_workers,
-    shard_indices,
     shard_ranges,
 )
 
@@ -48,10 +48,6 @@ def test_shard_ranges_partition(n_items, n_shards):
     assert sizes == sorted(sizes, reverse=True)
 
 
-def test_shard_indices_matches_ranges():
-    assert shard_indices(7, 3) == [[0, 1, 2], [3, 4], [5, 6]]
-
-
 def test_shard_errors():
     with pytest.raises(ConfigError):
         shard_ranges(-1, 2)
@@ -73,97 +69,29 @@ def _add_offset(x: int) -> int:
     return x + _self._OFFSET
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_pool_map_order_and_initializer(workers):
-    with WorkerPool(workers, initializer=_init_offset, initargs=(100,)) as pool:
-        out = pool.map(_add_offset, range(7))
-    assert out == [100 + i for i in range(7)]
-
-
-def test_serial_pool_runs_inline():
-    pool = WorkerPool(1)
-    assert pool.serial
-    with pool:
-        assert pool.map(abs, [-2, 3]) == [2, 3]
-
-
-def test_parallel_map_outside_context_rejected():
-    pool = WorkerPool(2)
-    with pytest.raises(ConfigError):
-        pool.map(abs, [1])
-
-
-# -- persistent pools ---------------------------------------------------------
-
 def _worker_pid(_item) -> int:
     return os.getpid()
 
 
-def test_persistent_pool_reuses_workers_across_maps():
-    pool = WorkerPool(2, persistent=True)
-    try:
-        first = set(pool.map(_worker_pid, range(8)))
-        assert pool.warm
-        workers = {p.pid for p in pool._pool._pool}
-        second = set(pool.map(_worker_pid, range(8)))
-        # Same processes serve both calls: no re-fork between maps.
-        # (Task->worker assignment may differ — a fast worker can take
-        # every task — so compare against the pool's process list.)
-        assert {p.pid for p in pool._pool._pool} == workers
-        assert (first | second) <= workers
-    finally:
-        pool.close()
-    assert not pool.warm
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pool_map_order_and_initializer(workers):
+    out = fork_map(
+        _add_offset, range(7), workers,
+        initializer=_init_offset, initargs=(100,),
+    )
+    assert out == [100 + i for i in range(7)]
 
 
-def test_persistent_pool_initialize_swaps_context():
-    pool = WorkerPool(2, persistent=True,
-                      initializer=_init_offset, initargs=(100,))
-    try:
-        assert pool.map(_add_offset, [1, 2]) == [101, 102]
-        pool.initialize(_init_offset, (500,))
-        # The broadcast reaches every warm worker exactly once.
-        assert pool.map(_add_offset, [1, 2, 3, 4]) == [501, 502, 503, 504]
-    finally:
-        pool.close()
+def test_serial_pool_runs_inline():
+    assert fork_map(_worker_pid, range(3), None) == [os.getpid()] * 3
+    assert fork_map(abs, [-2, 3], 1) == [2, 3]
+    # One item never forks, whatever the worker count.
+    assert fork_map(_worker_pid, [0], 4) == [os.getpid()]
 
 
-def test_persistent_pool_initialize_same_context_is_noop():
-    args = (7,)
-    pool = WorkerPool(2, persistent=True,
-                      initializer=_init_offset, initargs=args)
-    try:
-        pool.start()
-        installed = pool._installed
-        pool.initialize(_init_offset, args)
-        assert pool._installed is installed
-    finally:
-        pool.close()
-
-
-def test_serial_persistent_pool_runs_inline_without_start():
-    pool = WorkerPool(None, persistent=True,
-                      initializer=_init_offset, initargs=(40,))
-    assert pool.serial
-    assert pool.map(_add_offset, [2]) == [42]
-    assert not pool.warm  # no worker processes behind the inline path
-
-
-def test_map_batched_matches_map():
-    items = list(range(23))
-    pool = WorkerPool(2, persistent=True,
-                      initializer=_init_offset, initargs=(10,))
-    try:
-        plain = pool.map(_add_offset, items)
-        for batch_size in (1, 4, None):
-            assert pool.map_batched(
-                _add_offset, items, batch_size=batch_size
-            ) == plain
-    finally:
-        pool.close()
-
-
-def test_non_persistent_pool_rejects_warm_reinitialize():
-    with WorkerPool(2, initializer=_init_offset, initargs=(1,)) as pool:
-        with pytest.raises(ConfigError):
-            pool.initialize(_init_offset, (2,))
+def test_fork_map_closes_its_pool():
+    pids = fork_map(_worker_pid, range(6), 2)
+    assert os.getpid() not in pids
+    assert len(set(pids)) <= 2
+    # The pool lives for one call only: no worker outlives it.
+    assert multiprocessing.active_children() == []

@@ -7,6 +7,8 @@ here where it always runs.
 
 from __future__ import annotations
 
+import json
+
 from benchmarks.perf.__main__ import (
     SKIP_SINGLE_CPU,
     _throughput_figures,
@@ -85,3 +87,21 @@ def test_gate_ignores_metrics_missing_from_either_side():
     # decode has no baseline -> not compared; synthesis still gates.
     assert len(failures) == 1
     assert "synthesis:alexnet" in failures[0]
+
+
+def test_failed_gate_leaves_the_baseline_untouched(tmp_path, monkeypatch):
+    import benchmarks.perf.__main__ as perf
+
+    def below_floor(workers, quick, scale):
+        entry = perf._entry(1.0, 1.0, 1, scale, True, multi_worker=False)
+        entry["nets"] = {"alexnet": {"events_per_second": 1}}
+        return entry
+
+    monkeypatch.setattr(perf, "BENCHES", {"events_per_second": below_floor})
+    monkeypatch.setattr(perf, "effective_cpus", lambda: 2)
+    baseline = tmp_path / "BENCH_perf.json"
+    baseline.write_text(json.dumps(results_with(1_000_000, 2_000_000)))
+    before = baseline.read_bytes()
+    assert perf.main(["--quick", "--output", str(baseline)]) == 1
+    # A regressed run must not become the next run's baseline.
+    assert baseline.read_bytes() == before
