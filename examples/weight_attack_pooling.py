@@ -97,7 +97,7 @@ def main() -> None:
     multiset = recover_crossing_multiset(agg_session, resolution=2048)
     print(f"    corner-pixel crossings leaked (unattributed): "
           f"{len(multiset.values())} of {args.filters} filters "
-          f"(scan batched through {agg_session.backend})")
+          f"in {agg_session.queries:,} batched queries")
 
 
 if __name__ == "__main__":

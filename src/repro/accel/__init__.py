@@ -17,12 +17,7 @@ from repro.accel.dataflow import (
     resolve_dataflow,
 )
 from repro.accel.memory import DramAllocator, MemoryConfig, MemoryRegion
-from repro.accel.oracle import (
-    DenseStageOracle,
-    SparseStageOracle,
-    StageOracle,
-    make_stage_oracle,
-)
+from repro.accel.oracle import SparseStageOracle, StageOracle
 from repro.accel.pruning import PrunedLayout, PruningConfig, pruned_region_elements
 from repro.accel.simulator import (
     AcceleratorConfig,
@@ -85,7 +80,5 @@ __all__ = [
     "SimulationResult",
     "StageWindow",
     "StageOracle",
-    "DenseStageOracle",
     "SparseStageOracle",
-    "make_stage_oracle",
 ]

@@ -1,24 +1,25 @@
-"""Stage oracles: fast non-zero-count evaluation for crafted inputs.
+"""The count oracle: fast non-zero-count evaluation for crafted inputs.
 
 The Section 4 weight attack drives the accelerator with inputs that are
 all-zero except one or two pixels and observes the per-plane non-zero
 write counts.  Running the full trace simulator for each of the
-~10^5-10^6 binary-search queries would be needlessly slow, so this module
-provides two *semantically identical* evaluation paths:
+~10^5-10^6 binary-search queries would be needlessly slow, so
+:class:`SparseStageOracle` exploits the input sparsity: a k-sparse input
+only perturbs a small box of conv outputs around each pixel; everything
+else equals the per-filter constant ``relu(b_f)`` (or its pooled image).
+The box is recomputed, the rest analytically.
 
-* :class:`DenseStageOracle` — runs the stage's actual layer objects on a
-  dense input and counts non-zeros per plane.  Ground truth; used for
-  validation and small cases.
-* :class:`SparseStageOracle` — exploits the input sparsity: a k-sparse
-  input only perturbs a small box of conv outputs around each pixel;
-  everything else equals the per-filter constant ``relu(b_f)`` (or its
-  pooled image).  The box is recomputed densely, the rest analytically.
-
-Equality of the two paths on random stages is enforced by tests — the
-sparse path is an optimisation of the simulator, not a shortcut through
-the threat model.  Oracles are *device-side* objects (they hold the
-secret weights); adversaries access them only through the counting
-channel of :class:`repro.device.DeviceSession`.
+Its reference is :class:`repro.reference.DenseStageOracle`, which runs
+the stage's real layers on a dense input.  The two agree on every
+one-pixel probe; a two-pixel cell sums its terms in a different order
+(see :meth:`SparseStageOracle._count`), so a probe that lands exactly on
+a bisection crossing can count differently.  Measured on ``repro
+weights --size 31 --filters 4``: 82 of its 77,089 device runs differ,
+all two-pixel crossing probes, and the recovered ratios differ by at
+most 1.1e-15.  The sparse path is an optimisation of the simulator, not a
+shortcut through the threat model.  Oracles are *device-side* objects
+(they hold the secret weights); adversaries access them only through
+the counting channel of :class:`repro.device.DeviceSession`.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ from repro.nn.stages import StagedNetwork
 __all__ = [
     "Pixel",
     "StageOracle",
-    "DenseStageOracle",
     "SparseStageOracle",
-    "make_stage_oracle",
     "one_pattern_per_row",
 ]
 
@@ -72,28 +71,14 @@ def _stage_components(staged: StagedNetwork, stage_name: str):
 
 
 class StageOracle:
-    """Per-plane non-zero counts of one conv stage's OFM for sparse inputs."""
+    """Per-plane non-zero counts of one conv stage's OFM for sparse inputs.
+
+    Subclasses implement :meth:`nnz_batch`; the one-run and per-filter
+    forms are rows of it.
+    """
 
     d_ofm: int
     input_shape: tuple[int, int, int]
-    queries: int
-
-    def nnz(self, pixels: list[Pixel], values: np.ndarray) -> np.ndarray:
-        """Counts for one input: ``values[k]`` at ``pixels[k]``, rest zero."""
-        raise NotImplementedError
-
-    def nnz_per_filter(
-        self, pixels: list[Pixel], values: np.ndarray
-    ) -> np.ndarray:
-        """Counts for ``d_ofm`` inputs evaluated in one vectorised call.
-
-        ``values`` has shape ``(len(pixels), d_ofm)``: column ``f`` is the
-        input used when reading plane ``f``'s count.  Physically this is
-        ``d_ofm`` separate device runs (and is charged as that many
-        queries); mathematically each plane only depends on its own
-        filter, so the whole batch is evaluated at once.
-        """
-        raise NotImplementedError
 
     def nnz_batch(self, pixels, values) -> np.ndarray:
         """Counts for ``B`` independent runs, in one call.
@@ -101,15 +86,33 @@ class StageOracle:
         ``pixels`` is either one pattern shared by every row — then
         ``values`` has shape ``(B, len(pixels))`` — or a list of ``B``
         patterns, one per row, with ``values[b]`` of length
-        ``len(pixels[b])``.  Row ``b`` of the result equals
-        ``nnz(pattern_b, values[b])`` bit for bit.  Charged as ``B``
-        queries.  The base implementation loops; backends may
-        vectorise.
+        ``len(pixels[b])``.  Returns shape ``(B, d_ofm)``.
         """
-        patterns, rows = _rows(pixels, values)
-        if not rows:
-            return np.zeros((0, self.d_ofm), dtype=np.int64)
-        return np.stack([self.nnz(list(p), row) for p, row in zip(patterns, rows)])
+        raise NotImplementedError
+
+    def nnz(self, pixels: list[Pixel], values) -> np.ndarray:
+        """Counts for one input: ``values[k]`` at ``pixels[k]``, rest zero."""
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        if values.shape != (len(pixels),):
+            raise ConfigError(
+                f"need one value per pixel, got {values.shape} for "
+                f"{len(pixels)} pixels"
+            )
+        return self.nnz_batch(list(pixels), values[None])[0]
+
+    def nnz_per_filter(self, pixels: list[Pixel], values) -> np.ndarray:
+        """Counts of ``d_ofm`` runs, plane ``f`` read from run ``f``.
+
+        ``values`` has shape ``(len(pixels), d_ofm)``: column ``f`` is the
+        input used when reading plane ``f``'s count.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(pixels), self.d_ofm):
+            raise ConfigError(
+                f"values must be (n_pixels, d_ofm) = "
+                f"({len(pixels)}, {self.d_ofm}), got {values.shape}"
+            )
+        return self.nnz_batch(list(pixels), values.T).diagonal().copy()
 
     def set_threshold(self, threshold: float) -> None:
         """Adjust the stage's tunable pruning threshold, if it has one."""
@@ -158,55 +161,6 @@ def _rows(pixels, values) -> tuple[list[tuple], list[np.ndarray]]:
         )
     pattern = tuple(pixels)
     return [pattern] * len(values), list(values)
-
-
-class DenseStageOracle(StageOracle):
-    """Reference oracle: run the stage's real layers on a dense input."""
-
-    def __init__(self, staged: StagedNetwork, stage_name: str):
-        self._stage, self._conv, self._act, self._pool = _stage_components(
-            staged, stage_name
-        )
-        self._conv.requires_grad_(False)  # count queries never backprop
-        geom = self._stage.geometry
-        self.d_ofm = geom.d_ofm
-        self.input_shape = (geom.d_ifm, geom.w_ifm, geom.w_ifm)
-        self.queries = 0
-
-    def set_threshold(self, threshold: float) -> None:
-        if not isinstance(self._act, ThresholdReLU):
-            raise ConfigError("stage activation has no tunable threshold")
-        self._act.set_threshold(threshold)
-
-    def _run(self, x: np.ndarray) -> np.ndarray:
-        out = self._conv.forward(x[None])
-        out = self._act.forward(out)
-        if self._pool is not None:
-            out = self._pool.forward(out)
-        return out[0]
-
-    def nnz(self, pixels: list[Pixel], values: np.ndarray) -> np.ndarray:
-        self._check_pixels(pixels)
-        self.queries += 1
-        x = np.zeros(self.input_shape)
-        for (c, i, j), v in zip(pixels, np.atleast_1d(values)):
-            x[c, i, j] = v
-        out = self._run(x)
-        return np.count_nonzero(out.reshape(self.d_ofm, -1), axis=1)
-
-    def nnz_per_filter(
-        self, pixels: list[Pixel], values: np.ndarray
-    ) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(pixels), self.d_ofm):
-            raise ConfigError(
-                f"values must be (n_pixels, d_ofm) = "
-                f"({len(pixels)}, {self.d_ofm}), got {values.shape}"
-            )
-        counts = np.empty(self.d_ofm, dtype=np.int64)
-        for f in range(self.d_ofm):
-            counts[f] = self.nnz(pixels, values[:, f])[f]
-        return counts
 
 
 class _Plan(NamedTuple):
@@ -261,7 +215,6 @@ class SparseStageOracle(StageOracle):
         geom = self._stage.geometry
         self.d_ofm = geom.d_ofm
         self.input_shape = (geom.d_ifm, geom.w_ifm, geom.w_ifm)
-        self.queries = 0
 
         # (D, C*F*F) view: column ``(c*F + di)*F + dj`` is one tap.
         self._taps = conv.weight.value.reshape(self.d_ofm, -1)
@@ -364,28 +317,6 @@ class SparseStageOracle(StageOracle):
         return plan
 
     # -- queries -------------------------------------------------------------
-    def nnz(self, pixels: list[Pixel], values: np.ndarray) -> np.ndarray:
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        if values.shape != (len(pixels),):
-            raise ConfigError(
-                f"need one value per pixel, got {values.shape} for "
-                f"{len(pixels)} pixels"
-            )
-        self.queries += 1
-        return self._count([tuple(pixels)], values[None, :, None])[0]
-
-    def nnz_per_filter(
-        self, pixels: list[Pixel], values: np.ndarray
-    ) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(pixels), self.d_ofm):
-            raise ConfigError(
-                f"values must be (n_pixels, d_ofm) = "
-                f"({len(pixels)}, {self.d_ofm}), got {values.shape}"
-            )
-        self.queries += self.d_ofm
-        return self._count([tuple(pixels)], values[None])[0]
-
     def nnz_batch(self, pixels, values) -> np.ndarray:
         patterns, rows = _rows(pixels, values)
         if not rows:
@@ -397,17 +328,18 @@ class SparseStageOracle(StageOracle):
             x = np.zeros((len(rows), max(widths)))
             for b, row in enumerate(rows):
                 x[b, : len(row)] = row
-        self.queries += len(rows)
-        return self._count(patterns, x[:, :, None])
+        return self._count(patterns, x)
 
     def _count(self, patterns: list[tuple], x: np.ndarray) -> np.ndarray:
         """Counts of ``len(patterns)`` runs in one numpy pass.
 
-        ``x[r, k]`` is run ``r``'s value at its ``k``-th pixel: shape
-        ``(runs, n_pixels, 1)`` for one input shared by every filter, or
-        ``(runs, n_pixels, d_ofm)`` for a per-filter input.  Each touched
-        cell accumulates ``b + w_0*x_0 + w_1*x_1 ...`` in pixel order,
-        the float operations the dense layers perform.
+        ``x[r, k]`` is run ``r``'s value at its ``k``-th pixel.  Each
+        touched cell accumulates ``b + w_0*x_0 + w_1*x_1 ...`` in pixel
+        order.  ``Conv2D.forward`` instead sums the products
+        (``cols @ W.T``) and adds the bias last, so a two-pixel cell can
+        round differently from the dense layers and flip a count when it
+        lands exactly on the threshold — a bisection crossing.  One-pixel
+        cells agree exactly.
         """
         plans = [self._plan(p) for p in patterns]
         n_runs = len(plans)
@@ -416,7 +348,7 @@ class SparseStageOracle(StageOracle):
         cell_base = np.cumsum(run_cells) - run_cells
         cell, tap, px = np.concatenate([pl.terms for pl in plans], axis=1)
         inputs = x[np.repeat(np.arange(n_runs), sizes[:, 1]), px]
-        contrib = self._taps[:, tap].T * inputs
+        contrib = self._taps[:, tap].T * inputs[:, None]
         if x.shape[1] == 1:
             y = self._b + contrib
         else:
@@ -446,11 +378,3 @@ class SparseStageOracle(StageOracle):
         const = np.where(self._const_on, changed[:, None], 0)
         return self._base_nnz - const + moved
 
-
-def make_stage_oracle(
-    staged: StagedNetwork, stage_name: str, prefer_sparse: bool = True
-) -> StageOracle:
-    """Build the fast sparse oracle (default) or the dense reference."""
-    if prefer_sparse:
-        return SparseStageOracle(staged, stage_name)
-    return DenseStageOracle(staged, stage_name)

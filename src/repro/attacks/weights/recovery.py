@@ -841,8 +841,8 @@ class _ShardContext:
 
     Under the fork start method the session (and the victim device it
     wraps) is inherited copy-on-write; each worker then *forks the
-    session* so its backend oracle is re-instantiated locally and its
-    queries land on a private ledger.
+    session* so its count oracle is built locally and its queries land
+    on a private ledger.
     """
 
     channel: DeviceSession

@@ -1,19 +1,24 @@
 """Deterministic victim / device / channel construction from job params.
 
 Every campaign job describes its victim declaratively so any process —
-the first run, a resume days later — rebuilds exactly the same device.  Two victim families cover the repo's experiments:
+the first run, a resume days later — rebuilds exactly the same device.
+Two victim families cover the repo's experiments:
 
 * ``{"model": "lenet", ...}`` — a zoo model
   (:func:`repro.nn.zoo.build_model` keyword arguments pass through);
 * ``{"conv": {...}}`` — a one-stage synthetic conv victim with seeded
-  random weights, the shape every weight-recovery experiment uses.
+  random weights, the shape every weight-recovery experiment uses, and
+  optionally an FC classifier head (what a clone job needs).
 
 The builders are pure functions of the spec dicts (seeded RNG only),
 which is what lets the shared query cache's device fingerprint match
 across sessions: same spec, same parameter bytes, same fingerprint.
+A misspelled key is an error, never a silent default.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,6 +40,26 @@ __all__ = [
 ]
 
 
+_CONV_KEYS = (
+    "w", "c", "d", "f", "s", "p", "pool", "relu_threshold", "seed",
+    "zero_fraction", "bias_low", "bias_high", "bias_sign", "fc",
+)
+_DEVICE_KEYS = ("pruning", "granularity", "dataflow")
+# ``spawn_key`` is fork-tree lineage (ChannelModel.spawn), not a setting.
+_CHANNEL_KEYS = tuple(
+    field.name for field in fields(ChannelModel) if field.name != "spawn_key"
+)
+
+
+def _check_keys(kind: str, spec: dict, accepted: tuple[str, ...]) -> None:
+    unknown = sorted(set(spec) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"unknown {kind} spec key(s) {unknown}; accepted: "
+            f"{', '.join(accepted)}"
+        )
+
+
 def build_conv_victim(spec: dict) -> StagedNetwork:
     """One-stage conv victim with seeded random weights.
 
@@ -42,9 +67,12 @@ def build_conv_victim(spec: dict) -> StagedNetwork:
     ``c`` input channels, ``d`` filters, ``f``/``s``/``p`` conv shape,
     ``pool`` as ``[f, s, p]`` or absent, ``relu_threshold``, ``seed``,
     ``zero_fraction`` (weights with ``|w|`` below it are zeroed),
-    ``bias_low``/``bias_high`` (uniform magnitude range) and
-    ``bias_sign`` (``-1.0``/``1.0``; absent draws signs randomly).
+    ``bias_low``/``bias_high`` (uniform magnitude range),
+    ``bias_sign`` (``-1.0``/``1.0``; absent draws signs randomly) and
+    ``fc`` (classes of an FC head after the conv stage, its weights
+    drawn from the same seed after the conv's; absent: no head).
     """
+    _check_keys("conv victim", spec, _CONV_KEYS)
     if "w" not in spec:
         raise ConfigError(f"conv victim spec needs 'w': {spec!r}")
     w = int(spec["w"])
@@ -64,6 +92,9 @@ def build_conv_victim(spec: dict) -> StagedNetwork:
     )
     geom = LayerGeometry.from_conv(w, c, d, f, s, p, pool=pool_spec)
     builder.add_conv("conv1", geom)
+    fc = spec.get("fc")
+    if fc is not None:
+        builder.add_fc("fc2", int(fc), activation=False)
     staged = builder.build()
     conv = staged.network.nodes["conv1/conv"].layer
     weights = rng.normal(size=conv.weight.value.shape)
@@ -79,6 +110,12 @@ def build_conv_victim(spec: dict) -> StagedNetwork:
         conv.bias.value[:] = magnitude * rng.choice([-1.0, 1.0], size=d)
     else:
         conv.bias.value[:] = magnitude * float(sign)
+    if fc is not None:
+        head = staged.network.nodes["fc2/fc"].layer
+        scale = np.sqrt(2.0 / head.in_features)  # Linear's own init scale
+        head.weight.value[:] = rng.normal(
+            0.0, scale, size=head.weight.value.shape
+        )
     return staged
 
 
@@ -97,6 +134,7 @@ def build_device(
 ) -> AcceleratorSim:
     """Build the deployed accelerator for one job."""
     spec = dict(device_spec or {})
+    _check_keys("device", spec, _DEVICE_KEYS)
     pruning = PruningConfig(
         enabled=bool(spec.get("pruning", False)),
         granularity=str(spec.get("granularity", "plane")),
@@ -113,6 +151,7 @@ def build_channel(channel_spec: dict | None) -> ChannelModel:
     if not channel_spec:
         return ChannelModel.ideal()
     spec = dict(channel_spec)
+    _check_keys("channel", spec, _CHANNEL_KEYS)
     granularity = spec.get("probe_granularity")
     return ChannelModel(
         drop_rate=float(spec.get("drop_rate", 0.0)),

@@ -259,12 +259,11 @@ def cmd_weights(args) -> int:
         staged, AcceleratorConfig(pruning=PruningConfig(enabled=True))
     )
     channel = _channel_from_args(args)
-    session = DeviceSession(sim, "conv1", backend=args.backend, channel=channel)
+    session = DeviceSession(sim, "conv1", channel=channel)
     attack_channel = _voted_channel(session, channel, args.repeats)
     target = AttackTarget.from_geometry(geom)
     print(f"victim conv layer: {weights.shape} "
-          f"({(weights == 0).mean():.0%} zero weights), pool 3x3/2, "
-          f"backend {session.backend}")
+          f"({(weights == 0).mean():.0%} zero weights), pool 3x3/2")
     if args.threshold:
         result = ThresholdWeightAttack(
             attack_channel, target, t1=0.0, t2=0.5
@@ -437,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     wt.add_argument("--filters", type=int, default=8)
     wt.add_argument("--threshold", action="store_true",
                     help="exact recovery via the tunable threshold")
-    wt.add_argument("--backend", default=None,
-                    help="device backend (see repro.device.available_backends)")
     wt.add_argument("--seed", type=int, default=0)
     wt.add_argument("--repeats", type=int, default=0,
                     help="vote over this many repeated measurements per "

@@ -57,34 +57,22 @@ class PaddedChannel:
     def input_range(self):
         return self._inner.input_range
 
-    def _constant(self, counts) -> np.ndarray | int:
-        if self._inner.per_plane:
-            value = self._plane_capacity()
-        else:
-            value = self.d_ofm * self._plane_capacity()
-        if isinstance(counts, np.ndarray):
-            return np.full_like(counts, value)
-        return value  # deprecated bare-int aggregate shim
-
-    def _plane_capacity(self) -> int:
-        # w_ofm is the stage's final (post-pool) output width, so this
-        # works for any backend oracle the inner handle resolved.
-        geom = self._inner._oracle._stage.geometry  # type: ignore[union-attr]
-        return int(geom.w_ofm * geom.w_ofm)
+    def _constant(self, counts: np.ndarray) -> np.ndarray:
+        # w_ofm is the stage's final (post-pool) output width.
+        staged = self._inner.device.staged
+        geom = staged.stage(self._inner.stage_name).geometry
+        capacity = int(geom.w_ofm * geom.w_ofm)
+        if not self._inner.per_plane:
+            capacity *= self.d_ofm
+        return np.full_like(counts, capacity)
 
     def query(self, pixels, values):
         counts = self._inner.query(pixels, values)
         return self._constant(counts)
 
     def query_batch(self, pixels, values):
-        if hasattr(self._inner, "query_batch"):
-            counts = self._inner.query_batch(pixels, values)
-            return self._constant(counts)
-        rows = [
-            np.atleast_1d(np.asarray(self.query(pixels, row)))
-            for row in np.asarray(values, dtype=float)
-        ]
-        return np.stack(rows)
+        counts = self._inner.query_batch(pixels, values)
+        return self._constant(counts)
 
     def query_per_filter(self, pixels, values):
         if one_pattern_per_row(pixels):

@@ -1,4 +1,4 @@
-"""The attacker/device boundary: sessions, accounting, backends.
+"""The attacker/device boundary: sessions and accounting.
 
 This package is the only sanctioned way for attacks to touch a victim
 device.  :class:`DeviceSession` meters every inference, channel query
@@ -8,22 +8,13 @@ attacker-supplied :class:`~repro.accel.trace.TraceSink`
 (re-exporting :class:`~repro.accel.sinks.CoalescingSink` and
 :class:`~repro.accel.sinks.TeeSink` so attack code can right-size chunk
 delivery and fan one stream out to several decoders without crossing
-the boundary);
-:mod:`repro.device.backends` replaces the old ``prefer_sparse`` flag
-with a capability-based registry.  A guard test asserts that nothing
-under :mod:`repro.attacks` imports simulator or oracle internals
-directly.
+the boundary).  A guard test asserts that nothing under
+:mod:`repro.attacks` imports simulator or oracle internals directly.
 """
 
 from repro.accel.oracle import one_pattern_per_row
 from repro.accel.sinks import CoalescingSink, TeeSink
 from repro.device.observation import StructureObservation
-from repro.device.backends import (
-    BackendSpec,
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
 from repro.device.cache import QueryCache
 from repro.device.ledger import TRACE_EVENT_BYTES, QueryLedger
 from repro.device.session import DeviceSession, VictimDevice
@@ -49,9 +40,5 @@ __all__ = [
     "CoalescingSink",
     "TeeSink",
     "TRACE_EVENT_BYTES",
-    "BackendSpec",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
     "one_pattern_per_row",
 ]

@@ -14,9 +14,9 @@ scattered per-attack handles never had:
   serves repeated probes without re-running the device, with hit/miss
   counters surfaced in the ledger;
 * **batched channels** — :meth:`DeviceSession.query_batch` pushes many
-  sparse-input probes through the backend in one vectorised call;
-* a **backend registry** replacing the old ``prefer_sparse`` bool (see
-  :mod:`repro.device.backends`).
+  sparse-input probes through the device's count oracle
+  (:class:`~repro.accel.oracle.SparseStageOracle`) in one vectorised
+  call.
 
 Because the device is deterministic and the cache is keyed on the full
 run description, the session path returns bit-identical counts to the
@@ -30,13 +30,17 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.accel.oracle import Pixel, StageOracle, one_pattern_per_row
+from repro.accel.oracle import (
+    Pixel,
+    SparseStageOracle,
+    StageOracle,
+    one_pattern_per_row,
+)
 from repro.accel.simulator import AcceleratorConfig, SimulationResult
 from repro.accel.sinks import MaterializeSink, TeeSink
 from repro.accel.timing import TimingModel
 from repro.accel.trace import MemoryTrace, TraceSink, TraceSpan
 from repro.channel import ChannelModel, ChannelSink
-from repro.device.backends import BackendSpec, resolve_backend
 from repro.device.cache import QueryCache
 from repro.device.ledger import QueryLedger
 from repro.device.observation import StructureObservation
@@ -133,9 +137,6 @@ class DeviceSession:
         stage_name: the conv stage the zero-pruning channel observes;
             defaults to the device's first stage (the paper attacks
             layer by layer from the input).
-        backend: channel backend name (see
-            :func:`~repro.device.backends.available_backends`); the
-            highest-priority registered backend by default.
         input_range: device input domain; queries outside it are
             rejected with :class:`~repro.errors.ThreatModelViolation`.
         max_queries: channel-query budget, ``None`` for unlimited.
@@ -154,12 +155,15 @@ class DeviceSession:
             :meth:`~repro.channel.ChannelModel.observe_counts`.
     """
 
+    # The count oracle, built on the first channel query in each process
+    # (see fork); the dense reference session in repro.reference swaps it.
+    _oracle_type: type[StageOracle] = SparseStageOracle
+
     def __init__(
         self,
         device: VictimDevice,
         stage_name: str | None = None,
         *,
-        backend: str | None = None,
         input_range: tuple[float, float] = (-256.0, 256.0),
         max_queries: int | None = None,
         max_inferences: int | None = None,
@@ -184,8 +188,6 @@ class DeviceSession:
         )
         self._cache = QueryCache(cache_size) if cache_size else None
         self._cache_size = cache_size
-        self._requested_backend = backend
-        self._backend_spec: BackendSpec | None = None
         self._oracle: StageOracle | None = None
         self._threshold = 0.0
         self._obs_runs = 0
@@ -198,11 +200,11 @@ class DeviceSession:
 
         The fork shares the victim device (device state is the victim's,
         not the attacker's) but gets its own ledger, its own memo cache
-        and — crucially — a backend that is re-resolved and re-
-        instantiated lazily in the worker process, so no oracle object
-        ever crosses a process boundary.  Budgets carry over per fork;
-        a tuned pruning threshold is re-applied so forked queries hit
-        the same device configuration.  The parent later folds worker
+        and — crucially — its own count oracle, built lazily in the
+        worker process, so no oracle object ever crosses a process
+        boundary.  Budgets carry over per fork; a tuned pruning
+        threshold is re-applied so forked queries hit the same device
+        configuration.  The parent later folds worker
         accounts back with :meth:`QueryLedger.merge`.
 
         The fork observes through a *spawned* child channel — a fresh
@@ -217,10 +219,9 @@ class DeviceSession:
         if index is None:
             index = self._forks
         self._forks += 1
-        forked = DeviceSession(
+        forked = type(self)(
             self.device,
             self.stage_name,
-            backend=self._requested_backend,
             input_range=self.input_range,
             max_queries=self.ledger.max_queries,
             max_inferences=self.ledger.max_inferences,
@@ -275,13 +276,6 @@ class DeviceSession:
     def block_bytes(self) -> int:
         """Public device parameter: DRAM transaction size in bytes."""
         return self.device.config.memory.block_bytes
-
-    @property
-    def backend(self) -> str:
-        """Name of the backend serving this session's channel queries."""
-        if self._backend_spec is None:
-            self._backend_spec = resolve_backend(self._requested_backend)
-        return self._backend_spec.name
 
     @property
     def queries(self) -> int:
@@ -593,9 +587,7 @@ class DeviceSession:
                     "zero pruning enabled — a dense-write device leaks no "
                     "counts"
                 )
-            if self._backend_spec is None:
-                self._backend_spec = resolve_backend(self._requested_backend)
-            self._oracle = self._backend_spec.factory(
+            self._oracle = self._oracle_type(
                 self.device.staged, self.stage_name
             )
         return self._oracle
@@ -620,7 +612,7 @@ class DeviceSession:
 
         Run ``b`` drives ``patterns[b]`` with the pixel values
         ``rows[b]``.  Cache misses are deduplicated and evaluated through
-        the backend in a single ``nnz_batch`` call; only distinct
+        the count oracle in a single ``nnz_batch`` call; only distinct
         uncached runs are charged, all-or-nothing, before the device
         runs.
 
@@ -736,7 +728,7 @@ class DeviceSession:
         ``values`` has shape ``(B, len(pixels))``; row ``b`` of the
         result equals ``query(pixels, values[b])`` bit for bit.  Distinct
         uncached rows cost one charged query each and are evaluated in a
-        single vectorised backend pass.
+        single vectorised oracle pass.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(pixels):

@@ -1,8 +1,8 @@
-"""Stage oracles: the sparse fast path must equal the dense reference.
+"""The count oracle: the sparse fast path must equal the dense reference.
 
 The weight attack's validity rests entirely on this equivalence — the
 sparse oracle is an optimisation of the simulator, not a shortcut
-around it.
+around it.  The dense oracle lives in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.accel import AcceleratorConfig, AcceleratorSim, PruningConfig
-from repro.accel.oracle import DenseStageOracle, SparseStageOracle, make_stage_oracle
+from repro.accel.oracle import SparseStageOracle
 from repro.nn.shapes import PoolSpec
 from repro.nn.stages import StagedNetworkBuilder
 from repro.nn.spec import LayerGeometry
+from repro.reference import DenseStageOracle
 
-from tests.conftest import build_conv_stage
+from tests.conftest import build_conv_stage, pruned_session
 
 
 CONFIGS = [
@@ -87,12 +88,27 @@ def test_per_filter_batch_equals_individual(rng):
 
 
 def test_query_accounting(rng):
+    """Runs are counted once, on the session ledger; the oracle keeps none."""
     staged, _, _, _ = build_conv_stage(seed=4)
+    session = pruned_session(staged)
+    session.query([(0, 0, 0)], [1.0])
+    assert session.ledger.channel_queries == 1
+    values = np.arange(2.0, 2.0 + session.d_ofm)[None]  # one run per filter
+    session.query_per_filter([(0, 0, 0)], values)
+    assert session.ledger.channel_queries == 1 + session.d_ofm
+    assert not hasattr(SparseStageOracle(staged, "conv1"), "queries")
+
+
+def test_one_run_forms_are_batch_rows(rng):
+    staged, _, _, _ = build_conv_stage(seed=4, pool=PoolSpec(3, 2, 0))
     sparse = SparseStageOracle(staged, "conv1")
-    sparse.nnz([(0, 0, 0)], [1.0])
-    assert sparse.queries == 1
-    sparse.nnz_per_filter([(0, 0, 0)], np.ones((1, sparse.d_ofm)))
-    assert sparse.queries == 1 + sparse.d_ofm
+    pixels = [(0, 2, 3), (1, 5, 5)]
+    values = rng.normal(size=(2, sparse.d_ofm)) * 4
+    batch = sparse.nnz_batch(pixels, values.T)
+    np.testing.assert_array_equal(sparse.nnz(pixels, values[:, 0]), batch[0])
+    np.testing.assert_array_equal(
+        sparse.nnz_per_filter(pixels, values), batch.diagonal()
+    )
 
 
 def test_pixel_validation(rng):
@@ -135,14 +151,6 @@ def test_threshold_affects_dense_and_sparse_identically(rng):
     dense_counts = dense.nnz([(0, 3, 3)], [2.0])  # dense sees the same layer
     sparse_counts = sparse.nnz([(0, 3, 3)], [2.0])
     np.testing.assert_array_equal(dense_counts, sparse_counts)
-
-
-def test_make_stage_oracle_dispatch():
-    staged, _, _, _ = build_conv_stage()
-    assert isinstance(make_stage_oracle(staged, "conv1"), SparseStageOracle)
-    assert isinstance(
-        make_stage_oracle(staged, "conv1", prefer_sparse=False), DenseStageOracle
-    )
 
 
 def test_oracle_rejects_non_conv_stage():

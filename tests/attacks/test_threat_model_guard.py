@@ -70,3 +70,29 @@ def test_production_never_imports_the_oracles():
     assert not offenders, (
         f"repro.reference holds test oracles only; imported by {offenders}"
     )
+
+
+def test_one_count_oracle():
+    """Sessions build the sparse count oracle only: no backend parameter,
+    no CLI flag, and the dense oracle exists only as a reference."""
+    import inspect
+
+    import pytest
+
+    from repro.cli import build_parser
+    from repro.device import DeviceSession
+
+    assert "backend" not in inspect.signature(DeviceSession).parameters
+    parser = build_parser()
+    parser.parse_args(["weights"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["weights", "--backend", "dense-sim"])
+    defining = [
+        path.relative_to(REPRO_DIR).as_posix()
+        for path in sorted(REPRO_DIR.rglob("*.py"))
+        if any(
+            isinstance(node, ast.ClassDef) and node.name == "DenseStageOracle"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    ]
+    assert defining == ["reference.py"]

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.attacks.weights import AttackTarget, WeightAttack, WeightStatus
 from repro.errors import AttackError
 from repro.nn.shapes import PoolSpec
+from repro.reference import dense_session
 
 from tests.conftest import build_conv_stage, pruned_session
 
@@ -117,7 +118,7 @@ def test_attack_through_dense_oracle_matches_sparse():
         pruned_session(staged), AttackTarget.from_geometry(geom)
     ).run()
     slow = WeightAttack(
-        pruned_session(staged, backend="dense-sim"),
+        dense_session(pruned_session(staged).device),
         AttackTarget.from_geometry(geom),
     ).run()
     np.testing.assert_allclose(fast.ratio_tensor(), slow.ratio_tensor())

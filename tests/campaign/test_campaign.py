@@ -308,3 +308,21 @@ def test_torn_results_file_raises_typed_error_and_rebuilds(tmp_path):
     path.unlink()
     assert main(["campaign", "resume", "--dir", str(tmp_path / "c")]) == 0
     assert path.read_bytes() == reference
+
+
+def test_clone_job_completes(tmp_path):
+    """A conv victim with an FC head gives the structure phase its
+    classifier: the clone job ends with every weight recovered."""
+    victim = {"conv": {
+        "w": 14, "c": 1, "d": 6, "f": 3, "s": 1, "pool": [2, 2, 0],
+        "relu_threshold": 0.0, "bias_sign": -1.0, "bias_low": 0.2,
+        "bias_high": 0.8, "fc": 10,
+    }}
+    spec = {"name": "clone", "sweeps": [{
+        "kind": "clone", "base": {"victim": victim, "distill_epochs": 2},
+    }]}
+    campaign = Campaign.create(spec, tmp_path / "c")
+    assert campaign.run()["by_status"] == {"done": 1}
+    [record] = campaign.store.read_all()
+    assert record["metrics"]["weights_resolved_fraction"] == 1.0
+    assert record["metrics"]["geometry"]["d_ofm"] == 6

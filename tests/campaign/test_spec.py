@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.campaign import CampaignSpec, canonical_json, job_content_id
@@ -102,3 +103,50 @@ def test_spec_roundtrip_and_validation():
         CampaignSpec.from_dict({"sweeps": []})
     with pytest.raises(ConfigError):
         CampaignSpec.from_dict({"name": "x", "sweeps": [{"base": {}}]})
+
+
+# -- victim, device and channel builders --------------------------------------
+
+@pytest.mark.parametrize(
+    "build, spec, typo",
+    [
+        ("channel", {"drop": 0.1}, "drop"),
+        ("device", {"prune": True}, "prune"),
+        ("victim", {"conv": {"w": 8, "filters": 5}}, "filters"),
+    ],
+)
+def test_builders_reject_misspelled_keys(build, spec, typo):
+    """A typo must not run a different experiment under the asked name."""
+    from repro.campaign.victims import build_channel, build_device, build_victim
+
+    victim = build_victim({"conv": {"w": 8}})
+    builders = {
+        "channel": lambda: build_channel(spec),
+        "device": lambda: build_device(victim, spec),
+        "victim": lambda: build_victim(spec),
+    }
+    with pytest.raises(ConfigError, match=typo) as err:
+        builders[build]()
+    # The message lists what would have been accepted.
+    assert {"channel": "drop_rate", "device": "pruning", "victim": "d"}[
+        build
+    ] in str(err.value)
+
+
+def test_fc_head_leaves_the_conv_stage_untouched():
+    from repro.campaign.victims import build_conv_victim
+
+    spec = {"w": 14, "d": 6, "pool": [2, 2, 0], "seed": 3}
+    plain = build_conv_victim(dict(spec))
+    headed = build_conv_victim({**spec, "fc": 10})
+    assert [s.name for s in headed.stages] == ["conv1", "fc2"]
+    for name in ("weight", "bias"):
+        assert (
+            getattr(plain.network.nodes["conv1/conv"].layer, name).value.tobytes()
+            == getattr(headed.network.nodes["conv1/conv"].layer, name).value.tobytes()
+        )
+    again = build_conv_victim({**spec, "fc": 10})
+    assert np.array_equal(
+        headed.network.nodes["fc2/fc"].layer.weight.value,
+        again.network.nodes["fc2/fc"].layer.weight.value,
+    )

@@ -67,10 +67,10 @@ def test_fork_carries_budgets_and_threshold():
         child.query([(0, 0, 0)], [4.0])
 
 
-def test_fork_requires_no_shared_backend_instance():
+def test_fork_requires_no_shared_oracle_instance():
     staged, _, _, _ = build_conv_stage(w=10, d=4)
     parent = pruned_session(staged)
-    parent.query([(0, 0, 0)], [1.0])  # instantiate the parent backend
+    parent.query([(0, 0, 0)], [1.0])  # build the parent's count oracle
     child = parent.fork()
-    # The fork resolves its backend lazily (in the worker process).
+    # The fork builds its oracle lazily (in the worker process).
     assert child._oracle is None

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.accel import AcceleratorSim
-from repro.accel.oracle import make_stage_oracle
+from repro.accel.oracle import SparseStageOracle
 from repro.attacks.weights import AttackTarget, WeightAttack
 from repro.device import (
     TRACE_EVENT_BYTES,
@@ -21,6 +21,7 @@ from repro.device import (
 )
 from repro.errors import ConfigError, ThreatModelViolation
 from repro.nn.shapes import PoolSpec
+from repro.reference import dense_session
 
 from tests.conftest import build_conv_stage, pruned_session
 
@@ -32,7 +33,7 @@ PIXEL = [(0, 2, 2)]
 def test_query_matches_device_oracle_bitwise():
     staged, _, _, _ = build_conv_stage(seed=5)
     session = pruned_session(staged)
-    oracle = make_stage_oracle(staged, "conv1")
+    oracle = SparseStageOracle(staged, "conv1")
     for value in (0.0, -1.5, 2.25):
         reply = session.query(PIXEL, [value])
         assert reply.dtype == np.int64
@@ -44,7 +45,7 @@ def test_query_matches_device_oracle_bitwise():
 def test_aggregate_mode_returns_length_one_array():
     staged, _, _, _ = build_conv_stage(seed=5)
     session = pruned_session(staged, granularity="aggregate")
-    oracle = make_stage_oracle(staged, "conv1")
+    oracle = SparseStageOracle(staged, "conv1")
     reply = session.query(PIXEL, [1.5])
     assert reply.shape == (1,)
     # One aggregate stream: the sum of the device's per-plane counts.
@@ -119,7 +120,7 @@ def test_cache_disabled_charges_every_run():
 def test_per_filter_decomposition_shares_cached_runs():
     staged, geom, _, _ = build_conv_stage()
     session = pruned_session(staged)
-    oracle = make_stage_oracle(staged, "conv1")
+    oracle = SparseStageOracle(staged, "conv1")
     values = np.zeros((1, geom.d_ofm))
     values[0, 0] = 1.5  # every other filter probes the idle 0.0 run
     counts = session.query_per_filter(PIXEL, values)
@@ -203,20 +204,21 @@ def test_inference_budget_guards_classify():
         session.classify(x)
 
 
-# -- backends -------------------------------------------------------------
+# -- the count oracle -----------------------------------------------------
 
 def test_backends_agree_and_unknown_name_rejected():
+    """A session through the dense reference answers like the default one;
+    there is no backend to name."""
     staged, _, _, _ = build_conv_stage(seed=6)
-    sparse = pruned_session(staged, backend="sparse-oracle")
-    dense = pruned_session(staged, backend="dense-sim")
-    assert sparse.backend == "sparse-oracle"
-    assert dense.backend == "dense-sim"
+    sparse = pruned_session(staged)
+    dense = dense_session(sparse.device, "conv1")
     values = np.array([[0.0], [1.0], [-2.5]])
     assert np.array_equal(
         sparse.query_batch(PIXEL, values), dense.query_batch(PIXEL, values)
     )
-    with pytest.raises(ConfigError, match="unknown device backend"):
-        pruned_session(staged, backend="fpga").query(PIXEL, [0.0])
+    assert type(dense.fork()) is type(dense)
+    with pytest.raises(TypeError, match="backend"):
+        pruned_session(staged, backend="fpga")
 
 
 # -- threat-model guard rails ---------------------------------------------

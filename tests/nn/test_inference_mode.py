@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.accel import AcceleratorConfig, AcceleratorSim, PruningConfig
-from repro.device import DeviceSession
 from repro.errors import ShapeError
 from repro.nn.layers.conv import Conv2D
 from repro.nn.zoo import build_model
+from repro.reference import dense_session
 from tests.conftest import build_conv_stage
 
 
@@ -55,7 +55,7 @@ def test_session_channel_queries_retain_no_cols():
     sim = AcceleratorSim(
         staged, AcceleratorConfig(pruning=PruningConfig(enabled=True))
     )
-    session = DeviceSession(sim, "conv1", backend="dense-sim")
+    session = dense_session(sim, "conv1")
     session.query([(0, 0, 0)], [1.0])
     conv = staged.network.nodes["conv1/conv"].layer
     assert conv._cache is None

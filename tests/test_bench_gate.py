@@ -2,12 +2,15 @@
 
 The live gate only runs on multi-CPU hosts (single-CPU wall clocks
 measure contention, not the code), so its decision logic is unit-tested
-here where it always runs.
+here where it always runs.  Figures are compared in units of the
+reference kernel each run timed (``_meta.ref_kernel_s``).
 """
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from benchmarks.perf.__main__ import (
     SKIP_SINGLE_CPU,
@@ -22,8 +25,57 @@ def results_with(synth_eps: int, decode_eps: int, quick: bool = True) -> dict:
             "nets": {"alexnet": {"events_per_second": synth_eps}},
         },
         "decode_events_per_second": {"events_per_second": decode_eps},
-        "_meta": {"quick": quick},
+        "_meta": {"quick": quick, "ref_kernel_s": 1.0},
     }
+
+
+GATED = {
+    "synthesis:alexnet": 300_000_000,
+    "synthesis:lenet": 6_000_000,
+    "decode:alexnet": 8_000_000,
+    "power:alexnet": 5_000_000,
+    "power:lenet": 300_000,
+    "campaign:jobs_per_minute": 1_700.0,
+}
+
+
+def every_figure(kernel_s: float, slow: dict[str, float] | None = None) -> dict:
+    """A run with every gated figure, each divided by its ``slow`` factor."""
+    fig = {k: v / (slow or {}).get(k, 1.0) for k, v in GATED.items()}
+    return {
+        "events_per_second": {
+            "nets": {
+                "alexnet": {"events_per_second": fig["synthesis:alexnet"]},
+                "lenet": {"events_per_second": fig["synthesis:lenet"]},
+            },
+        },
+        "decode_events_per_second": {"events_per_second": fig["decode:alexnet"]},
+        "power": {"nets": {
+            "alexnet": {"samples_per_second": fig["power:alexnet"]},
+            "lenet": {"samples_per_second": fig["power:lenet"]},
+        }},
+        "campaign": {"jobs_per_minute": fig["campaign:jobs_per_minute"]},
+        "_meta": {"quick": True, "ref_kernel_s": kernel_s},
+    }
+
+
+@pytest.mark.parametrize("metric", sorted(GATED))
+def test_gate_fails_a_2x_slowdown_of_each_figure(metric):
+    baseline = every_figure(0.08)
+    current = every_figure(0.08, slow={metric: 2.0})
+    failures = check_throughput_regression(baseline, current, cpus=2)
+    assert len(failures) == 1 and metric in failures[0]
+
+
+def test_gate_cancels_the_host_speed():
+    """A host half as fast halves every figure and doubles the kernel."""
+    baseline = every_figure(0.08)
+    slower_host = every_figure(0.16, slow=dict.fromkeys(GATED, 2.0))
+    assert check_throughput_regression(baseline, slower_host, cpus=2) == []
+    # Without the unit the same run would read as a 2x regression.
+    slower_host["_meta"]["ref_kernel_s"] = 0.08
+    failures = check_throughput_regression(baseline, slower_host, cpus=2)
+    assert len(failures) == len(GATED)
 
 
 def test_figures_cover_synthesis_and_decode():
