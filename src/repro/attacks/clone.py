@@ -150,28 +150,36 @@ def _steal_first_layer(
     against fresh device queries, so only the true geometry survives.
     One session serves every candidate: its ledger accumulates the total
     weight-phase cost and its cache carries probes across attempts.
+    When none survives, the error gives every candidate's own reason.
     """
-    last_error: Exception | None = None
+    reasons: list[str] = []
     for geometry in geometries:
         try:
             target = AttackTarget.from_geometry(geometry)
             recovery = ThresholdWeightAttack(session, target, t1=t1, t2=t2).run()
         except AttackError as exc:
-            last_error = exc
+            reasons.append(f"{geometry}: {exc}")
             continue
-        if not recovery.resolved.all() or np.isnan(recovery.biases).any():
-            last_error = AttackError("incomplete weight recovery")
+        nan = np.isnan(recovery.biases)
+        resolved = recovery.resolved.reshape(len(nan), -1).all(axis=1) & ~nan
+        if not resolved.all():
+            reasons.append(
+                f"{geometry}: incomplete weight recovery, "
+                f"{int(resolved.sum())} of {len(resolved)} resolved filters; "
+                f"NaN biases in filters {np.flatnonzero(nan).tolist()}"
+            )
             continue
         canonical = geometry if geometry.p_conv == 0 else geometry.canonical()
         if _verify_stolen_layer(
             session, canonical, recovery.weights, recovery.biases
         ):
             return canonical, recovery
-        last_error = AttackError(
-            f"recovered parameters for {geometry} failed device verification"
+        reasons.append(
+            f"{geometry}: recovered parameters failed device verification"
         )
     raise AttackError(
-        f"no candidate geometry survived weight recovery: {last_error}"
+        "no candidate geometry survived weight recovery:\n"
+        + "\n".join(f"  {reason}" for reason in reasons)
     )
 
 

@@ -32,6 +32,7 @@ from repro.campaign.jobs import JOB_KINDS, build_runner, ledger_totals
 from repro.campaign.quota import QuotaBook
 from repro.campaign.spec import AttackJob, CampaignSpec, canonical_json
 from repro.campaign.store import ResultsStore
+from repro.campaign.victims import VictimMemo
 from repro.device import SharedQueryCache
 from repro.errors import ConfigError, QueryBudgetExceeded
 
@@ -62,16 +63,15 @@ def _device_charge(snapshots: list) -> dict:
     return out
 
 
-def _execute_job(payload: dict) -> dict:
-    """Run (or finish) one job."""
-    root = Path(payload["root"])
-    job = AttackJob.from_dict(payload["job"])
-    budgets = dict(payload.get("budgets", {}))
-    store = ResultsStore(root)
+def _execute_job(
+    job: AttackJob,
+    budgets: dict,
+    store: ResultsStore,
+    cache: SharedQueryCache,
+    victims: VictimMemo,
+) -> str:
+    """Run (or finish) one job under ``budgets``; returns its status."""
     ckpt = JobCheckpoint.load(store.jobs_dir, job.job_id)
-    if ckpt.status == "done" and store.read_result(job.job_id) is not None:
-        return {"job_id": job.job_id, "status": "done", "skipped": True}
-
     record = {
         "job": job.job_id,
         "kind": job.kind,
@@ -79,11 +79,14 @@ def _execute_job(payload: dict) -> dict:
         "repeat": job.repeat,
         "params": job.params,
     }
-    cache = SharedQueryCache(root / "cache.sqlite")
     ledgers: list = []
     try:
         runner, ledgers = build_runner(
-            job.kind, job.params, shared_cache=cache, budgets=budgets
+            job.kind,
+            job.params,
+            shared_cache=cache,
+            budgets=budgets,
+            victims=victims,
         )
         for ledger, snap in zip(ledgers, ckpt.ledgers):
             # Restore the counters, then apply this dispatch's quota-
@@ -110,18 +113,12 @@ def _execute_job(payload: dict) -> dict:
     except Exception as exc:  # noqa: BLE001 - one bad job must not sink the campaign
         record["status"] = ckpt.status = "failed:error"
         record["error"] = ckpt.error = f"{type(exc).__name__}: {exc}"
-    finally:
-        cache.close()
     if ckpt.status != "done" and ledgers:
         # Bill the failed step's device spend to the tenant.
         ckpt.ledgers = [ledger.snapshot() for ledger in ledgers]
     ckpt.save(store.jobs_dir, store.tmp_dir)
     store.write_result(job, record)
-    return {
-        "job_id": job.job_id,
-        "status": record["status"],
-        "skipped": False,
-    }
+    return record["status"]
 
 
 class Campaign:
@@ -179,26 +176,26 @@ class Campaign:
                 book.charge(job.tenant, charge)
         return book
 
-    def _payload(
+    def _budgets(
         self, job: AttackJob, checkpoints: dict[str, JobCheckpoint]
     ) -> dict:
-        """One job's dispatch: its session budgets are the tenant quota
-        minus *others'* spend.
+        """One job's session budgets: the tenant quota minus *others'*
+        spend.
 
         The job's own prior spend is excluded here because its restored
         ledger already carries those counters — the ledger budget then
         caps the job's lifetime total at exactly the tenant remainder.
         """
         book = self._quota_book(checkpoints, skip=job.job_id)
-        return {
-            "root": str(self.root),
-            "job": job.to_dict(),
-            "budgets": book.budgets(job.tenant),
-        }
+        return book.budgets(job.tenant)
 
     # -- execution ---------------------------------------------------------
     def run(self) -> dict:
-        """Run every pending job; completed ones are skipped (= resume)."""
+        """Run every pending job; completed ones are skipped (= resume).
+
+        The run opens one shared-cache connection and one victim memo
+        for all its jobs; neither outlives it.
+        """
         # Spool directories stranded by a killed earlier run.
         reclaim_spool_dirs()
         checkpoints = self._checkpoints()
@@ -210,13 +207,24 @@ class Campaign:
                 and self.store.read_result(job.job_id) is not None
             )
         ]
-        for job in pending:
-            # Quota enforcement is exact: each dispatch sees every
-            # earlier job's true ledger.
-            _execute_job(self._payload(job, checkpoints))
-            checkpoints[job.job_id] = JobCheckpoint.load(
-                self.store.jobs_dir, job.job_id
-            )
+        cache = SharedQueryCache(self.root / "cache.sqlite")
+        victims = VictimMemo()
+        try:
+            for job in pending:
+                # Quota enforcement is exact: each dispatch sees every
+                # earlier job's true ledger.
+                _execute_job(
+                    job,
+                    self._budgets(job, checkpoints),
+                    self.store,
+                    cache,
+                    victims,
+                )
+                checkpoints[job.job_id] = JobCheckpoint.load(
+                    self.store.jobs_dir, job.job_id
+                )
+        finally:
+            cache.close()
         self.store.consolidate(self.jobs)
         return self.status()
 

@@ -49,10 +49,16 @@ from repro.attacks.structure import (
     identify_dataflow,
 )
 from repro.attacks.weights import AttackTarget, SteppedWeightAttack
-from repro.campaign.victims import build_device, build_victim, job_session
+from repro.campaign.victims import (
+    VictimMemo,
+    build_device,
+    build_victim,
+    job_session,
+)
 from repro.channel import ChannelModel
 from repro.device import DeviceSession, QueryLedger, SharedQueryCache
 from repro.errors import ConfigError
+from repro.nn.stages import StagedNetwork
 from repro.power import PowerModel
 
 __all__ = ["JOB_KINDS", "JobKind", "JobRunner", "build_runner", "ledger_totals"]
@@ -83,6 +89,8 @@ class JobRunner(Stepped):
     ``bind(state)``, when given, runs before every runner step and
     before :meth:`result`: it rebuilds what the runner needs from the
     products of a prefix step, which a resume may have skipped.
+    ``victim`` is the network the job attacks, for metrics that score
+    against it.
     """
 
     def __init__(
@@ -91,11 +99,13 @@ class JobRunner(Stepped):
         runner: Stepped,
         prefix: dict[str, Callable[[dict], dict]] | None = None,
         bind: Callable[[dict], None] | None = None,
+        victim: StagedNetwork | None = None,
     ) -> None:
         self.params = params
         self.runner = runner
         self.prefix = dict(prefix or {})
         self.bind = bind or (lambda state: None)
+        self.victim = victim
 
     def steps(self) -> list[str]:
         return [*self.prefix, *self.runner.steps()]
@@ -137,7 +147,7 @@ def _truth_step(
     """Prefix step: clean-channel boundary cycles, scored against later.
 
     The truth observation is part of the job's metered activity: same
-    device, ideal channel, one shared ledger.
+    device (and fingerprint), ideal channel, one shared ledger.
     """
     truth_session = DeviceSession(
         session.device,
@@ -145,6 +155,7 @@ def _truth_step(
         channel=ChannelModel.ideal(),
         ledger=session.ledger,
         shared_cache=shared_cache,
+        fingerprint=session.fingerprint,
     )
 
     def truth(state: dict) -> dict:
@@ -157,9 +168,11 @@ def _truth_step(
     return truth
 
 
-def _boundary_recovery(params, shared_cache, budgets):
+def _boundary_recovery(params, shared_cache, budgets, victims):
     """Consensus boundary recovery against its own clean-trace truth."""
-    session = job_session(params, shared_cache=shared_cache, **budgets)
+    session = job_session(
+        params, victims=victims, shared_cache=shared_cache, **budgets
+    )
     truth = _truth_step(params, session, shared_cache)
     recovery = BoundaryRecovery(
         session,
@@ -170,7 +183,7 @@ def _boundary_recovery(params, shared_cache, budgets):
     return JobRunner(params, recovery, {"truth": truth}), [session.ledger]
 
 
-def _power_fusion(params, shared_cache, budgets):
+def _power_fusion(params, shared_cache, budgets, victims):
     """Memory-only (``mode="memory"``) vs fused boundary recovery.
 
     Each run costs one inference either way, so cells with equal
@@ -179,7 +192,9 @@ def _power_fusion(params, shared_cache, budgets):
     probes whose noise estimate and recommended fusion budget land in
     the metrics — the attacker-side basis for choosing ``runs``.
     """
-    session = job_session(params, shared_cache=shared_cache, **budgets)
+    session = job_session(
+        params, victims=victims, shared_cache=shared_cache, **budgets
+    )
     truth = _truth_step(params, session, shared_cache)
     mode = str(params.get("mode", "fused"))
     if mode not in ("memory", "fused"):
@@ -255,7 +270,7 @@ def _power_fusion_metrics(job: JobRunner, state: dict) -> dict:
 
 # -- weight_recovery ---------------------------------------------------------
 
-def _weight_recovery(params, shared_cache, budgets):
+def _weight_recovery(params, shared_cache, budgets, victims):
     """Per-filter ``w/b`` recovery, scored against the spec's truth.
 
     ``mode="naive"`` reads the (possibly noisy) counter once per probe;
@@ -265,7 +280,10 @@ def _weight_recovery(params, shared_cache, budgets):
     conv = dict(params["victim"].get("conv") or {})
     if not conv:
         raise ConfigError("weight_recovery needs a 'conv' victim spec")
-    session = job_session(params, shared_cache=shared_cache, **budgets)
+    session = job_session(
+        params, victims=victims, shared_cache=shared_cache, **budgets
+    )
+    victim = session.device.staged
     mode = str(params.get("mode", "naive"))
     if mode not in ("naive", "voted"):
         raise ConfigError(f"unknown weight_recovery mode {mode!r}")
@@ -282,7 +300,7 @@ def _weight_recovery(params, shared_cache, budgets):
         filters_per_step=int(params.get("filters_per_step", 8)),
     )
     if mode == "naive":
-        return JobRunner(params, attack), [session.ledger]
+        return JobRunner(params, attack, victim=victim), [session.ledger]
 
     def calibrate(state: dict) -> dict:
         cal = calibrate_channel(
@@ -300,7 +318,7 @@ def _weight_recovery(params, shared_cache, budgets):
         attack.channel = VotingChannel(session, sigma=float(sigma))
 
     return (
-        JobRunner(params, attack, {"calibrate": calibrate}, vote),
+        JobRunner(params, attack, {"calibrate": calibrate}, vote, victim),
         [session.ledger],
     )
 
@@ -308,8 +326,7 @@ def _weight_recovery(params, shared_cache, budgets):
 def _weight_metrics(job: JobRunner, state: dict) -> dict:
     result = job.result(state)
     channel = job.runner.channel
-    victim = build_victim(dict(job.params["victim"]))
-    conv = victim.network.nodes["conv1/conv"].layer
+    conv = job.victim.network.nodes["conv1/conv"].layer
     return {
         "mode": str(job.params.get("mode", "naive")),
         "max_ratio_error": float(
@@ -329,15 +346,14 @@ def _weight_metrics(job: JobRunner, state: dict) -> dict:
 
 # -- structure ---------------------------------------------------------------
 
-def _signature(params: dict, state: dict) -> dict:
+def _signature(params: dict, victim: StagedNetwork, state: dict) -> dict:
     """Prefix step: device ground truth — stage windows and the batch
     dataflow identifier on a raw clean trace (the bench-side oracle of
     the dataflow ablation).
 
-    Not an attack measurement, so it runs on the raw simulator, outside
-    the metered session.
+    Not an attack measurement, so it runs on its own raw simulator,
+    outside the metered session.
     """
-    victim = build_victim(dict(params["victim"]))
     sim = build_device(victim, params.get("device"))
     res = sim.run(np.zeros((1, *victim.network.input_shape)))
     mem = sim.config.memory
@@ -364,9 +380,12 @@ def _signature(params: dict, state: dict) -> dict:
     return state
 
 
-def _structure(params, shared_cache, budgets):
+def _structure(params, shared_cache, budgets, victims):
     """Full identify-then-enumerate structure attack with in-job truth."""
-    session = job_session(params, shared_cache=shared_cache, **budgets)
+    session = job_session(
+        params, victims=victims, shared_cache=shared_cache, **budgets
+    )
+    victim = session.device.staged
     attack = StructureAttack(
         session,
         tolerance=float(params.get("tolerance", 0.25)),
@@ -377,19 +396,19 @@ def _structure(params, shared_cache, budgets):
         dataflow=str(params.get("attack_dataflow", "auto")),
     )
     prefix = (
-        {"signature": lambda state: _signature(params, state)}
+        {"signature": lambda state: _signature(params, victim, state)}
         if params.get("signature", True)
         else {}
     )
     return (
-        JobRunner(params, SubPlan("attack", attack), prefix),
+        JobRunner(params, SubPlan("attack", attack), prefix, victim=victim),
         [session.ledger],
     )
 
 
 def _structure_metrics(job: JobRunner, state: dict) -> dict:
     result = job.result(state)
-    victim = build_victim(dict(job.params["victim"]))
+    victim = job.victim
     truth = [
         g.canonical() for g in victim.geometries() if hasattr(g, "canonical")
     ]
@@ -432,8 +451,13 @@ def _clone_dataset(params: dict):
     )
 
 
-def _clone(params, shared_cache, budgets):
-    """End-to-end duplication: the paper's stated objective as a job."""
+def _clone(params, shared_cache, budgets, victims):
+    """End-to-end duplication: the paper's stated objective as a job.
+
+    The weight phase tunes the victim's activation threshold, device
+    state no other job may see, so the victim is built here rather than
+    taken from ``victims``.
+    """
     from repro.attacks.clone import CloneAttack
 
     victim = build_victim(dict(params["victim"]))
@@ -491,12 +515,18 @@ def build_runner(
     *,
     shared_cache: SharedQueryCache | None = None,
     budgets: dict | None = None,
+    victims: VictimMemo | None = None,
 ) -> tuple[JobRunner, list[QueryLedger]]:
-    """The stepwise runner for one job and the ledgers it meters."""
+    """The stepwise runner for one job and the ledgers it meters.
+
+    ``victims`` is the run's victim memo (a fresh one when absent).
+    """
     try:
         factory = JOB_KINDS[kind].factory
     except KeyError:
         raise ConfigError(
             f"unknown job kind {kind!r}; choose from {sorted(JOB_KINDS)}"
         ) from None
-    return factory(dict(params), shared_cache, dict(budgets or {}))
+    return factory(
+        dict(params), shared_cache, dict(budgets or {}), victims or VictimMemo()
+    )

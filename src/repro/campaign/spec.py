@@ -47,25 +47,6 @@ class AttackJob:
     params: dict
     repeat: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "tenant": self.tenant,
-            "params": self.params,
-            "repeat": self.repeat,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AttackJob":
-        return AttackJob(
-            job_id=str(d["job_id"]),
-            kind=str(d["kind"]),
-            tenant=str(d["tenant"]),
-            params=dict(d["params"]),
-            repeat=int(d.get("repeat", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class CampaignSpec:

@@ -13,7 +13,9 @@ Two victim families cover the repo's experiments:
 The builders are pure functions of the spec dicts (seeded RNG only),
 which is what lets the shared query cache's device fingerprint match
 across sessions: same spec, same parameter bytes, same fingerprint.
-A misspelled key is an error, never a silent default.
+It is also what lets one campaign run build each victim once
+(:class:`VictimMemo`).  A misspelled key is an error, never a silent
+default.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from dataclasses import fields
 import numpy as np
 
 from repro.accel import AcceleratorConfig, AcceleratorSim, PruningConfig
+from repro.campaign.spec import canonical_json
 from repro.channel import ChannelModel
-from repro.device import DeviceSession, SharedQueryCache
+from repro.device import DeviceSession, SharedQueryCache, device_fingerprint
 from repro.errors import ConfigError
 from repro.nn.shapes import PoolSpec
 from repro.nn.spec import LayerGeometry
@@ -32,6 +35,7 @@ from repro.nn.stages import StagedNetwork, StagedNetworkBuilder
 from repro.nn.zoo import build_model
 
 __all__ = [
+    "VictimMemo",
     "build_channel",
     "build_conv_victim",
     "build_device",
@@ -166,9 +170,44 @@ def build_channel(channel_spec: dict | None) -> ChannelModel:
     )
 
 
+class VictimMemo:
+    """Every victim one campaign run builds, built once per spec.
+
+    A victim is a pure function of its spec, so the jobs of one run
+    that name the same spec share one :class:`StagedNetwork`, and the
+    devices built on it share one :func:`device_fingerprint` per
+    (victim, device) spec pair.  Each job still gets its own
+    :class:`AcceleratorSim`: the simulator's run counter seeds its
+    timing jitter, so a shared one would change every later job's
+    traces.  Jobs that tune the victim's activation threshold (clone)
+    build their own victim.  A memo lives for one ``Campaign.run``.
+    """
+
+    def __init__(self) -> None:
+        self.victims: dict[str, StagedNetwork] = {}
+        self.fingerprints: dict[str, str] = {}
+
+    def victim(self, spec: dict) -> StagedNetwork:
+        key = canonical_json(spec)
+        if key not in self.victims:
+            self.victims[key] = build_victim(dict(spec))
+        return self.victims[key]
+
+    def device(
+        self, victim_spec: dict, device_spec: dict | None
+    ) -> tuple[AcceleratorSim, str]:
+        """A fresh accelerator on the memoised victim, and its fingerprint."""
+        sim = build_device(self.victim(victim_spec), device_spec)
+        key = canonical_json([victim_spec, device_spec or {}])
+        if key not in self.fingerprints:
+            self.fingerprints[key] = device_fingerprint(sim)
+        return sim, self.fingerprints[key]
+
+
 def job_session(
     params: dict,
     *,
+    victims: VictimMemo | None = None,
     shared_cache: SharedQueryCache | None = None,
     max_queries: int | None = None,
     max_inferences: int | None = None,
@@ -179,15 +218,18 @@ def job_session(
     ``params`` carries ``victim`` (required), ``device`` and
     ``channel`` sub-specs; quota-derived budgets arrive as the
     ``max_*`` keywords and land on the session's hard-budget ledger.
+    The victim comes from ``victims`` (a fresh memo when absent).
     """
-    victim = build_victim(dict(params["victim"]))
-    sim = build_device(victim, params.get("device"))
+    sim, fingerprint = (victims or VictimMemo()).device(
+        params["victim"], params.get("device")
+    )
     stage = params.get("stage")
     return DeviceSession(
         sim,
         None if stage is None else str(stage),
         channel=build_channel(params.get("channel")),
         shared_cache=shared_cache,
+        fingerprint=fingerprint,
         max_queries=max_queries,
         max_inferences=max_inferences,
         max_trace_bytes=max_trace_bytes,

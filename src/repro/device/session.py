@@ -153,6 +153,11 @@ class DeviceSession:
             stream through a :class:`~repro.channel.ChannelSink` and
             counter replies are perturbed by
             :meth:`~repro.channel.ChannelModel.observe_counts`.
+        shared_cache: fleet-wide reply store (see
+            :mod:`repro.device.shared_cache`).
+        fingerprint: ``device_fingerprint(device)`` when the caller
+            already holds it (a fork, a campaign's victim memo);
+            otherwise computed on first shared-cache use.
     """
 
     # The count oracle, built on the first channel query in each process
@@ -172,6 +177,7 @@ class DeviceSession:
         ledger: QueryLedger | None = None,
         channel: ChannelModel | None = None,
         shared_cache: SharedQueryCache | None = None,
+        fingerprint: str | None = None,
     ):
         self.device = device
         self.stage_name = stage_name or device.staged.stages[0].name
@@ -193,7 +199,7 @@ class DeviceSession:
         self._obs_runs = 0
         self._forks = 0
         self._shared = shared_cache
-        self._fingerprint: str | None = None
+        self._fingerprint = fingerprint
 
     def fork(self, index: int | None = None) -> "DeviceSession":
         """A fresh session on the same device, for one parallel worker.
@@ -229,6 +235,7 @@ class DeviceSession:
             cache_size=self._cache_size,
             channel=self.channel.spawn(index),
             shared_cache=self._shared,
+            fingerprint=self._fingerprint,
         )
         if self._threshold != 0.0:
             forked.set_threshold(self._threshold)

@@ -30,15 +30,22 @@ different noise model is a different measurement.
 Replies are stored post-noise: the content address covers the noise
 parameters and the deterministic noise draw, so a replayed reply is bit
 for bit what a live device run would have produced.
+
+Observations and outputs are stored as narrow raw columns (see
+:func:`_pack_columns`): no compression, so a write is one ``diff`` and
+a few ``astype`` calls and a read is ``np.frombuffer`` plus one
+``cumsum``.  A blob this module cannot decode — another format tag, a
+wrong length, a legacy npz archive — reads as a cache miss.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import sqlite3
+import struct
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +77,19 @@ CREATE TABLE IF NOT EXISTS outputs (
 # cache file retry the switch this many times, 10 ms apart.
 _WAL_ATTEMPTS = 500
 
-# Spans replayed from a cached observation are re-chunked to this many
-# events so a hit never materialises the whole trace at once.
-_REPLAY_CHUNK = 1 << 18
+# Column blob layout (little-endian): a 4-byte format tag, three int64
+# header fields, one dtype code byte per column, then each column's raw
+# bytes back to back.  Codes index _DTYPES; _BITS is a bit-packed bool
+# column.  The tag changes with the layout, so an older or newer blob
+# reads as a miss instead of being misread.
+_TAG = b"RQC1"
+_HEAD = struct.Struct("<4s3q")
+_DTYPES = tuple(
+    np.dtype("<" + t)
+    for t in ("u1", "i1", "u2", "i2", "u4", "i4", "i8", "f4", "f8")
+)
+_INTS = _DTYPES[:7]
+_BITS = len(_DTYPES)
 
 
 def _part(data: bytes) -> bytes:
@@ -129,30 +146,78 @@ def device_fingerprint(device) -> str:
         value = np.ascontiguousarray(param.value)
         h.update(_part(param.name.encode()))
         h.update(_part(repr(value.shape).encode() + value.dtype.str.encode()))
-        h.update(_part(value.tobytes()))
+        # _part(value.tobytes()) without copying the tensor.
+        h.update(value.nbytes.to_bytes(8, "little"))
+        h.update(memoryview(value.reshape(-1)).cast("B"))
     h.update(_part(repr(device.config).encode()))
     return h.hexdigest()
 
 
-def _pack_arrays(**arrays: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **arrays)
-    return buf.getvalue()
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Integer ``values`` in the narrowest dtype that holds their range."""
+    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+    for dtype in _INTS[:-1]:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return values.astype(dtype)
+    return values.astype(_INTS[-1], copy=False)
 
 
-def _unpack_arrays(blob: bytes) -> dict[str, np.ndarray]:
-    with np.load(io.BytesIO(blob)) as npz:
-        return {name: npz[name] for name in npz.files}
+def _pack_columns(fields: tuple[int, int, int], *columns: np.ndarray) -> bytes:
+    """One blob: header fields plus raw columns (bool ones bit-packed)."""
+    codes = bytearray()
+    data = []
+    for column in columns:
+        column = np.ascontiguousarray(column, column.dtype.newbyteorder("<"))
+        if column.dtype == bool:
+            codes.append(_BITS)
+            data.append(np.packbits(column).tobytes())
+        else:
+            codes.append(_DTYPES.index(column.dtype))
+            data.append(column.tobytes())
+    return _HEAD.pack(_TAG, *fields) + bytes(codes) + b"".join(data)
+
+
+def _unpack_columns(
+    blob: bytes, lengths: Callable[[int, int, int], tuple[int, ...]]
+) -> tuple[tuple[int, int, int], list[np.ndarray]] | None:
+    """Inverse of :func:`_pack_columns`; ``None`` for any blob it did
+    not write.  ``lengths(*fields)`` gives each column's element count.
+    Columns are read-only views into ``blob`` (bool ones unpacked)."""
+    if len(blob) < _HEAD.size or blob[:4] != _TAG:
+        return None
+    _, *fields = _HEAD.unpack_from(blob)
+    counts = lengths(*fields)
+    offset = _HEAD.size + len(counts)
+    codes = blob[_HEAD.size:offset]
+    columns = []
+    for code, count in zip(codes, counts):
+        if code > _BITS or count < 0:
+            return None
+        dtype = np.dtype(np.uint8) if code == _BITS else _DTYPES[code]
+        size = -(-count // 8) if code == _BITS else count * dtype.itemsize
+        if offset + size > len(blob):
+            return None
+        column = np.frombuffer(blob, dtype, size // dtype.itemsize, offset)
+        if code == _BITS:
+            column = np.unpackbits(column, count=count).astype(bool)
+        columns.append(column)
+        offset += size
+    if offset != len(blob):
+        return None
+    return tuple(fields), columns
 
 
 class SharedQueryCache:
     """Cross-session content-addressed cache, one sqlite file per fleet.
 
     Safe for concurrent use from multiple processes: WAL journaling,
-    ``INSERT OR IGNORE`` writes (first writer wins — all writers would
-    store identical bytes anyway, that is the point of content
-    addressing), and a connection that is lazily re-opened after a
-    ``fork`` so pool workers never share a sqlite handle.
+    idempotent writes (all writers of one key store identical bytes,
+    that is the point of content addressing), and a connection that is
+    lazily re-opened after a ``fork`` so pool workers never share a
+    sqlite handle.  Probe writes keep the first row; observation and
+    output writes replace theirs, since they only follow a miss and
+    that miss may have been a row :func:`_unpack_columns` rejected.
 
     Args:
         path: sqlite database file (created on first use).
@@ -208,44 +273,48 @@ class SharedQueryCache:
         self._conn = None
         self._pid = None
 
+    def _select(self, sql: str, key: str) -> bytes | None:
+        row = self._connection().execute(sql, (key,)).fetchone()
+        return None if row is None else row[0]
+
+    def _insert(self, sql: str, key: str, blob: bytes) -> None:
+        conn = self._connection()
+        conn.execute(sql, (key, blob))
+        conn.commit()
+
     # -- probe replies -----------------------------------------------------
     def get_reply(self, key: str) -> np.ndarray | None:
-        row = (
-            self._connection()
-            .execute("SELECT reply FROM probes WHERE key = ?", (key,))
-            .fetchone()
-        )
-        if row is None:
+        blob = self._select("SELECT reply FROM probes WHERE key = ?", key)
+        if blob is None:
             return None
-        reply = np.frombuffer(row[0], dtype=np.int64).copy()
+        reply = np.frombuffer(blob, dtype=np.int64).copy()
         reply.setflags(write=False)
         return reply
 
     def put_reply(self, key: str, reply: np.ndarray) -> None:
-        blob = np.ascontiguousarray(reply, dtype=np.int64).tobytes()
-        conn = self._connection()
-        conn.execute(
+        self._insert(
             "INSERT OR IGNORE INTO probes (key, reply) VALUES (?, ?)",
-            (key, blob),
+            key,
+            np.ascontiguousarray(reply, dtype=np.int64).tobytes(),
         )
-        conn.commit()
 
     # -- structure observations -------------------------------------------
     def get_observation(self, key: str) -> dict | None:
-        row = (
-            self._connection()
-            .execute("SELECT payload FROM observations WHERE key = ?", (key,))
-            .fetchone()
+        blob = self._select(
+            "SELECT payload FROM observations WHERE key = ?", key
         )
-        if row is None:
+        unpacked = None if blob is None else _unpack_columns(
+            blob, lambda events, *_: (events, events, events)
+        )
+        if unpacked is None:
             return None
-        arrays = _unpack_arrays(row[0])
+        (_, num_classes, total_cycles), (deltas, addresses, is_write) = unpacked
         return {
-            "cycles": arrays["cycles"],
-            "addresses": arrays["addresses"],
-            "is_write": arrays["is_write"].astype(bool),
-            "num_classes": int(arrays["meta"][0]),
-            "total_cycles": int(arrays["meta"][1]),
+            "cycles": np.cumsum(deltas, dtype=np.int64),
+            "addresses": addresses.astype(np.int64),
+            "is_write": is_write,
+            "num_classes": num_classes,
+            "total_cycles": total_cycles,
         }
 
     def put_observation(
@@ -257,41 +326,51 @@ class SharedQueryCache:
         num_classes: int,
         total_cycles: int,
     ) -> bool:
-        """Store one post-channel observation; False if over the size cap."""
+        """Store one post-channel observation; False if over the size cap.
+
+        ``cycles`` is delta-encoded (int64 wrap-around keeps any input
+        exact) and every integer column is narrowed; ``is_write`` is
+        bit-packed.
+        """
         if len(cycles) > self.max_trace_events:
             return False
-        blob = _pack_arrays(
-            cycles=np.ascontiguousarray(cycles, dtype=np.int64),
-            addresses=np.ascontiguousarray(addresses, dtype=np.int64),
-            is_write=np.ascontiguousarray(is_write, dtype=bool),
-            meta=np.array([num_classes, total_cycles], dtype=np.int64),
+        cycles = np.asarray(cycles, dtype=np.int64)
+        self._insert(
+            "INSERT OR REPLACE INTO observations (key, payload) VALUES (?, ?)",
+            key,
+            _pack_columns(
+                (len(cycles), int(num_classes), int(total_cycles)),
+                _narrow(np.diff(cycles, prepend=np.int64(0))),
+                _narrow(np.asarray(addresses, dtype=np.int64)),
+                np.asarray(is_write, dtype=bool),
+            ),
         )
-        conn = self._connection()
-        conn.execute(
-            "INSERT OR IGNORE INTO observations (key, payload) VALUES (?, ?)",
-            (key, blob),
-        )
-        conn.commit()
         return True
 
     # -- classify outputs --------------------------------------------------
     def get_output(self, key: str) -> np.ndarray | None:
-        row = (
-            self._connection()
-            .execute("SELECT payload FROM outputs WHERE key = ?", (key,))
-            .fetchone()
+        blob = self._select("SELECT payload FROM outputs WHERE key = ?", key)
+        unpacked = None if blob is None else _unpack_columns(
+            blob, lambda ndim, size, _: (ndim, size)
         )
-        if row is None:
+        if unpacked is None:
             return None
-        return _unpack_arrays(row[0])["output"]
+        (_, size, _), (shape, values) = unpacked
+        if (shape < 0).any() or int(np.prod(shape)) != size:
+            return None
+        return values.reshape(tuple(int(n) for n in shape)).copy()
 
     def put_output(self, key: str, output: np.ndarray) -> None:
-        conn = self._connection()
-        conn.execute(
-            "INSERT OR IGNORE INTO outputs (key, payload) VALUES (?, ?)",
-            (key, _pack_arrays(output=np.ascontiguousarray(output))),
+        output = np.asarray(output)
+        self._insert(
+            "INSERT OR REPLACE INTO outputs (key, payload) VALUES (?, ?)",
+            key,
+            _pack_columns(
+                (output.ndim, output.size, 0),
+                _narrow(np.asarray(output.shape, dtype=np.int64)),
+                output.reshape(-1),
+            ),
         )
-        conn.commit()
 
     # -- reporting ---------------------------------------------------------
     def stats(self) -> dict:

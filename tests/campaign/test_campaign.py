@@ -20,6 +20,7 @@ import pytest
 
 from repro.campaign import Campaign, JobCheckpoint
 from repro.campaign.smoke import _run_until_done
+from repro.device import SharedQueryCache
 from repro.errors import ConfigError
 
 WEIGHT_BASE = {
@@ -212,6 +213,7 @@ BOUNDARY_ONLY = {
 
 def test_resume_applies_fresh_budgets_over_checkpointed_ones(tmp_path):
     from repro.campaign.coordinator import _execute_job
+    from repro.campaign.victims import VictimMemo
 
     campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
     _kill_after(tmp_path / "c", 1)
@@ -223,12 +225,14 @@ def test_resume_applies_fresh_budgets_over_checkpointed_ones(tmp_path):
 
     # The tenant has no inferences left: the resumed job must not
     # inherit the unlimited budget its checkpoint was saved under.
-    out = _execute_job({
-        "root": str(tmp_path / "c"),
-        "job": job.to_dict(),
-        "budgets": {"max_inferences": 0},
-    })
-    assert out["status"] == "failed:budget"
+    cache = SharedQueryCache(tmp_path / "c" / "cache.sqlite")
+    try:
+        status = _execute_job(
+            job, {"max_inferences": 0}, campaign.store, cache, VictimMemo()
+        )
+    finally:
+        cache.close()
+    assert status == "failed:budget"
     ckpt = JobCheckpoint.load(campaign.store.jobs_dir, job.job_id)
     assert ckpt.ledgers[0]["inferences"] == 1
 
@@ -326,3 +330,80 @@ def test_clone_job_completes(tmp_path):
     [record] = campaign.store.read_all()
     assert record["metrics"]["weights_resolved_fraction"] == 1.0
     assert record["metrics"]["geometry"]["d_ofm"] == 6
+
+
+def test_clone_failure_gives_every_candidates_reason(tmp_path):
+    """Random-sign biases leave the true geometry's threshold attack with
+    NaN biases; the error says so, next to each other candidate's reason."""
+    from repro.nn.shapes import PoolSpec
+    from repro.nn.spec import LayerGeometry
+
+    victim = {"conv": {"w": 14, "d": 6, "pool": [2, 2, 0], "fc": 10}}
+    spec = {"name": "clone", "sweeps": [{
+        "kind": "clone", "base": {"victim": victim, "distill_epochs": 2},
+    }]}
+    campaign = Campaign.create(spec, tmp_path / "c")
+    assert campaign.run()["by_status"] == {"failed:error": 1}
+    [record] = campaign.store.read_all()
+    true = LayerGeometry.from_conv(14, 1, 6, 3, 1, 0, pool=PoolSpec(2, 2, 0))
+    assert (
+        f"{true}: incomplete weight recovery, 2 of 6 resolved filters; "
+        "NaN biases in filters [" in record["error"]
+    )
+    assert "got p_conv=2" in record["error"]
+
+
+VICTIM_MEMO_SPEC = {
+    "name": "memo",
+    "sweeps": [
+        {"kind": "power_fusion", "tenant": "structure",
+         "base": {"victim": {"conv": {"w": 10, "c": 2, "d": 4, "seed": 7}},
+                  "runs": 1,
+                  "channel": {"drop_rate": 0.02, "cycle_sigma": 8.0,
+                              "power_sigma": 4.0, "seed": 11}},
+         "grid": {"mode": ["memory", "fused"]}},
+        {"kind": "weight_recovery", "tenant": "weights",
+         "base": WEIGHT_BASE, "grid": {"mode": ["naive", "naive"]}},
+    ],
+}
+
+
+def test_victim_memo_lives_for_one_run(tmp_path, monkeypatch):
+    """Each run builds each distinct victim once, in a memo of its own,
+    and no job changes a victim it shares."""
+    from repro.campaign import canonical_json, coordinator, victims
+    from repro.campaign.victims import VictimMemo, build_device
+    from repro.device import device_fingerprint
+
+    memos, builds = [], []
+    build_victim = victims.build_victim
+
+    class RecordingMemo(VictimMemo):
+        def __init__(self) -> None:
+            super().__init__()
+            memos.append(self)
+
+    def counting_build(spec):
+        builds.append(canonical_json(spec))
+        return build_victim(spec)
+
+    monkeypatch.setattr(coordinator, "VictimMemo", RecordingMemo)
+    monkeypatch.setattr(victims, "build_victim", counting_build)
+    for name in ("a", "b"):
+        assert Campaign.create(VICTIM_MEMO_SPEC, tmp_path / name).run()[
+            "by_status"
+        ] == {"done": 4}
+
+    first, second = memos
+    assert len(builds) == 4 and len(set(builds)) == 2
+    assert first.victims.keys() == second.victims.keys()
+    for key in first.victims:
+        assert first.victims[key] is not second.victims[key]
+    for memo in memos:
+        assert len(memo.fingerprints) == 2
+        for key, fingerprint in memo.fingerprints.items():
+            victim_spec, device_spec = json.loads(key)
+            victim = memo.victims[canonical_json(victim_spec)]
+            assert device_fingerprint(
+                build_device(victim, device_spec)
+            ) == fingerprint
