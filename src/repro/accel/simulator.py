@@ -15,8 +15,13 @@ the two externally visible artefacts:
 * the off-chip **memory trace** — block address, read/write, cycle — and
 * the **execution timing** per stage (compute-bound per the paper).
 
+On a dense-write device both are a function of geometry, dataflow and
+the run's jitter stream alone — activation values never reach the bus —
+so a dense run does no forward pass; the output and per-stage non-zero
+counts are computed only when a ground-truth reader asks for them.
 With dynamic zero pruning enabled, OFM writes are compressed per
-:mod:`repro.accel.pruning`, producing the Section 4 leak.
+:mod:`repro.accel.pruning`, producing the Section 4 leak; there the
+values drive the writes and every run starts with a forward pass.
 
 Nothing here exposes data values to the adversary; attacker-facing
 access goes through :class:`repro.device.DeviceSession`, which enforces
@@ -105,6 +110,41 @@ class StageWindow:
         return self.end_cycle - self.start_cycle
 
 
+def _plane_nnz(values: np.ndarray) -> np.ndarray:
+    """Non-zero pixel count per output channel (or per whole vector)."""
+    if values.ndim == 3:
+        return np.count_nonzero(values.reshape(values.shape[0], -1), axis=1)
+    return np.array([np.count_nonzero(values)])
+
+
+class _GroundTruth:
+    """The network's output and per-stage non-zero counts for one input.
+
+    Computed by one forward pass over a private copy of the input, the
+    first time :meth:`values` is called: a pruned run calls it before
+    synthesis (its writes follow the values), a dense run leaves it to
+    whoever reads the result's ``output`` or ``nnz``.  The victim's
+    forward pass is deterministic, so a late read sees what an eager
+    one would have.
+    """
+
+    def __init__(self, staged: StagedNetwork, x: np.ndarray) -> None:
+        self._staged = staged
+        self._x = x
+        self._values: tuple[np.ndarray, dict[str, np.ndarray]] | None = None
+
+    def values(self) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        if self._values is None:
+            network = self._staged.network
+            output = network.forward(self._x)
+            acts = network.activations
+            self._values = output, {
+                stage.name: _plane_nnz(acts[stage.output_node][0])
+                for stage in self._staged.stages
+            }
+        return self._values
+
+
 @dataclass
 class SimulationResult:
     """Everything one inference produced.
@@ -113,14 +153,24 @@ class SimulationResult:
     model exposes; ``windows``, ``nnz`` and ``output`` are ground truth
     used by tests, oracles and the host (the host legitimately sees the
     classification output).  ``trace`` is ``None`` when the run streamed
-    its spans to an external (non-materialising) sink.
+    its spans to an external (non-materialising) sink.  ``output`` and
+    ``nnz`` of a dense run cost a forward pass on first read.
     """
 
     trace: MemoryTrace | None
     windows: list[StageWindow]
-    output: np.ndarray
-    nnz: dict[str, np.ndarray]
     total_cycles: int
+    _truth: _GroundTruth = field(repr=False, compare=False)
+
+    @property
+    def output(self) -> np.ndarray:
+        """The network's output for this run's input."""
+        return self._truth.values()[0]
+
+    @property
+    def nnz(self) -> dict[str, np.ndarray]:
+        """Per-stage non-zero OFM pixel counts (per channel)."""
+        return self._truth.values()[1]
 
     def window(self, name: str) -> StageWindow:
         for w in self.windows:
@@ -199,17 +249,17 @@ class AcceleratorSim:
         self.config = config or AcceleratorConfig()
         self.dataflow: Dataflow = resolve_dataflow(self.config.dataflow)
         self.allocator = DramAllocator(self.config.memory)
-        self._shapes = staged.network.infer_shapes()
         self._allocate_regions()
         self._run_counter = 0
         self._read_plans: dict[tuple[str, int], _StageReadPlan | None] = {}
         self._tiles: dict[str, list[ConvTile] | list[FCTile]] = {}
         self._segments: dict[str, list[tuple[int, int]]] = {}
-        self._last_output: np.ndarray | None = None
-        self._stage_cache: (
-            dict[str, tuple[np.ndarray, list[np.ndarray], PrunedLayout | None]]
-            | None
-        ) = None
+        # OFM write bursts per stage: built once for a dense device,
+        # rebuilt from the activations on every run of a pruned one.
+        self._write_plans: dict[
+            str, tuple[list[np.ndarray], PrunedLayout | None]
+        ] = {}
+        self._last_truth: _GroundTruth | None = None
 
     # -- DRAM layout -------------------------------------------------------
     def _fmap_elements(self, shape: tuple[int, ...]) -> int:
@@ -230,7 +280,7 @@ class AcceleratorSim:
                 self.allocator.allocate(
                     f"{stage.name}.weights", "weights", geom.size_fltr
                 )
-            out_shape = self._shapes[stage.output_node]
+            out_shape = self.staged.shapes[stage.output_node]
             self.allocator.allocate(
                 f"{stage.name}.ofm", "fmap", self._fmap_elements(out_shape)
             )
@@ -255,6 +305,12 @@ class AcceleratorSim:
         execute; without one, a private
         :class:`~repro.accel.sinks.MaterializeSink` collects the spans
         and the result carries the full :class:`MemoryTrace`.
+
+        A dense-write run synthesizes its trace from geometry and the
+        run's jitter stream alone; the forward pass runs (on a private
+        copy of ``x``) only when the result's ``output`` or ``nnz`` is
+        read.  A pruned run does its forward pass up front, because the
+        activation values decide which OFM blocks are written.
         """
         if x.ndim == 3:
             x = x[None]
@@ -263,34 +319,42 @@ class AcceleratorSim:
                 f"expected input (1, {self.staged.network.input_shape}), "
                 f"got {x.shape}"
             )
-        output = self.staged.network.forward(x)
         self._run_counter += 1
-        self._last_output = output
-        self._stage_cache = None  # fresh activations: rebuild ground truth
-        return self._synthesize(output, sink, self._run_counter)
+        truth = _GroundTruth(self.staged, np.array(x))
+        if self.config.pruning.enabled:
+            truth.values()
+            acts = self.staged.network.activations
+            self._write_plans = {
+                stage.name: self._plan_ofm_write(
+                    stage, acts[stage.output_node][0]
+                )
+                for stage in self.staged.stages
+            }
+        self._last_truth = truth
+        return self._synthesize(truth, sink, self._run_counter)
 
     def replay(
         self, sink: TraceSink | None = None, run_index: int | None = None
     ) -> SimulationResult:
         """Re-synthesize the trace of the last :meth:`run` without a forward pass.
 
-        The network's activations persist after a forward pass and the
-        trace depends only on geometry, layouts and the jitter stream,
-        so re-emission is pure trace synthesis — the simulator hot path
-        in isolation, which the perf harness uses to measure
-        ``events/second``.  ``run_index`` defaults to the last run's,
-        reproducing its jitter stream bit-for-bit; pass a different
-        index to draw a fresh one (this does not advance the counter
-        used by :meth:`run`).
+        The OFM writes of the last run are kept (a pruned run's follow
+        its activations) and the trace depends only on geometry,
+        layouts and the jitter stream, so re-emission is pure trace
+        synthesis — the simulator hot path in isolation, which the perf
+        harness uses to measure ``events/second``.  ``run_index``
+        defaults to the last run's, reproducing its jitter stream
+        bit-for-bit; pass a different index to draw a fresh one (this
+        does not advance the counter used by :meth:`run`).
         """
-        if self._last_output is None:
+        if self._last_truth is None:
             raise SimulationError("replay() before any run()")
         if run_index is None:
             run_index = self._run_counter
-        return self._synthesize(self._last_output, sink, run_index)
+        return self._synthesize(self._last_truth, sink, run_index)
 
     def _synthesize(
-        self, output: np.ndarray, sink: TraceSink | None, run_index: int
+        self, truth: _GroundTruth, sink: TraceSink | None, run_index: int
     ) -> SimulationResult:
         # Timing noise shares the channel subsystem's seeding story: a
         # named stream keyed by (noise_seed, run) — fresh jitter every
@@ -299,29 +363,16 @@ class AcceleratorSim:
         self._jitter_rng = stream_rng(
             self.config.timing.noise_seed, "timing", run_index
         )
-
-        # Ground truth derived from activation *values* — per-channel
-        # nnz, the OFM write addresses and pruned layouts — is the same
-        # for every re-emission of a run, so it is computed once per
-        # forward pass and reused by replay(); only the trace itself is
-        # re-synthesized.
-        build_cache = self._stage_cache is None
-        if build_cache:
-            acts = self.staged.network.activations
-            self._stage_cache = {}
-            for stage in self.staged.stages:
-                values = acts[stage.output_node][0]
-                self._stage_cache[stage.name] = (
-                    self._plane_nnz(values),
-                    *self._plan_ofm_write(stage, values),
-                )
-        cache = self._stage_cache
+        if not self._write_plans:  # dense: the region alone fixes the writes
+            self._write_plans = {
+                stage.name: self._plan_ofm_write(stage, None)
+                for stage in self.staged.stages
+            }
 
         if sink is None:
             sink = MaterializeSink()
         builder = TraceBuilder(sink)
         windows: list[StageWindow] = []
-        nnz: dict[str, np.ndarray] = {}
         layouts: dict[str, PrunedLayout | None] = {INPUT: None}
         cycle = 0
 
@@ -330,7 +381,7 @@ class AcceleratorSim:
             cycle += self.config.timing.stage_overhead
             start_cycle = cycle
             events_before = builder.num_events
-            nnz[stage.name], bursts, layouts[stage.name] = cache[stage.name]
+            bursts, layouts[stage.name] = self._write_plans[stage.name]
             if stage.kind in ("conv", "fc"):
                 # Write bursts interleave with the tile schedule per the
                 # configured dataflow (one burst per segment).
@@ -362,9 +413,8 @@ class AcceleratorSim:
         return SimulationResult(
             trace=sink.trace() if isinstance(sink, MaterializeSink) else None,
             windows=windows,
-            output=output,
-            nnz=nnz,
             total_cycles=cycle,
+            _truth=truth,
         )
 
     # -- per-kind stage execution ------------------------------------------
@@ -744,9 +794,12 @@ class AcceleratorSim:
 
     # -- OFM write ------------------------------------------------------------
     def _plan_ofm_write(
-        self, stage: Stage, values: np.ndarray
+        self, stage: Stage, values: np.ndarray | None
     ) -> tuple[list[np.ndarray], PrunedLayout | None]:
         """Write bursts (one per segment) and pruned layout of one OFM store.
+
+        ``values`` (the stage's activations) matter only with pruning
+        on; a dense store writes the whole region, so pass ``None``.
 
         Merge stages and single-segment dataflows keep the historical
         single end-of-stage burst — for the pruned case that burst *is*
@@ -766,7 +819,7 @@ class AcceleratorSim:
             ranges = self.dataflow.fc_burst_ranges(geom, buffers)
         else:
             ranges = None  # merge: single end-of-stage burst
-        if self.config.pruning.enabled:
+        if values is not None:
             addresses, layout = encode_pruned_writes(
                 region, values, self.config.pruning, self.config.memory
             )
@@ -784,13 +837,6 @@ class AcceleratorSim:
         return assign_write_blocks(region, ranges), None
 
     # -- helpers -----------------------------------------------------------------
-    @staticmethod
-    def _plane_nnz(values: np.ndarray) -> np.ndarray:
-        """Non-zero pixel count per output channel (or per whole vector)."""
-        if values.ndim == 3:
-            return np.count_nonzero(values.reshape(values.shape[0], -1), axis=1)
-        return np.array([np.count_nonzero(values)])
-
     def _stage_macs(self, stage: Stage) -> int:
         geom = stage.geometry
         if isinstance(geom, (LayerGeometry, FCGeometry)):

@@ -125,8 +125,7 @@ def measure_padding_overhead(
     padded = 0
     dense = 0
     for stage in sim.staged.stages:
-        shape = sim.staged.network.activations[stage.output_node].shape[1:]
-        elements = int(np.prod(shape))
+        elements = int(np.prod(sim.staged.shapes[stage.output_node]))
         nnz = int(result.nnz[stage.name].sum())
         pruned += nnz
         padded += elements  # every pixel slot written (real or dummy)

@@ -275,6 +275,13 @@ class DeviceSession:
         return self.device.staged.network.input_shape  # type: ignore[return-value]
 
     @property
+    def _num_classes(self) -> int:
+        """Width of the device's output, from the static shape probe —
+        what an observation reports without reading the run's output."""
+        staged = self.device.staged
+        return int(staged.shapes[staged.network.output_name][-1])
+
+    @property
     def element_bytes(self) -> int:
         """Public device parameter: data word size in bytes."""
         return self.device.config.memory.element_bytes
@@ -446,13 +453,13 @@ class DeviceSession:
                 cycles,
                 addresses,
                 is_write,
-                int(result.output.shape[-1]),
+                self._num_classes,
                 result.total_cycles,
             )
         return StructureObservation(
             trace=trace,
             input_shape=self.image_shape,
-            num_classes=int(result.output.shape[-1]),
+            num_classes=self._num_classes,
             element_bytes=self.element_bytes,
             block_bytes=self.block_bytes,
             total_cycles=result.total_cycles,
@@ -632,6 +639,7 @@ class DeviceSession:
         between serial and sharded execution.
         """
         oracle = self._channel_oracle()
+        width = oracle.d_ofm if self.per_plane else 1
         keys = [
             (self._threshold, pattern, row.tobytes(), rep)
             for pattern, row in zip(patterns, rows)
@@ -652,7 +660,9 @@ class DeviceSession:
                 hits += 1
             else:
                 if self._shared is not None:
-                    reply = self._shared.get_reply(self._probe_key(key))
+                    reply = self._shared.get_reply(
+                        self._probe_key(key), width
+                    )
                     if reply is not None:
                         # Served fleet-wide: some other session already
                         # paid for this probe.  Counted as a cache hit

@@ -50,6 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = [
     "SharedQueryCache",
     "content_key",
@@ -215,12 +217,15 @@ class SharedQueryCache:
     idempotent writes (all writers of one key store identical bytes,
     that is the point of content addressing), and a connection that is
     lazily re-opened after a ``fork`` so pool workers never share a
-    sqlite handle.  Probe writes keep the first row; observation and
-    output writes replace theirs, since they only follow a miss and
-    that miss may have been a row :func:`_unpack_columns` rejected.
+    sqlite handle.  Writes replace the row: they only follow a miss,
+    and that miss may have been a row this module could not read (a
+    probe reply of the wrong length, a blob :func:`_unpack_columns`
+    rejected).
 
     Args:
-        path: sqlite database file (created on first use).
+        path: sqlite database file (created on first use).  An
+            existing file that is not a sqlite database raises
+            :class:`ConfigError` here.
         max_trace_events: observations longer than this are not stored
             (lookups still work); bounds per-entry blob size.
     """
@@ -232,6 +237,12 @@ class SharedQueryCache:
         self.max_trace_events = int(max_trace_events)
         self._conn: sqlite3.Connection | None = None
         self._pid: int | None = None
+        if self.path.exists():
+            # A file that is not a database fails here, not mid-attack;
+            # the working connection is opened on first use, so a fork
+            # before then never inherits a sqlite handle.
+            self._connection()
+            self.close()
 
     # -- connection management --------------------------------------------
     def _connection(self) -> sqlite3.Connection:
@@ -239,20 +250,35 @@ class SharedQueryCache:
         if self._conn is None or self._pid != pid:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(self.path, timeout=60.0)
-            for attempt in range(1, _WAL_ATTEMPTS + 1):
-                try:
-                    conn.execute("PRAGMA journal_mode=WAL")
-                    break
-                except sqlite3.OperationalError as exc:
-                    if "locked" not in str(exc) or attempt == _WAL_ATTEMPTS:
-                        raise
-                    time.sleep(0.01)
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
-            conn.commit()
+            try:
+                self._set_up(conn)
+            except sqlite3.OperationalError:
+                conn.close()
+                raise
+            except sqlite3.DatabaseError as exc:
+                conn.close()
+                raise ConfigError(
+                    f"corrupt query cache {self.path} ({exc}); it holds "
+                    "only replies a device run can reproduce, so it is "
+                    f"safe to delete: delete {self.path} and run again"
+                ) from exc
             self._conn = conn
             self._pid = pid
         return self._conn
+
+    @staticmethod
+    def _set_up(conn: sqlite3.Connection) -> None:
+        for attempt in range(1, _WAL_ATTEMPTS + 1):
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or attempt == _WAL_ATTEMPTS:
+                    raise
+                time.sleep(0.01)
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.executescript(_SCHEMA)
+        conn.commit()
 
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():
@@ -283,9 +309,11 @@ class SharedQueryCache:
         conn.commit()
 
     # -- probe replies -----------------------------------------------------
-    def get_reply(self, key: str) -> np.ndarray | None:
+    def get_reply(self, key: str, length: int) -> np.ndarray | None:
+        """The stored reply of ``length`` counts; a row of any other
+        size is a miss (the live run then rewrites it)."""
         blob = self._select("SELECT reply FROM probes WHERE key = ?", key)
-        if blob is None:
+        if blob is None or len(blob) != length * 8:
             return None
         reply = np.frombuffer(blob, dtype=np.int64).copy()
         reply.setflags(write=False)
@@ -293,7 +321,7 @@ class SharedQueryCache:
 
     def put_reply(self, key: str, reply: np.ndarray) -> None:
         self._insert(
-            "INSERT OR IGNORE INTO probes (key, reply) VALUES (?, ?)",
+            "INSERT OR REPLACE INTO probes (key, reply) VALUES (?, ?)",
             key,
             np.ascontiguousarray(reply, dtype=np.int64).tobytes(),
         )

@@ -27,6 +27,7 @@ Stage kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import GraphError, ShapeError
 from repro.nn.graph import INPUT, Network
@@ -76,6 +77,16 @@ class StagedNetwork:
     @property
     def name(self) -> str:
         return self.network.name
+
+    @cached_property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Per-node activation shapes (sans batch dim).
+
+        One probe forward pass (:meth:`Network.infer_shapes`) per staged
+        network: the stages are fixed at build, so every simulator built
+        over this network shares the result.
+        """
+        return self.network.infer_shapes()
 
     def stage(self, name: str) -> Stage:
         for s in self.stages:

@@ -314,6 +314,23 @@ def test_torn_results_file_raises_typed_error_and_rebuilds(tmp_path):
     assert path.read_bytes() == reference
 
 
+def test_corrupt_cache_file_stops_the_campaign_with_typed_error(tmp_path):
+    campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
+    campaign.run()
+    reference = campaign.store.results_path.read_bytes()
+    path = tmp_path / "c" / "cache.sqlite"
+    path.write_bytes(b"not a sqlite database " * 100)
+    for call in (Campaign.load(tmp_path / "c").run, campaign.status):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(path) in str(info.value)
+        assert "safe to delete" in str(info.value)
+    # Following the advice: the campaign runs again, results unchanged.
+    path.unlink()
+    assert Campaign.load(tmp_path / "c").run()["by_status"] == {"done": 1}
+    assert campaign.store.results_path.read_bytes() == reference
+
+
 def test_clone_job_completes(tmp_path):
     """A conv victim with an FC head gives the structure phase its
     classifier: the clone job ends with every weight recovered."""

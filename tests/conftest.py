@@ -11,6 +11,7 @@ from repro.accel import (
     PruningConfig,
 )
 from repro.device import DeviceSession
+from repro.nn.graph import Network
 from repro.nn.shapes import PoolSpec
 from repro.nn.spec import LayerGeometry
 from repro.nn.stages import StagedNetwork, StagedNetworkBuilder
@@ -95,3 +96,18 @@ def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def forwards(monkeypatch) -> list[Network]:
+    """Every ``Network.forward`` call made during the test, in order
+    (the network each call ran)."""
+    calls: list[Network] = []
+    forward = Network.forward
+
+    def counting(self, x):
+        calls.append(self)
+        return forward(self, x)
+
+    monkeypatch.setattr(Network, "forward", counting)
+    return calls

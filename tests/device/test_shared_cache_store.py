@@ -1,5 +1,7 @@
 """The shared cache's stored form: exact column round trips, a miss for
-any blob the codec did not write, and the fingerprint cache keys rest on.
+any blob the codec did not write or probe reply of the wrong length, a
+typed error for a file that is not a database, and the fingerprint
+cache keys rest on.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from repro.campaign.victims import build_device, build_victim
 from repro.channel import ChannelModel
 from repro.device import DeviceSession, SharedQueryCache, device_fingerprint
+from repro.errors import ConfigError
 
 INT64 = np.iinfo(np.int64)
 VALUES = st.one_of(
@@ -164,6 +167,53 @@ def test_undecodable_output_is_a_miss(tmp_path, how):
     _corrupt(path, "outputs", how, _legacy_npz(output=output))
     assert cache.get_output("k") is None
     cache.close()
+
+
+def _pruned_session(cache: SharedQueryCache | None) -> DeviceSession:
+    victim = build_victim({"conv": {"w": 8, "d": 3, "seed": 5,
+                                    "bias_sign": -1.0}})
+    return DeviceSession(build_device(victim, {"pruning": True}),
+                         shared_cache=cache)
+
+
+PROBE = ([(0, 2, 2)], [1.5])
+
+
+@pytest.mark.parametrize("short", [4, 8])
+def test_short_probe_reply_is_a_miss_then_runs_live(tmp_path, short):
+    # 4 bytes short is not a whole count; 8 bytes short is one count
+    # too few, which must not be served as a shorter reply.
+    path = tmp_path / "c.sqlite"
+    cache = SharedQueryCache(path)
+    uncached = _pruned_session(None).query(*PROBE)
+    _pruned_session(cache).query(*PROBE)
+    with sqlite3.connect(path) as conn:
+        ((key, reply),) = conn.execute("SELECT key, reply FROM probes")
+        conn.execute("UPDATE probes SET reply = ? WHERE key = ?",
+                     (reply[:-short], key))
+    assert cache.get_reply(key, len(uncached)) is None
+
+    session = _pruned_session(cache)
+    assert np.array_equal(session.query(*PROBE), uncached)
+    assert session.ledger.channel_queries == 1
+    assert session.ledger.shared_hits == 0
+    # The live run rewrote the row: the next session is served from it.
+    replay = _pruned_session(cache)
+    assert np.array_equal(replay.query(*PROBE), uncached)
+    assert replay.ledger.channel_queries == 0
+    assert replay.ledger.shared_hits == 1
+    cache.close()
+
+
+def test_corrupt_cache_file_raises_typed_error(tmp_path):
+    path = tmp_path / "cache.sqlite"
+    path.write_bytes(b"not a sqlite database " * 100)
+    with pytest.raises(ConfigError) as info:
+        SharedQueryCache(path)
+    assert str(path) in str(info.value)
+    assert "safe to delete" in str(info.value)
+    path.unlink()
+    SharedQueryCache(path).close()
 
 
 # -- the fingerprint -------------------------------------------------------
