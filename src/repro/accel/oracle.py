@@ -188,14 +188,51 @@ class _Plan(NamedTuple):
     windows: np.ndarray  # (2, windows) intp
 
 
-def _segment_sums(flags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum ``flags`` (N, D) over consecutive segments of ``lengths``."""
+class _Segments(NamedTuple):
+    """Consecutive row segments: segment ``s`` is rows
+    ``starts[s]:ends[s]``."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    dense: bool  # every segment non-empty: one ``reduceat`` sums them
+
+
+def _segments(lengths: np.ndarray) -> _Segments:
     ends = np.cumsum(lengths)
-    if len(flags) and lengths.all():  # reduceat needs non-empty segments
-        return np.add.reduceat(flags, ends - lengths, axis=0, dtype=np.int64)
+    return _Segments(ends - lengths, ends, bool(lengths.all()))
+
+
+def _segment_sums(flags: np.ndarray, seg: _Segments) -> np.ndarray:
+    """Sum ``flags`` (N, D) over the consecutive segments ``seg``."""
+    if len(flags) and seg.dense:  # reduceat needs non-empty segments
+        return np.add.reduceat(flags, seg.starts, axis=0, dtype=np.int64)
     totals = np.zeros((len(flags) + 1, flags.shape[1]), dtype=np.int64)
     np.cumsum(flags, axis=0, out=totals[1:])
-    return totals[ends] - totals[ends - lengths]
+    return totals[seg.ends] - totals[seg.starts]
+
+
+class _BatchPlan(NamedTuple):
+    """Everything :meth:`SparseStageOracle._count` derives from a batch's
+    patterns alone (and the threshold), concatenated across its runs.
+
+    Term ``t`` adds ``weights[t]`` (its tap's per-filter weights) times
+    value ``value[t]`` of the batch's concatenated run values to one
+    touched cell (numbered across the batch).  ``passes`` is ``None``
+    for one-pixel batches, whose cells are their terms in order;
+    otherwise pass ``k`` adds the terms of every run's ``k``-th pixel,
+    as ``(cells, term mask)``.
+    """
+
+    patterns: list[tuple]
+    value: np.ndarray
+    weights: np.ndarray  # (terms, d_ofm)
+    cells: int
+    passes: list[tuple[np.ndarray, np.ndarray]] | None
+    member: np.ndarray | None  # pooled: touched cells of each window
+    window_starts: np.ndarray | None  # pooled: first member of each window
+    rest_on: np.ndarray | None  # pooled: window holds an active untouched cell
+    changed: _Segments  # per run: touched cells or windows
+    offset: np.ndarray  # per run: all-zero-input count minus the changed ones
 
 
 class SparseStageOracle(StageOracle):
@@ -231,6 +268,7 @@ class SparseStageOracle(StageOracle):
         if pool is not None:
             self._w_pool = pool_output_width(self._w_conv, pool.f, pool.stride, pool.pad)
         self._plans: dict[tuple, _Plan] = {}
+        self._last: _BatchPlan | None = None
         self._set_constant()
 
     def set_threshold(self, threshold: float) -> None:
@@ -253,6 +291,7 @@ class SparseStageOracle(StageOracle):
         self._base_nnz = np.where(self._const_on, width * width, 0).astype(
             np.int64
         )
+        self._last = None
 
     # -- planning ----------------------------------------------------------
     def _conv_coord_range(self, padded: int) -> range:
@@ -321,60 +360,79 @@ class SparseStageOracle(StageOracle):
         patterns, rows = _rows(pixels, values)
         if not rows:
             return np.zeros((0, self.d_ofm), dtype=np.int64)
-        widths = {len(row) for row in rows}
-        if len(widths) == 1:
-            x = np.stack(rows)
-        else:
-            x = np.zeros((len(rows), max(widths)))
-            for b, row in enumerate(rows):
-                x[b, : len(row)] = row
-        return self._count(patterns, x)
+        return self._count(patterns, np.concatenate(rows))
 
-    def _count(self, patterns: list[tuple], x: np.ndarray) -> np.ndarray:
+    def _batch_plan(self, patterns: list[tuple]) -> _BatchPlan:
+        """The batch plan of ``patterns``, memoised for the last batch:
+        consecutive steps of a lockstep search send the same patterns."""
+        last = self._last
+        if last is not None and last.patterns == patterns:
+            return last
+        plans = [self._plan(p) for p in patterns]
+        sizes = np.array([pl.sizes for pl in plans], dtype=np.intp)
+        run_cells = sizes[:, 0]
+        cell_base = np.cumsum(run_cells) - run_cells
+        widths = np.array([len(p) for p in patterns], dtype=np.intp)
+        value_base = np.cumsum(widths) - widths
+        cell, tap, px = np.concatenate([pl.terms for pl in plans], axis=1)
+        passes = None
+        if widths.max() > 1:
+            # One pixel per pass: no cell repeats within a pass, and each
+            # cell sums its pixels in pattern order.
+            cell += np.repeat(cell_base, sizes[:, 1])
+            passes = [(cell[px == k], px == k) for k in range(widths.max())]
+        member = window_starts = rest_on = None
+        if self._pool is None:
+            changed = run_cells
+        else:
+            member = np.concatenate([pl.member for pl in plans])
+            member += np.repeat(cell_base, sizes[:, 2])
+            size, rest = np.concatenate([pl.windows for pl in plans], axis=1)
+            window_starts = np.cumsum(size) - size
+            rest_on = (rest > 0)[:, None] & self._const_on
+            changed = sizes[:, 3]
+        self._last = _BatchPlan(
+            patterns=patterns,
+            value=np.repeat(value_base, sizes[:, 1]) + px,
+            weights=self._taps[:, tap].T,
+            cells=int(run_cells.sum()),
+            passes=passes,
+            member=member,
+            window_starts=window_starts,
+            rest_on=rest_on,
+            changed=_segments(changed),
+            offset=self._base_nnz
+            - np.where(self._const_on, changed[:, None], 0),
+        )
+        return self._last
+
+    def _count(self, patterns: list[tuple], values: np.ndarray) -> np.ndarray:
         """Counts of ``len(patterns)`` runs in one numpy pass.
 
-        ``x[r, k]`` is run ``r``'s value at its ``k``-th pixel.  Each
-        touched cell accumulates ``b + w_0*x_0 + w_1*x_1 ...`` in pixel
-        order.  ``Conv2D.forward`` instead sums the products
+        ``values`` concatenates the runs' pixel values in pattern order.
+        Each touched cell accumulates ``b + w_0*x_0 + w_1*x_1 ...`` in
+        pixel order.  ``Conv2D.forward`` instead sums the products
         (``cols @ W.T``) and adds the bias last, so a two-pixel cell can
         round differently from the dense layers and flip a count when it
         lands exactly on the threshold — a bisection crossing.  One-pixel
         cells agree exactly.
         """
-        plans = [self._plan(p) for p in patterns]
-        n_runs = len(plans)
-        sizes = np.array([pl.sizes for pl in plans], dtype=np.intp)
-        run_cells = sizes[:, 0]
-        cell_base = np.cumsum(run_cells) - run_cells
-        cell, tap, px = np.concatenate([pl.terms for pl in plans], axis=1)
-        inputs = x[np.repeat(np.arange(n_runs), sizes[:, 1]), px]
-        contrib = self._taps[:, tap].T * inputs[:, None]
-        if x.shape[1] == 1:
+        plan = self._batch_plan(patterns)
+        contrib = plan.weights * values[plan.value][:, None]
+        if plan.passes is None:
             y = self._b + contrib
         else:
-            # One pixel per pass: no cell repeats within a pass, and each
-            # cell sums its pixels in pattern order.
-            cell += np.repeat(cell_base, sizes[:, 1])
-            y = np.empty((int(run_cells.sum()), self.d_ofm))
+            y = np.empty((plan.cells, self.d_ofm))
             y[:] = self._b
-            for k in range(x.shape[1]):
-                sel = px == k
-                y[cell[sel]] += contrib[sel]
+            for cells, sel in plan.passes:
+                y[cells] += contrib[sel]
         active = y > self._thr
-        if self._pool is None:
-            changed = run_cells
-            moved = _segment_sums(active, changed)
-        else:
+        if self._pool is not None:
             # Rectified cells are >= 0, so a pooled window (max or
             # average) is non-zero iff one of its cells is; untouched
-            # cells hold the constant.
-            member = np.concatenate([pl.member for pl in plans])
-            member += np.repeat(cell_base, sizes[:, 2])
-            size, rest = np.concatenate([pl.windows for pl in plans], axis=1)
-            on = _segment_sums(active[member], size) > 0
-            on |= (rest > 0)[:, None] & self._const_on
-            changed = sizes[:, 3]
-            moved = _segment_sums(on, changed)
-        const = np.where(self._const_on, changed[:, None], 0)
-        return self._base_nnz - const + moved
-
+            # cells hold the constant.  Every window has a touched cell.
+            active = np.logical_or.reduceat(
+                active[plan.member], plan.window_starts, axis=0
+            )
+            active |= plan.rest_on
+        return plan.offset + _segment_sums(active, plan.changed)

@@ -37,9 +37,11 @@ extension):
 Two axes run in lockstep.  Across filters, every probe is a per-filter
 batch: plane ``f``'s count depends only on run ``f``'s own input, so all
 ``D_OFM`` filters search at once.  Across weights, each weight's search
-is a generator that yields its probe requests, and each round
-advances many weights together, sending every pending probe of a step
-to the device in one multi-pattern call.  A weight starts once every
+is a generator that yields its one-off probes and, for each crossing,
+one bisection request; each round advances many weights together,
+sending every pending probe of a step to the device in one
+multi-pattern call and stepping every running bisection in one table
+of arrays (:class:`_BisectionTable`).  A weight starts once every
 lexicographically earlier active weight it *conflicts* with has
 finished; two weights conflict when either one's search may read the
 other's status or ratio cells (:meth:`WeightAttack._read_set`, derived
@@ -61,6 +63,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Generator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,9 +92,213 @@ class WeightStatus:
     SATURATED = "saturated"  # positive bias + pooling: channel is silent
 
 
+@dataclass
+class _Bisection:
+    """One crossing search of Algorithm 2, asked as a single request.
+
+    It stands for ``search_steps`` probes of ``pixels``: each step drives
+    the last pixel at the midpoint of ``[lo, hi]`` for every ``moved``
+    filter (0.0 for the rest) and, for two-pixel searches, holds
+    ``pixels[0]`` at ``anchor``.  A step *flips* when its count differs
+    from ``g0`` (two-pixel) or from the count modelled from the known
+    cells ``known_rho``/``members`` (see :meth:`WeightAttack._model_counts`);
+    a flip moves ``hi`` to the midpoint, anything else moves ``lo``.
+    The search receives the final ``(lo, hi)``.
+    """
+
+    pixels: list
+    lo: np.ndarray  # (d_ofm,)
+    hi: np.ndarray  # (d_ofm,)
+    moved: np.ndarray  # (d_ofm,) bool
+    anchor: np.ndarray | None = None  # (d_ofm,), two-pixel only
+    g0: np.ndarray | None = None  # (d_ofm,), two-pixel only
+    known_rho: np.ndarray | None = None  # (d_ofm, n_known), one-pixel only
+    members: np.ndarray | None = None  # window member matrix, pooled only
+
+
+class _Probe(NamedTuple):
+    """Geometry of probing weight (wi, wj) through conv output (a, b), in
+    any input channel: the probe pixel's row and column, the weight
+    coordinates of the other cells it drives (its known cells) and,
+    pooled, those cells grouped by affected window
+    (:meth:`WeightAttack._window_groups`, as a member matrix too)."""
+
+    pixel: tuple[int, int]
+    ki: list[int]
+    kj: list[int]
+    groups: list[list[int]] | None
+    new_idx: list[int]
+    members: np.ndarray | None
+
+
 # A weight's search: yields ``(pixels, values_per_filter)`` probe
-# requests, receives each probe's per-filter counts, returns its result.
-Search = Generator[tuple[list, np.ndarray], np.ndarray, object]
+# requests, receiving each probe's per-filter counts, and
+# :class:`_Bisection` requests, receiving their final ``(lo, hi)``;
+# returns its result.
+Search = Generator[tuple[list, np.ndarray] | _Bisection, object, object]
+
+
+class _Row:
+    """A search's bisection while it runs in a :class:`_BisectionTable`:
+    its row (kept current by the table), the steps still to probe, its
+    pattern, and where its probe values start in its row of
+    :meth:`_BisectionTable.step_values` (``[anchor, mid]``)."""
+
+    __slots__ = ("row", "left", "pixels", "first")
+
+    def __init__(self, row: int, left: int, bisection: _Bisection) -> None:
+        self.row = row
+        self.left = left
+        self.pixels = bisection.pixels
+        self.first = 0 if bisection.anchor is not None else 1
+
+
+class _BisectionTable:
+    """The live bisections of one round, one row each, stepped together.
+
+    A lockstep tick sends one probe per running search; for every
+    bisecting search it is the next midpoint.  The table computes all
+    midpoints, modelled counts and bracket updates of a tick in a fixed
+    number of array operations, with the same elementwise arithmetic as
+    a lone bisection (:func:`repro.reference.weight_attack_reference`).
+    Live rows stay packed at the top: a finished row is replaced by the
+    last one.
+
+    A row compares its measured count with ``ref`` plus the number of
+    its windows holding an active known cell: a pooled one-pixel row
+    has ``ref = base`` and its window member matrix; an unpooled one
+    has ``ref = base - n_known * bias_pos`` and one window per known
+    cell (:meth:`WeightAttack._model_counts` either way, as integer sums
+    do not depend on their order); a two-pixel row has ``ref = g0`` and
+    no windows.  Known cells sit in columns ``1..n_known``; the other
+    columns hold ratio NaN, whose cells are never active, and padded
+    window members point at column 0, so padding counts nothing.
+    """
+
+    def __init__(
+        self, d: int, steps: int, bias_pos: np.ndarray, base: np.ndarray
+    ) -> None:
+        self._d = d
+        self._steps = steps
+        self._bias_pos = bias_pos
+        self._base = np.asarray(base, dtype=np.int64)
+        self._live: list[_Row] = []
+        self._shape = (0, 1, 1, 1)  # rows, model columns, windows, width
+        self._lo = np.zeros((0, d))
+        self._hi = np.zeros((0, d))
+        self._moved = np.zeros((0, d), dtype=bool)
+        self._anchor = np.zeros((0, d))
+        self._ref = np.zeros((0, d), dtype=np.int64)
+        self._rho = np.zeros((0, d, 1))
+        self._members = np.zeros((0, 1, 1), dtype=np.intp)
+        self._flat = np.zeros((0, d, 1, 1), dtype=np.intp)
+        self._mid = self._lo
+
+    def _resize(self, shape: tuple[int, int, int, int]) -> None:
+        rows, cols, windows, width = shape
+        d = self._d
+        for name, fresh in (
+            ("_lo", np.zeros((rows, d))),
+            ("_hi", np.zeros((rows, d))),
+            ("_moved", np.zeros((rows, d), dtype=bool)),
+            ("_anchor", np.zeros((rows, d))),
+            ("_ref", np.zeros((rows, d), dtype=np.int64)),
+            ("_rho", np.full((rows, d, cols), np.nan)),
+            ("_members", np.zeros((rows, windows, width), dtype=np.intp)),
+        ):
+            old = getattr(self, name)
+            fresh[tuple(map(slice, old.shape))] = old
+            setattr(self, name, fresh)
+        self._shape = shape
+        # Flat index into a tick's (rows, d, cols) activity array of
+        # every (row, filter, window, member).
+        cell = np.arange(rows * d).reshape(rows, d, 1, 1) * cols
+        self._flat = cell + self._members[:, None]
+
+    def add(self, bisection: _Bisection) -> _Row:
+        """Start a bisection in the next row; returns its handle."""
+        if bisection.g0 is not None:
+            known = np.zeros((self._d, 0))
+            members = np.zeros((0, 0), dtype=np.intp)
+            ref = bisection.g0
+        else:
+            known = bisection.known_rho
+            if bisection.members is None:
+                members = np.arange(known.shape[1], dtype=np.intp)[:, None]
+                ref = self._base - known.shape[1] * self._bias_pos
+            else:
+                members = bisection.members
+                ref = self._base
+        row = len(self._live)
+        rows, cols, windows, width = self._shape
+        shape = (
+            rows if row < rows else max(4, 2 * rows),
+            max(cols, 1 + known.shape[1]),
+            max(windows, members.shape[0]),
+            max(width, members.shape[1]),
+        )
+        if shape != self._shape:
+            self._resize(shape)
+        n, (g, w) = known.shape[1], members.shape
+        self._lo[row] = bisection.lo
+        self._hi[row] = bisection.hi
+        self._moved[row] = bisection.moved
+        self._anchor[row] = 0.0 if bisection.anchor is None else bisection.anchor
+        self._ref[row] = ref
+        self._rho[row] = np.nan
+        self._rho[row, :, 1:1 + n] = known
+        self._members[row] = 0
+        self._members[row, :g, :w] = members + 1
+        self._index(row)
+        handle = _Row(row, self._steps, bisection)
+        self._live.append(handle)
+        return handle
+
+    def _index(self, row: int) -> None:
+        cols = self._shape[1]
+        cell = (row * self._d + np.arange(self._d)) * cols
+        self._flat[row] = cell[:, None, None] + self._members[row]
+
+    def pop(self, handle: _Row) -> tuple[np.ndarray, np.ndarray]:
+        """Retire a finished row; returns its final ``(lo, hi)``."""
+        row = handle.row
+        bracket = self._lo[row].copy(), self._hi[row].copy()
+        last = self._live.pop()
+        if last is not handle:
+            for array in (
+                self._lo, self._hi, self._moved, self._anchor, self._ref,
+                self._rho, self._members,
+            ):
+                array[row] = array[last.row]
+            self._index(row)
+            last.row = row
+            self._live[row] = last
+        return bracket
+
+    def step_values(self) -> np.ndarray:
+        """This tick's probe values: row ``r`` holds ``[anchor, mid]``."""
+        n = len(self._live)
+        self._mid = np.where(
+            self._moved[:n], 0.5 * (self._lo[:n] + self._hi[:n]), 0.0
+        )
+        values = np.empty((n, 2, self._d))
+        values[:, 0] = self._anchor[:n]
+        values[:, 1] = self._mid
+        return values
+
+    def step(self, measured: np.ndarray) -> None:
+        """Fold the counts measured at :meth:`step_values`, one row per
+        live row, into the brackets."""
+        n = len(self._live)
+        mid = self._mid
+        v = 1.0 + self._rho[:n] * mid[:, :, None]
+        active = np.where(self._bias_pos[:, None], v > 0, v < 0)
+        windows = active.take(self._flat[:n]).any(axis=3).sum(axis=2)
+        flipped = measured != self._ref[:n] + windows
+        moved = self._moved[:n]
+        to_hi = moved & flipped
+        np.copyto(self._hi[:n], mid, where=to_hi)
+        np.copyto(self._lo[:n], mid, where=moved ^ to_hi)
 
 
 @dataclass
@@ -220,6 +427,7 @@ class WeightAttack:
         # they are never live, so their probe columns are always 0.
         self._shard_mask = np.zeros(self._d, dtype=bool)
         self._shard_mask[lo:hi] = True
+        self._probes: dict[tuple[int, int, int, int], _Probe] = {}
 
     # ------------------------------------------------------------------
     # Count model: everything in terms of rho = w/b and the bias sign.
@@ -291,6 +499,23 @@ class WeightAttack:
         known = [cell for cell in connected if (cell[0], cell[1]) != (a, b)]
         return [(c, pi, pj)], known
 
+    def _probe(self, wi: int, wj: int, a: int, b: int) -> _Probe:
+        """The (memoised) geometry of probing weight (wi, wj) via output
+        (a, b); raises like :meth:`_probe_plan`."""
+        key = (wi, wj, a, b)
+        probe = self._probes.get(key)
+        if probe is None:
+            [(_, pi, pj)], known = self._probe_plan(0, wi, wj, a, b)
+            groups, new_idx, members = None, [], None
+            if self.target.has_pool:
+                groups, new_idx = self._window_groups(known, a, b)
+                members = self._member_matrix(groups)
+            probe = self._probes[key] = _Probe(
+                (pi, pj), [k[2] for k in known], [k[3] for k in known],
+                groups, new_idx, members,
+            )
+        return probe
+
     def _window_groups(
         self,
         known: list[tuple[int, int, int, int]],
@@ -310,51 +535,49 @@ class WeightAttack:
         new_idx = [keys.index(w) for w in new_windows]
         return groups, new_idx
 
-    def _side_limit(
-        self,
-        groups: list[list[int]],
-        new_idx: list[int],
-        known_rho: np.ndarray,
-        sign: float,
-    ) -> np.ndarray:
-        """Per-filter |x| bound before every new-cell window is masked.
+    def _side_limits(
+        self, probe: _Probe, known_rho: np.ndarray
+    ) -> dict[float, np.ndarray]:
+        """Per-filter |x| bound on each side (``+1.0``/``-1.0``) before
+        every new-cell window is masked.
 
         Beyond the bound, each window containing the new cell is already
         active through a known member, hiding the new crossing.  Without
         pooling this is simply the input range.
         """
         if not self.target.has_pool:
-            return np.full(self._d, self.x_max)
+            full = np.full(self._d, self.x_max)
+            return {1.0: full, -1.0: full}
         # The new cell may sit in several (overlapping) windows; its
         # crossing stays observable while *at least one* of them is
         # known-inactive, so the bound is the max over windows of each
         # window's own masking point (min over that window's known
-        # members' crossings on this side).
-        limit = np.zeros(self._d)
-        for w in new_idx:
-            window_mask = np.full(self._d, self.x_max)
-            for k in groups[w]:
-                rho = known_rho[:, k]
-                with np.errstate(divide="ignore"):
-                    crossing = np.where(rho != 0.0, -1.0 / rho, np.inf)
-                on_side = np.isfinite(crossing) & (np.sign(crossing) == sign)
-                window_mask = np.where(
-                    on_side, np.minimum(window_mask, np.abs(crossing)), window_mask
+        # members' crossings on this side, capped at the input range).
+        with np.errstate(divide="ignore"):
+            crossing = np.where(known_rho != 0.0, -1.0 / known_rho, np.inf)
+        reach = np.where(np.isfinite(crossing), np.abs(crossing), np.inf)
+        limits = {}
+        for sign in (1.0, -1.0):
+            on_side = np.where(np.sign(crossing) == sign, reach, np.inf)
+            limit = np.zeros(self._d)
+            for w in probe.new_idx:
+                masked_at = on_side[:, probe.groups[w]].min(
+                    axis=1, initial=np.inf
                 )
-            limit = np.maximum(limit, window_mask)
-        return limit * (1.0 - 1e-9)
+                limit = np.maximum(limit, np.minimum(masked_at, self.x_max))
+            limits[sign] = limit * (1.0 - 1e-9)
+        return limits
 
     # ------------------------------------------------------------------
     # Core search: residual bisection for one probe configuration
     # ------------------------------------------------------------------
     def _residual_search(
         self,
-        pixels,
+        pixels: list[tuple[int, int, int]],
+        probe: _Probe,
         known_rho: np.ndarray,
         bias_pos: np.ndarray,
         base: np.ndarray,
-        groups: list[list[int]] | None,
-        new_idx: list[int],
         todo: np.ndarray,
     ) -> Search:
         """Search both sides of zero for the new weight's crossing.
@@ -365,10 +588,9 @@ class WeightAttack:
         """
         found = np.zeros(self._d, dtype=bool)
         crossing = np.zeros(self._d)
-        members = None if groups is None else self._member_matrix(groups)
-        visible_p = self._side_limit(groups or [], new_idx, known_rho, 1.0)
-        visible_n = self._side_limit(groups or [], new_idx, known_rho, -1.0)
-        for sign, limit in ((1.0, visible_p), (-1.0, visible_n)):
+        members = probe.members
+        visible = self._side_limits(probe, known_rho)
+        for sign, limit in visible.items():
             live = todo & ~found & (limit > 0)
             if not live.any():
                 continue
@@ -379,21 +601,14 @@ class WeightAttack:
             moved = live & ((measured - modeled) != 0)
             if not moved.any():
                 continue
-            lo = np.zeros(self._d)
-            cur_hi = hi.copy()
-            for _ in range(self.search_steps):
-                mid = np.where(moved, 0.5 * (lo + cur_hi), 0.0)
-                measured = yield pixels, mid[None, :]
-                modeled = self._model_counts(
-                    mid, known_rho, bias_pos, base, members
-                )
-                flipped = (measured - modeled) != 0
-                cur_hi = np.where(moved & flipped, mid, cur_hi)
-                lo = np.where(moved & ~flipped, mid, lo)
+            lo, cur_hi = yield from self._bisect(_Bisection(
+                pixels, np.zeros(self._d), hi.copy(), moved,
+                known_rho=known_rho, members=members,
+            ))
             crossing = np.where(moved & ~found, 0.5 * (lo + cur_hi), crossing)
             found |= moved
         full = self.x_max * (1 - 1e-6)
-        fully_visible = (visible_p >= full) & (visible_n >= full)
+        fully_visible = (visible[1.0] >= full) & (visible[-1.0] >= full)
         return found, crossing, fully_visible
 
     def _attempt_probe(
@@ -414,15 +629,13 @@ class WeightAttack:
         Only filters whose other connected weights are all resolved are
         attempted.  Returns (found, rho, proven_zero).
         """
-        pixels, known = self._probe_plan(c, wi, wj, a, b)
-        if known:
-            ki = [k[2] for k in known]
-            kj = [k[3] for k in known]
-            dep = status[:, c, ki, kj]
+        probe = self._probe(wi, wj, a, b)
+        if probe.ki:
+            dep = status[:, c, probe.ki, probe.kj]
             dep_ok = (
                 (dep == WeightStatus.RECOVERED) | (dep == WeightStatus.ZERO)
             ).all(axis=1)
-            known_rho = ratios[:, c, ki, kj]
+            known_rho = ratios[:, c, probe.ki, probe.kj]
         else:
             dep_ok = np.ones(self._d, dtype=bool)
             known_rho = np.zeros((self._d, 0))
@@ -433,12 +646,8 @@ class WeightAttack:
                 np.zeros(self._d),
                 np.zeros(self._d, dtype=bool),
             )
-        if self.target.has_pool:
-            groups, new_idx = self._window_groups(known, a, b)
-        else:
-            groups, new_idx = None, []
         found, crossing, fully_visible = yield from self._residual_search(
-            pixels, known_rho, bias_pos, base, groups, new_idx, attempt
+            [(c, *probe.pixel)], probe, known_rho, bias_pos, base, attempt
         )
         with np.errstate(divide="ignore"):
             rho = np.where(found, -1.0 / crossing, 0.0)
@@ -515,13 +724,15 @@ class WeightAttack:
                 break
             ca, cb = corner
             try:
-                pixels, known = self._probe_plan(c, wi, wj, ca, cb)
+                probe = self._probe(wi, wj, ca, cb)
             except AttackError:
                 continue
-            known_rho = ratios[
-                :, c, [k[2] for k in known], [k[3] for k in known]
-            ]
-            groups, new_idx = self._window_groups(known, ca, cb)
+            pixels = [(c, *probe.pixel)]
+            # Unresolved companions have ratio 0 in known_rho, which the
+            # limits treat as never-masking; if they do mask at an
+            # anchor, detection simply fails and a smaller anchor is
+            # tried.
+            limits = self._side_limits(probe, ratios[:, c, probe.ki, probe.kj])
             for (pr, pc) in searcher_pixels:
                 if (c, pr, pc) == pixels[0]:
                     continue
@@ -537,7 +748,7 @@ class WeightAttack:
                     continue
                 yield from self._two_pixel_with_searcher(
                     pixels, (c, pr, pc), rho_s, todo & ok_s,
-                    known_rho, groups, new_idx, found, rho_new,
+                    limits, found, rho_new,
                 )
         return found, rho_new
 
@@ -547,20 +758,13 @@ class WeightAttack:
         searcher_pixel,
         rho_s: np.ndarray,
         eligible: np.ndarray,
-        known_rho: np.ndarray,
-        groups: list[list[int]],
-        new_idx: list[int],
+        limits: dict[float, np.ndarray],
         found: np.ndarray,
         rho_new: np.ndarray,
     ) -> Search:
         """Anchor + searcher sweep; updates ``found``/``rho_new`` in place."""
         two_pixels = pixels + [searcher_pixel]
-        for v_sign in (1.0, -1.0):
-            # Unresolved companions have ratio 0 in known_rho, which
-            # the limit treats as never-masking; if they do mask at
-            # this anchor, detection simply fails and a smaller
-            # anchor is tried.
-            v_limit = self._side_limit(groups, new_idx, known_rho, v_sign)
+        for v_sign, v_limit in limits.items():
             for scale in (0.9, 0.45, 0.2, 0.08):
                 remaining = eligible & ~found
                 if not remaining.any():
@@ -576,19 +780,21 @@ class WeightAttack:
                     moved = live & (g0 != g1)
                     if not moved.any():
                         continue
-                    lo = np.zeros(self._d)
-                    cur_hi = hi.copy()
-                    for _ in range(self.search_steps):
-                        mid = np.where(moved, 0.5 * (lo + cur_hi), 0.0)
-                        gm = yield two_pixels, np.stack([anchor, mid])
-                        flipped = gm != g0
-                        cur_hi = np.where(moved & flipped, mid, cur_hi)
-                        lo = np.where(moved & ~flipped, mid, lo)
+                    lo, cur_hi = yield from self._bisect(_Bisection(
+                        two_pixels, np.zeros(self._d), hi.copy(), moved,
+                        anchor=anchor, g0=g0,
+                    ))
                     x_star = 0.5 * (lo + cur_hi)
                     with np.errstate(divide="ignore", invalid="ignore"):
                         rho = -(1.0 + rho_s * x_star) / anchor
                     rho_new[moved & ~found] = rho[moved & ~found]
                     found |= moved
+
+    def _bisect(self, bisection: _Bisection) -> Search:
+        """Hand one bisection to the driver; returns its final bracket."""
+        if self.search_steps <= 0:
+            return bisection.lo, bisection.hi
+        return (yield bisection)
 
     def _alternate_outputs(self, wi: int, wj: int) -> list[tuple[int, int]]:
         """Conv outputs usable to probe weight (wi, wj), nearest first."""
@@ -757,12 +963,17 @@ class WeightAttack:
 
         progress = False
         ready = [k for k, n in enumerate(waits) if n == 0]
-        running: dict[int, tuple[Search, tuple]] = {}
+        table = _BisectionTable(
+            self._d, self.search_steps, state.bias_pos, state.base
+        )
+        # Each running search with its pending request: a probe
+        # ``(pixels, values)`` or its row in ``table``.
+        running: dict[int, tuple[Search, tuple | _Row]] = {}
 
         def advance(k: int, search: Search, reply) -> None:
             nonlocal progress
             try:
-                running[k] = (search, search.send(reply))
+                request = search.send(reply)
             except StopIteration as stop:
                 running.pop(k, None)
                 progress |= bool(stop.value)
@@ -770,6 +981,10 @@ class WeightAttack:
                     waits[m] -= 1
                     if waits[m] == 0:
                         heapq.heappush(ready, m)
+                return
+            if isinstance(request, _Bisection):
+                request = table.add(request)
+            running[k] = (search, request)
 
         while ready or running:
             while ready:
@@ -779,12 +994,29 @@ class WeightAttack:
             if not running:
                 break
             order = sorted(running)
-            replies = self.channel.query_per_filter(
-                [running[k][1][0] for k in order],
-                [running[k][1][1] for k in order],
-            )
-            for k, reply in zip(order, np.asarray(replies)):
-                advance(k, running[k][0], reply)
+            step_values = table.step_values()
+            pixels, values = [], []
+            at = [0] * len(step_values)  # each table row's probe
+            for p, k in enumerate(order):
+                request = running[k][1]
+                if isinstance(request, _Row):
+                    pixels.append(request.pixels)
+                    values.append(step_values[request.row, request.first:])
+                    at[request.row] = p
+                else:
+                    pixels.append(request[0])
+                    values.append(request[1])
+            replies = np.asarray(self.channel.query_per_filter(pixels, values))
+            if at:
+                table.step(replies[at])
+            for k, reply in zip(order, replies):
+                search, request = running[k]
+                if not isinstance(request, _Row):
+                    advance(k, search, reply)
+                else:
+                    request.left -= 1
+                    if request.left == 0:
+                        advance(k, search, table.pop(request))
         return progress
 
     def _finish(self, state: _RecoveryState) -> WeightAttackResult:

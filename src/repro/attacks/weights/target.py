@@ -11,6 +11,7 @@ windows those outputs land in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import AttackError, ConfigError
 from repro.nn.shapes import conv_output_width, pool_output_width
@@ -64,11 +65,11 @@ class AttackTarget:
         )
 
     # -- derived geometry ---------------------------------------------------
-    @property
+    @cached_property
     def w_conv(self) -> int:
         return conv_output_width(self.w_ifm, self.f_conv, self.s_conv, 0)
 
-    @property
+    @cached_property
     def w_pool(self) -> int:
         if not self.has_pool:
             raise AttackError("target has no pooling stage")

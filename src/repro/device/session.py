@@ -571,17 +571,26 @@ class DeviceSession:
         return trace
 
     def classify(self, x: np.ndarray) -> np.ndarray:
-        """Submit an input batch and read the classification scores.
+        """Submit one input sample and read its classification scores.
 
         This is the normal-user API of Figure 2 — the host always sees
         the model's output — used by the cloning attack to label its
-        training set.  Charged one inference per call; with a shared
-        cache attached, a batch labelled anywhere in the fleet is
-        replayed as a cached inference.
+        training set.  ``x`` has shape ``(1, *image_shape)``; any other
+        shape raises :class:`~repro.errors.ConfigError` before anything
+        is charged or cached.  Charged one inference per call; with a
+        shared cache attached, a sample labelled anywhere in the fleet
+        is replayed as a cached inference.
         """
+        x = np.asarray(x)
+        expected = (1, *self.image_shape)
+        if x.shape != expected:
+            raise ConfigError(
+                f"classify takes one sample of shape {expected}, "
+                f"got {x.shape}"
+            )
         key: str | None = None
         if self._shared is not None:
-            key = self._classify_key(np.asarray(x))
+            key = self._classify_key(x)
             cached = self._shared.get_output(key)
             if cached is not None:
                 self.ledger.record_cached_inference()
@@ -614,10 +623,11 @@ class DeviceSession:
             )
 
     def _observed(self, counts: np.ndarray) -> np.ndarray:
-        """Project device-side per-plane counts to the attacker's view."""
+        """Project device-side per-plane counts (one row per run) to the
+        attacker's view."""
         if self.per_plane:
             return np.asarray(counts, dtype=np.int64)
-        return np.array([int(counts.sum())], dtype=np.int64)
+        return counts.sum(axis=1, keepdims=True, dtype=np.int64)
 
     def _replies(
         self, patterns: list[tuple], rows: list[np.ndarray], rep: int = 0
@@ -640,16 +650,14 @@ class DeviceSession:
         """
         oracle = self._channel_oracle()
         width = oracle.d_ofm if self.per_plane else 1
-        keys = [
-            (self._threshold, pattern, row.tobytes(), rep)
-            for pattern, row in zip(patterns, rows)
-        ]
-        replies: list[np.ndarray | None] = [None] * len(keys)
+        cache, shared, thr = self._cache, self._shared, self._threshold
+        replies: list[np.ndarray | None] = [None] * len(rows)
         pending: dict[tuple, list[int]] = {}
         hits = 0
         shared_hits = 0
-        for b, key in enumerate(keys):
-            cached = self._cache.get(key) if self._cache else None
+        for b, (pattern, row) in enumerate(zip(patterns, rows)):
+            key = (thr, pattern, row.tobytes(), rep)
+            cached = cache.get(key) if cache is not None else None
             if cached is not None:
                 replies[b] = cached
                 hits += 1
@@ -659,10 +667,8 @@ class DeviceSession:
                 pending[key].append(b)
                 hits += 1
             else:
-                if self._shared is not None:
-                    reply = self._shared.get_reply(
-                        self._probe_key(key), width
-                    )
+                if shared is not None:
+                    reply = shared.get_reply(self._probe_key(key), width)
                     if reply is not None:
                         # Served fleet-wide: some other session already
                         # paid for this probe.  Counted as a cache hit
@@ -671,31 +677,33 @@ class DeviceSession:
                         replies[b] = reply
                         hits += 1
                         shared_hits += 1
-                        if self._cache is not None:
-                            self._cache.put(key, reply)
+                        if cache is not None:
+                            cache.put(key, reply)
                         continue
                 pending[key] = [b]
         if pending:
             # Budget check happens before the device runs.
             self.ledger.charge_channel(len(pending))
             first = [runs[0] for runs in pending.values()]
-            counts = oracle.nnz_batch(
-                [patterns[b] for b in first], [rows[b] for b in first]
+            observed = self._observed(
+                oracle.nnz_batch(
+                    [patterns[b] for b in first], [rows[b] for b in first]
+                )
             )
+            observed.setflags(write=False)
             noisy = self.channel.counter_noisy
-            for key, row_counts in zip(pending, counts):
-                reply = self._observed(row_counts)
+            for key, reply in zip(pending, observed):
                 if noisy:
                     thr, pkey, row_bytes, _ = key
                     content = (
                         repr((thr, pkey)).encode("utf-8") + row_bytes
                     )
                     reply = self.channel.observe_counts(reply, content, rep)
-                reply.setflags(write=False)
-                if self._cache is not None:
-                    self._cache.put(key, reply)
-                if self._shared is not None:
-                    self._shared.put_reply(self._probe_key(key), reply)
+                    reply.setflags(write=False)
+                if cache is not None:
+                    cache.put(key, reply)
+                if shared is not None:
+                    shared.put_reply(self._probe_key(key), reply)
                 for b in pending[key]:
                     replies[b] = reply
         self.ledger.record_cache(hits=hits, misses=len(pending))
@@ -780,26 +788,39 @@ class DeviceSession:
                 "writes one aggregate stream"
             )
         multi = one_pattern_per_row(pixels)
-        probes = list(zip(pixels, values)) if multi else [(pixels, values)]
+        if not multi:
+            pixels, values = [pixels], [values]
+        elif len(values) != len(pixels):
+            raise ConfigError(
+                f"need one value array per pattern, got {len(values)} "
+                f"for {len(pixels)} patterns"
+            )
         d_ofm = self.d_ofm
-        patterns: list[tuple] = []
-        blocks: list[np.ndarray] = []
-        for probe_pixels, probe_values in probes:
-            probe_values = np.asarray(probe_values, dtype=float)
+        probes = [np.asarray(v, dtype=float) for v in values]
+        for probe_pixels, probe_values in zip(pixels, probes):
             if probe_values.shape != (len(probe_pixels), d_ofm):
                 raise ConfigError(
                     f"values must be (n_pixels, d_ofm) = "
                     f"({len(probe_pixels)}, {d_ofm}), got {probe_values.shape}"
                 )
-            patterns += [tuple(probe_pixels)] * d_ofm
-            blocks.append(np.ascontiguousarray(probe_values.T))
-        self._check_values(np.concatenate(blocks, axis=1))
-        rows = [row for block in blocks for row in block]
-        replies = np.stack(self._replies(patterns, rows, rep))
-        # Run p * d_ofm + f is read through plane f.
-        counts = replies[
-            np.arange(len(rows)), np.tile(np.arange(d_ofm), len(probes))
-        ].reshape(len(probes), d_ofm).astype(np.int64, copy=False)
+        # Column block p of ``runs`` holds probe p's pixel values, one
+        # row per filter: run p * d_ofm + f drives it with row f.
+        runs = np.concatenate(probes).T.copy()
+        self._check_values(runs)
+        patterns: list[tuple] = []
+        rows: list[np.ndarray] = []
+        start = 0
+        for probe_pixels in pixels:
+            pattern = tuple(probe_pixels)
+            stop = start + len(pattern)
+            patterns += [pattern] * d_ofm
+            rows += list(runs[:, start:stop])
+            start = stop
+        replies = self._replies(patterns, rows, rep)
+        # Run p * d_ofm + f is read through plane f: the diagonal of
+        # probe p's (d_ofm, d_ofm) reply block.
+        counts = np.concatenate(replies).reshape(len(probes), d_ofm * d_ofm)
+        counts = counts[:, :: d_ofm + 1].astype(np.int64)
         return counts if multi else counts[0]
 
     def set_threshold(self, threshold: float) -> None:

@@ -74,6 +74,10 @@ CREATE TABLE IF NOT EXISTS outputs (
 );
 """
 
+# How long a statement waits for another process's write lock before the
+# cache gives up with a ConfigError naming the file.
+_BUSY_TIMEOUT_S = 60.0
+
 # Switching a fresh database to WAL takes an exclusive lock that sqlite's
 # busy timeout does not wait for, so processes racing to open a new
 # cache file retry the switch this many times, 10 ms apart.
@@ -249,12 +253,12 @@ class SharedQueryCache:
         pid = os.getpid()
         if self._conn is None or self._pid != pid:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=60.0)
+            conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S)
             try:
                 self._set_up(conn)
-            except sqlite3.OperationalError:
+            except sqlite3.OperationalError as exc:
                 conn.close()
-                raise
+                raise self._locked(exc) from exc
             except sqlite3.DatabaseError as exc:
                 conn.close()
                 raise ConfigError(
@@ -299,14 +303,32 @@ class SharedQueryCache:
         self._conn = None
         self._pid = None
 
+    def _locked(self, exc: sqlite3.OperationalError) -> Exception:
+        """The error to raise for ``exc``: a :class:`ConfigError` when
+        another process held the write lock past the busy timeout."""
+        if "locked" not in str(exc):
+            return exc
+        return ConfigError(
+            f"query cache {self.path} is locked: another process has held "
+            f"its write lock for over {_BUSY_TIMEOUT_S:g} s; let that "
+            "process finish (or stop it) and run again"
+        )
+
     def _select(self, sql: str, key: str) -> bytes | None:
-        row = self._connection().execute(sql, (key,)).fetchone()
+        try:
+            row = self._connection().execute(sql, (key,)).fetchone()
+        except sqlite3.OperationalError as exc:
+            raise self._locked(exc) from exc
         return None if row is None else row[0]
 
     def _insert(self, sql: str, key: str, blob: bytes) -> None:
         conn = self._connection()
-        conn.execute(sql, (key, blob))
-        conn.commit()
+        try:
+            conn.execute(sql, (key, blob))
+            conn.commit()
+        except sqlite3.OperationalError as exc:
+            conn.rollback()
+            raise self._locked(exc) from exc
 
     # -- probe replies -----------------------------------------------------
     def get_reply(self, key: str, length: int) -> np.ndarray | None:

@@ -39,6 +39,8 @@ from repro.attacks.weights.recovery import (
     Search,
     WeightAttack,
     WeightAttackResult,
+    _Bisection,
+    _RecoveryState,
 )
 from repro.device import DeviceSession, StructureObservation
 from repro.errors import ConfigError, TraceError
@@ -515,15 +517,48 @@ def dense_session(device, stage_name: str | None = None, **kwargs) -> DeviceSess
 
 # -- weight recovery -------------------------------------------------------------
 
-def _drive_alone(channel, search: Search) -> bool:
+def _bisect_alone(
+    attack: WeightAttack, state: _RecoveryState, bisection: _Bisection
+):
+    """Algorithm 2's binary search of one crossing, one probe per call."""
+    lo, hi = bisection.lo.copy(), bisection.hi.copy()
+    moved = bisection.moved
+    for _ in range(attack.search_steps):
+        mid = np.where(moved, 0.5 * (lo + hi), 0.0)
+        if bisection.anchor is None:
+            measured = attack.channel.query_per_filter(
+                bisection.pixels, mid[None, :]
+            )
+            modeled = attack._model_counts(
+                mid, bisection.known_rho, state.bias_pos, state.base,
+                bisection.members,
+            )
+            flipped = (measured - modeled) != 0
+        else:
+            measured = attack.channel.query_per_filter(
+                bisection.pixels, np.stack([bisection.anchor, mid])
+            )
+            flipped = measured != bisection.g0
+        hi = np.where(moved & flipped, mid, hi)
+        lo = np.where(moved & ~flipped, mid, lo)
+    return lo, hi
+
+
+def _drive_alone(
+    attack: WeightAttack, state: _RecoveryState, search: Search
+) -> bool:
     """Run one weight's search to completion, one probe per device call."""
     try:
         request = next(search)
         while True:
-            pixels, values = request
-            request = search.send(
-                np.asarray(channel.query_per_filter(pixels, values))
-            )
+            if isinstance(request, _Bisection):
+                reply = _bisect_alone(attack, state, request)
+            else:
+                pixels, values = request
+                reply = np.asarray(
+                    attack.channel.query_per_filter(pixels, values)
+                )
+            request = search.send(reply)
     except StopIteration as stop:
         return bool(stop.value)
 
@@ -534,7 +569,9 @@ def weight_attack_reference(attack: WeightAttack) -> WeightAttackResult:
     The oracle of :meth:`WeightAttack._run_shard_local` (the attack's
     own filter range, in this process): the same per-weight searches,
     driven in lexicographic order within each round, each probe its own
-    one-pattern ``query_per_filter`` call.  Ratios, statuses and the
+    one-pattern ``query_per_filter`` call, and each bisection request a
+    plain loop of such calls (the lockstep driver steps all running
+    bisections in one table instead).  Ratios, statuses and the
     session ledger must match the lockstep schedule exactly.
     """
     state = attack._start()
@@ -542,7 +579,7 @@ def weight_attack_reference(attack: WeightAttack) -> WeightAttackResult:
         progress = False
         for pos, todo in attack._active(state):
             search = attack._resolve_weight(state, pos, todo, round_no > 0)
-            progress |= _drive_alone(attack.channel, search)
+            progress |= _drive_alone(attack, state, search)
         if not progress:
             break
     return attack._finish(state)

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfbench.workloads import _demo_weight_victim
+from repro.accel import AcceleratorConfig, AcceleratorSim, PruningConfig
 from repro.attacks.weights import AttackTarget, WeightAttack, WeightStatus
+from repro.device import DeviceSession
 from repro.errors import AttackError
 from repro.nn.shapes import PoolSpec
 from repro.reference import dense_session
@@ -147,3 +150,28 @@ def test_recovery_property_pooled(seed):
     resolved = result.resolved_mask()
     assert resolved.mean() > 0.95
     assert result.max_ratio_error(weights, biases) < 1e-9
+
+
+def test_demo_victim_full_depth_ticks_and_ledger(monkeypatch):
+    """The `repro weights` demo victim at the default 64 bisection steps:
+    the lockstep schedule's device calls and the whole ledger, pinned."""
+    calls = []
+    query_per_filter = DeviceSession.query_per_filter
+
+    def counting(self, pixels, values, rep=0):
+        calls.append(len(pixels))
+        return query_per_filter(self, pixels, values, rep)
+
+    monkeypatch.setattr(DeviceSession, "query_per_filter", counting)
+    staged, geom, _, _ = _demo_weight_victim(43, 2, 0)
+    sim = AcceleratorSim(
+        staged, AcceleratorConfig(pruning=PruningConfig(enabled=True))
+    )
+    session = DeviceSession(sim, "conv1")
+    result = WeightAttack(session, AttackTarget.from_geometry(geom)).run()
+    assert result.recovery_fraction() == 1.0
+    assert len(calls) == 4_749
+    ledger = session.ledger
+    assert ledger.channel_queries == 38_825
+    assert ledger.cache_hits == 37_970
+    assert ledger.cache_misses == 38_825

@@ -14,6 +14,7 @@ from repro.accel import AcceleratorConfig, AcceleratorSim, PruningConfig
 from repro.accel.sinks import StatsSink
 from repro.channel import ChannelModel
 from repro.device import DeviceSession, SharedQueryCache
+from repro.errors import ConfigError
 from repro.nn.zoo import build_lenet
 
 VICTIM = build_lenet()
@@ -64,6 +65,17 @@ def test_classify_runs_one_forward_pass(forwards):
     assert len(forwards) == 1 and session.ledger.inferences == 1
     np.testing.assert_array_equal(output, VICTIM.network.forward(x))
     assert session.observe_structure().num_classes == output.shape[-1]
+
+
+def test_classify_rejects_a_batch_before_charging(forwards, tmp_path):
+    cache = SharedQueryCache(tmp_path / "cache.sqlite")
+    session = _session(shared_cache=cache)
+    forwards.clear()
+    with pytest.raises(ConfigError, match=r"\(1, 1, 28, 28\)"):
+        session.classify(np.zeros((4, 1, 28, 28)))
+    assert forwards == [] and session.ledger.inferences == 0
+    assert cache.stats()["outputs"] == 0
+    cache.close()
 
 
 def test_pruned_power_observation_runs_one_forward_pass(forwards):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.campaign.victims import build_device, build_victim
 from repro.channel import ChannelModel
 from repro.device import DeviceSession, SharedQueryCache, device_fingerprint
+from repro.device import shared_cache
 from repro.errors import ConfigError
 
 INT64 = np.iinfo(np.int64)
@@ -214,6 +215,29 @@ def test_corrupt_cache_file_raises_typed_error(tmp_path):
     assert "safe to delete" in str(info.value)
     path.unlink()
     SharedQueryCache(path).close()
+
+
+def test_write_lock_held_past_timeout_raises_typed_error(tmp_path, monkeypatch):
+    path = tmp_path / "cache.sqlite"
+    first = SharedQueryCache(path)
+    first.put_reply("held", np.arange(2))
+    first.close()
+    monkeypatch.setattr(shared_cache, "_BUSY_TIMEOUT_S", 0.05)
+    holder = sqlite3.connect(path, isolation_level=None)
+    holder.execute("BEGIN EXCLUSIVE")
+    cache = SharedQueryCache(path)
+    try:
+        with pytest.raises(ConfigError) as info:
+            cache.put_reply("blocked", np.arange(2))
+        assert str(path) in str(info.value)
+        assert "write lock" in str(info.value)
+    finally:
+        holder.execute("ROLLBACK")
+        holder.close()
+    # Once the lock is released the same cache writes normally.
+    cache.put_reply("blocked", np.arange(2))
+    assert np.array_equal(cache.get_reply("blocked", 2), np.arange(2))
+    cache.close()
 
 
 # -- the fingerprint -------------------------------------------------------
