@@ -1,17 +1,28 @@
-"""Entry point: ``python -m benchmarks.perf [--quick] [--workers N]``."""
+"""Entry point: ``python -m benchmarks.perf [--quick] [--workers N]``.
+
+Every bench is one row of :data:`ROWS`: a ``run(quick, workers)`` that
+builds its victims, times its arms and makes the identity check, an
+optional ``bound`` on the entry and the ``figures`` the throughput gate
+compares.  Six rows share two timers: :func:`reference_vs_vectorised`
+(synthesis, decode, power) and :func:`serial_vs_workers` (ranking,
+weights, channel).
+"""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
+import shutil
 import statistics
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,19 +36,35 @@ from repro.accel import (  # noqa: E402
     SpoolSink,
     StatsSink,
 )
+from repro.accel.trace import MemoryTrace  # noqa: E402
+from repro.attacks.robust import (  # noqa: E402
+    BoundaryRecovery,
+    VotingChannel,
+    boundary_cycles_from_trace,
+    boundary_f1,
+    calibrate_channel,
+)
 from repro.attacks.structure import (  # noqa: E402
     StreamingTraceAnalyzer,
     analyse_trace,
+    identify_dataflow,
     run_structure_attack,
 )
 from repro.attacks.structure.ranking import rank_candidates  # noqa: E402
 from repro.attacks.weights import AttackTarget, WeightAttack  # noqa: E402
+from repro.campaign import Campaign, JobCheckpoint  # noqa: E402
+from repro.campaign.victims import build_victim  # noqa: E402
+from repro.channel import ChannelModel  # noqa: E402
 from repro.data import make_dataset  # noqa: E402
 from repro.device import DeviceSession  # noqa: E402
-from repro.nn.shapes import PoolSpec  # noqa: E402
-from repro.nn.spec import LayerGeometry  # noqa: E402
-from repro.nn.stages import StagedNetworkBuilder  # noqa: E402
-from repro.nn.zoo import build_alexnet, build_lenet, build_model  # noqa: E402
+from repro.nn.zoo import (  # noqa: E402
+    build_alexnet,
+    build_lenet,
+    build_model,
+    build_weight_victim,
+)
+from repro.parallel import available_cpus  # noqa: E402
+from repro.power import PowerSink  # noqa: E402
 from repro.reference import (  # noqa: E402
     decode_reference,
     power_reference,
@@ -53,6 +80,8 @@ from .golden import (  # noqa: E402
     span_stream_digest,
 )
 
+SKIP_SINGLE_CPU = "single-cpu-host"
+
 
 def _timed(fn):
     t0 = time.perf_counter()
@@ -60,220 +89,212 @@ def _timed(fn):
     return time.perf_counter() - t0, out
 
 
-def _per_call_s(fn, min_s: float = 0.05) -> float:
-    """Seconds per call of ``fn``, calling it until ``min_s`` has passed.
+def _per_call_s(fn, min_s: float) -> tuple[float, Any]:
+    """Seconds per call of ``fn`` and its last output, calling it until
+    ``min_s`` has passed.
 
     A LeNet replay takes ~0.1 ms, where one timing is mostly timer and
-    cache noise; each repetition averages over at least ``min_s``.
+    cache noise; each repetition averages over at least ``min_s``
+    (``0`` times a single call).
     """
     calls = 0
     t0 = time.perf_counter()
     while True:
-        fn()
+        out = fn()
         calls += 1
         elapsed = time.perf_counter() - t0
         if elapsed >= min_s:
-            return elapsed / calls
+            return elapsed / calls, out
 
 
-def effective_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+# -- shared timer: serial vs workers -------------------------------------------
+def serial_vs_workers(run: Callable[[int], Any], same, workers: int,
+                      **facts) -> dict:
+    """Time ``run(1)`` then ``run(workers)``; ``same`` compares results.
 
-
-SKIP_SINGLE_CPU = "single-cpu-host"
-
-
-def _entry(serial_s: float, parallel_s: float, workers: int,
-           scale: str, identical: bool, multi_worker: bool = True) -> dict:
-    """One bench record.
-
-    ``multi_worker`` comparisons time two process counts against each
-    other; on a host with a single effective CPU those numbers measure
+    On a host with a single usable CPU the two process counts measure
     scheduler contention, not parallelism, so the speedup is nulled and
     the entry carries an explicit ``skipped`` marker instead of a fake
-    figure.  Identity is asserted regardless — both arms always run.
+    figure.  Identity is asserted regardless: both arms always run.
     """
+    serial_s, r1 = _timed(lambda: run(1))
+    parallel_s, rn = _timed(lambda: run(workers))
+    skipped = workers > 1 and available_cpus() == 1
     entry = {
         "wall_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s else 0.0,
+        "speedup": None if skipped else round(serial_s / parallel_s, 3),
         "workers": workers,
-        "scale": scale,
         "serial_wall_s": round(serial_s, 4),
-        "identical": bool(identical),
+        "identical": bool(same(r1, rn)),
+        **facts,
     }
-    if multi_worker and workers > 1 and effective_cpus() == 1:
-        entry["speedup"] = None
+    if skipped:
         entry["skipped"] = SKIP_SINGLE_CPU
     return entry
 
 
-# -- bench: candidate ranking ------------------------------------------------
-def bench_ranking(workers: int, quick: bool, scale: str) -> dict:
-    staged = build_model("lenet")
-    result = run_structure_attack(AcceleratorSim(staged), tolerance=0.25)
-    n_cands = 3 if quick else min(8, len(result.candidates))
-    cands = result.candidates[:n_cands]
+# -- shared timer: reference vs vectorised ---------------------------------------
+@dataclasses.dataclass
+class Case:
+    """One net's two arms.
+
+    ``identical`` is the identity check made at setup on the full
+    outputs (and against the pinned golden digest where there is one);
+    ``same`` checks every timed call's output against that setup result.
+    ``units`` is the work one call does; each is reported per second.
+    """
+
+    net: str
+    reference: Callable[[], Any]
+    vectorised: Callable[[], Any]
+    identical: bool
+    same: Callable[[Any], bool]
+    units: dict[str, int]
+    facts: dict = dataclasses.field(default_factory=dict)
+
+
+def reference_vs_vectorised(cases: list[Case], reps: int, min_s: float,
+                            flat: bool = False) -> dict:
+    """Interleaved repetitions of every case's two arms.
+
+    Speedups compare medians, so host noise hits both arms alike; the
+    per-second figures use the fastest vectorised repetition, since
+    contention on a shared host only ever adds time.  ``min_s`` is the
+    averaging window per repetition (see :func:`_per_call_s`); ``flat``
+    records a single case at the top of the entry.  Single-process: no
+    single-CPU skip applies.
+    """
+    nets: dict[str, dict] = {}
+    identical = True
+    for case in cases:
+        ref, vec = [], []
+        for _ in range(reps):
+            for arm, walls in ((case.reference, ref), (case.vectorised, vec)):
+                wall, out = _per_call_s(arm, min_s)
+                walls.append(wall)
+                identical = identical and bool(case.same(out))
+        identical = identical and case.identical
+        ref_med, vec_med = statistics.median(ref), statistics.median(vec)
+        nets[case.net] = record = {
+            **case.units,
+            **case.facts,
+            "reference_wall_s": round(ref_med, 5),
+            "vectorised_wall_s": round(vec_med, 5),
+            "speedup": round(ref_med / vec_med, 3),
+        }
+        for unit, n in case.units.items():
+            record[f"{unit}_per_second"] = round(n / min(vec))
+            record[f"reference_{unit}_per_second"] = round(n / ref_med)
+    ref_s = sum(n["reference_wall_s"] for n in nets.values())
+    vec_s = sum(n["vectorised_wall_s"] for n in nets.values())
+    entry = {
+        "wall_s": round(vec_s, 4),
+        "speedup": round(ref_s / vec_s, 3),
+        "workers": 1,
+        "serial_wall_s": round(ref_s, 4),
+        "identical": identical,
+        "best_speedup": max(n["speedup"] for n in nets.values()),
+        "reps": reps,
+    }
+    if flat:
+        (record,) = nets.values()
+        entry.update(record)
+    else:
+        entry["nets"] = nets
+    return entry
+
+
+# -- rows: each is (quick, workers) -> entry ---------------------------------
+def ranking(quick: bool, workers: int) -> dict:
+    """Candidate ranking (a short training run per candidate), sharded."""
+    result = run_structure_attack(
+        AcceleratorSim(build_model("lenet")), tolerance=0.25
+    )
+    cands = result.candidates[: 3 if quick else 8]
     per_class = 2 if quick else 6
     ds = make_dataset(
         num_classes=10, image_size=28, channels=1,
         train_per_class=per_class, val_per_class=max(1, per_class // 2),
         seed=0,
     )
-    epochs = 1 if quick else 2
 
     def run(w):
-        return rank_candidates(
-            cands, ds, (1, 28, 28), 10, epochs=epochs, seed=7, workers=w
+        ranks = rank_candidates(
+            cands, ds, (1, 28, 28), 10, epochs=1 if quick else 2, seed=7,
+            workers=w,
         )
+        return [(r.index, r.top1, r.top5, r.train_loss) for r in ranks]
 
-    serial_s, r1 = _timed(lambda: run(1))
-    parallel_s, rn = _timed(lambda: run(workers))
-    identical = [
-        (r.index, r.top1, r.top5, r.train_loss) for r in r1
-    ] == [(r.index, r.top1, r.top5, r.train_loss) for r in rn]
-    return _entry(serial_s, parallel_s, workers, scale, identical)
+    return serial_vs_workers(run, lambda a, b: a == b, workers)
 
 
-# -- bench: sharded weight recovery ------------------------------------------
-def _weight_victim(size: int, filters: int, f: int = 11, s: int = 4,
-                   seed: int = 0):
-    rng = np.random.default_rng(seed)
-    builder = StagedNetworkBuilder(
-        "victim", (3, size, size), relu_threshold=0.0
+def weights(quick: bool, workers: int) -> dict:
+    """Weight recovery with the filters sharded over workers."""
+    size, filters, f, s = (19, 4, 5, 2) if quick else (43, 8, 11, 4)
+    staged, geom, _, _ = build_weight_victim(
+        size, filters, filter_size=f, stride=s
     )
-    geom = LayerGeometry.from_conv(
-        size, 3, filters, f, s, 0, pool=PoolSpec(3, 2, 0)
-    )
-    builder.add_conv("conv1", geom)
-    staged = builder.build()
-    conv = staged.network.nodes["conv1/conv"].layer
-    weights = rng.normal(size=conv.weight.value.shape) * 0.1
-    weights[np.abs(weights) < 0.03] = 0.0
-    conv.weight.value[:] = weights
-    conv.bias.value[:] = -rng.uniform(0.05, 0.3, size=filters)
-    return staged, geom
-
-
-def bench_weights(workers: int, quick: bool, scale: str) -> dict:
-    if quick:
-        size, filters, f, s = 19, 4, 5, 2
-    else:
-        size, filters, f, s = 43, 8, 11, 4
-    staged, geom = _weight_victim(size, filters, f=f, s=s)
     target = AttackTarget.from_geometry(geom)
 
     def run(w):
         sim = AcceleratorSim(
             staged, AcceleratorConfig(pruning=PruningConfig(enabled=True))
         )
-        session = DeviceSession(sim, "conv1")
-        return WeightAttack(session, target, workers=w).run()
+        return WeightAttack(DeviceSession(sim, "conv1"), target, workers=w).run()
 
-    serial_s, r1 = _timed(lambda: run(1))
-    parallel_s, rn = _timed(lambda: run(workers))
-    identical = np.array_equal(r1.ratio_tensor(), rn.ratio_tensor()) and (
-        r1.status_tensor() == rn.status_tensor()
-    ).all()
-    return _entry(serial_s, parallel_s, workers, scale, identical)
+    return serial_vs_workers(run, lambda a, b: (
+        np.array_equal(a.ratio_tensor(), b.ratio_tensor())
+        and (a.status_tensor() == b.status_tensor()).all()
+    ), workers)
 
 
-# -- bench: trace-synthesis throughput (reference vs vectorised) ---------------
-def bench_throughput(workers: int, quick: bool, scale: str) -> dict:
-    """Events/second of pure trace synthesis, reference vs vectorised.
+def synthesis(quick: bool, workers: int) -> dict:
+    """Events/second of pure trace synthesis.
 
     ``replay`` re-synthesizes the last run's trace without a forward
     pass, so this isolates the span-emission hot path; the reference
-    arm re-synthesizes the same run through the per-tile oracle
-    (:func:`repro.reference.synthesize_reference`).  Both must produce
-    bit-identical streams (and LeNet must match the pinned golden
-    digest); the vectorised path must clear the 3x bar on at least one
-    net.  Speedups compare medians over interleaved repetitions so
-    host noise hits both arms alike; ``events_per_second`` (the gated
-    figure) uses the fastest repetition, since contention on a shared
-    host only ever adds time.  This is a single-process bench —
-    no single-CPU skip applies.
+    arm re-synthesizes the same run through the per-tile oracle.  Every
+    timed call must end at the same cycle with the same stage windows.
     """
-    reps = 5 if quick else 11
     nets = [("lenet", build_lenet), ("alexnet", build_alexnet)]
     if not quick:
         nets.append(("squeezenet", lambda: build_model("squeezenet")))
-    per_net: dict[str, dict] = {}
-    identical = True
-    golden_match = True
-    best_speedup = 0.0
+    cases = []
     for name, make in nets:
         staged = make()
-        vec = AcceleratorSim(staged)
-        x = np.zeros((1, *staged.network.input_shape))
-        vec_digest = span_stream_digest(vec.run(x).trace)
-        ref_digest = span_stream_digest(synthesize_reference(vec).trace)
-        identical = identical and ref_digest == vec_digest
-        if name == "lenet":
-            golden_match = vec_digest == GOLDEN_LENET_SHA256
+        sim = AcceleratorSim(staged)
+        run = sim.run(np.zeros((1, *staged.network.input_shape)))
+        digest = span_stream_digest(run.trace)
+        golden = GOLDEN_LENET_SHA256 if name == "lenet" else digest
         stats = StatsSink()
-        vec.replay(stats)
-        ref_walls, vec_walls = [], []
-        for _ in range(reps):
-            ref_walls.append(
-                _per_call_s(lambda: synthesize_reference(vec, StatsSink()))
-            )
-            vec_walls.append(_per_call_s(lambda: vec.replay(StatsSink())))
-        ref_med = statistics.median(ref_walls)
-        vec_med = statistics.median(vec_walls)
-        speedup = ref_med / vec_med if vec_med else 0.0
-        best_speedup = max(best_speedup, speedup)
-        per_net[name] = {
-            "events": int(stats.events),
-            "reference_wall_s": round(ref_med, 5),
-            "vectorised_wall_s": round(vec_med, 5),
-            "speedup": round(speedup, 3),
-            "events_per_second": round(stats.events / min(vec_walls))
-            if vec_med else 0,
-        }
-    entry = _entry(
-        sum(n["reference_wall_s"] for n in per_net.values()),
-        sum(n["vectorised_wall_s"] for n in per_net.values()),
-        1, scale, identical and golden_match, multi_worker=False,
-    )
-    entry.update(
-        nets=per_net,
-        golden_match=golden_match,
-        threshold=3.0,
-        bounded=best_speedup >= 3.0,
-        reps=reps,
-    )
-    return entry
+        sim.replay(stats)
+        cases.append(Case(
+            name,
+            lambda sim=sim: synthesize_reference(sim, StatsSink()),
+            lambda sim=sim: sim.replay(StatsSink()),
+            span_stream_digest(synthesize_reference(sim).trace)
+            == digest == golden,
+            lambda r, run=run: (r.total_cycles, r.windows)
+            == (run.total_cycles, run.windows),
+            {"events": int(stats.events)},
+        ))
+    return reference_vs_vectorised(cases, reps=5 if quick else 11, min_s=0.05)
 
 
-# -- bench: decode throughput (reference vs vectorised analyzers) --------------
-def bench_decode(workers: int, quick: bool, scale: str) -> dict:
-    """Events/second of attack-side decoding, reference vs vectorised.
+def decode(quick: bool, workers: int) -> dict:
+    """Events/second of attack-side decoding of one AlexNet trace.
 
-    Materialises one AlexNet trace (the scale the 100x synthesis/decode
-    gap was measured at), then streams it in decode-sized chunks through
-    :class:`StreamingTraceAnalyzer`; the reference arm decodes the
-    whole trace with :func:`repro.reference.decode_reference`.  The
-    analyses must be bit-identical — the vectorised decoders' only
-    licence to exist — and the vectorised arm must clear the 5x bar.  Timings
-    are medians over interleaved repetitions so host noise hits both
-    arms alike; ``events_per_second`` uses the fastest repetition.
-    Single-process bench — no single-CPU skip applies.
+    The vectorised arm streams the trace in decode-sized chunks through
+    :class:`StreamingTraceAnalyzer`; the reference arm decodes it whole.
+    Every timed analysis must equal the first reference analysis.
     """
-    reps = 3 if quick else 7
     chunk = 1 << 16
-    staged = build_alexnet()
-    obs = DeviceSession(
-        AcceleratorSim(
-            staged, AcceleratorConfig(dataflow="output-stationary")
-        )
-    ).observe_structure(seed=0)
+    obs = DeviceSession(AcceleratorSim(
+        build_alexnet(), AcceleratorConfig(dataflow="output-stationary")
+    )).observe_structure(seed=0)
     t = obs.trace
 
-    def run():
+    def streamed():
         analyzer = StreamingTraceAnalyzer(
             obs.input_shape, obs.element_bytes, obs.block_bytes,
             dataflow="output-stationary",
@@ -286,188 +307,106 @@ def bench_decode(workers: int, quick: bool, scale: str) -> dict:
             )
         return analyzer.finish(obs)
 
-    ref_walls, vec_walls, analyses = [], [], []
-    for _ in range(reps):
-        wall, out = _timed(lambda: decode_reference(obs)[1])
-        ref_walls.append(wall)
-        analyses.append(out)
-        wall, out = _timed(run)
-        vec_walls.append(wall)
-        analyses.append(out)
-    identical = all(a == analyses[0] for a in analyses[1:])
-    ref_med = statistics.median(ref_walls)
-    vec_med = statistics.median(vec_walls)
-    speedup = ref_med / vec_med if vec_med else 0.0
-    entry = _entry(
-        ref_med, vec_med, 1, scale, identical, multi_worker=False
+    def reference():
+        return decode_reference(obs)[1]
+
+    expected = reference()
+    case = Case(
+        "alexnet", reference, streamed, True, expected.__eq__,
+        {"events": len(t)}, {"chunk_events": chunk},
     )
-    entry.update(
-        events=len(t),
-        chunk_events=chunk,
-        reference_wall_s=round(ref_med, 5),
-        vectorised_wall_s=round(vec_med, 5),
-        events_per_second=round(len(t) / min(vec_walls)) if vec_med else 0,
-        reference_events_per_second=round(len(t) / ref_med)
-        if ref_med else 0,
-        threshold=5.0,
-        bounded=speedup >= 5.0,
-        reps=reps,
+    return reference_vs_vectorised(
+        [case], reps=3 if quick else 7, min_s=0.0, flat=True
     )
-    return entry
 
 
-# -- bench: power-proxy synthesis (reference vs vectorised PowerSink) ----------
-def bench_power(workers: int, quick: bool, scale: str) -> dict:
-    """Power samples/second through PowerSink, reference vs vectorised.
+def power(quick: bool, workers: int) -> dict:
+    """Power samples/second through :class:`~repro.power.PowerSink`.
 
-    Replays materialised span streams through a fresh
-    :class:`~repro.power.PowerSink` (the SWAR-vectorised
-    :meth:`~repro.power.PowerModel.event_energy`) without a forward
-    pass, so this isolates the power accumulation hot path; the
-    reference arm runs the per-event scalar oracle
-    (:func:`repro.reference.power_reference`) over the materialised
-    trace.  Both must produce bit-identical traces (and LeNet must
-    match the pinned golden power digest); the vectorised arm must
-    clear the 3x bar on at least one net.
-    Speedups compare medians over interleaved repetitions; the per-second
-    figures use the fastest repetition.  Single-process
-    bench — no single-CPU skip applies.
+    The vectorised arm replays the span stream into a fresh sink; the
+    reference arm runs the per-event scalar oracle over the
+    materialised trace.  Their traces must be bit-identical, on every
+    timed call too.
     """
-    from repro.power import PowerSink
-
-    reps = 5 if quick else 11
-    nets = [
+    cases = []
+    for name, make in (
         ("lenet", build_lenet),
-        ("alexnet", lambda: build_alexnet(width_scale=0.25,
-                                          num_classes=100)),
-    ]
-    per_net: dict[str, dict] = {}
-    identical = True
-    golden_match = True
-    best_speedup = 0.0
-    for name, make in nets:
+        ("alexnet", lambda: build_alexnet(width_scale=0.25, num_classes=100)),
+    ):
         staged = make()
         sim = AcceleratorSim(staged)
-        x = np.zeros((1, *staged.network.input_shape))
-        t = sim.run(x).trace
+        t = sim.run(np.zeros((1, *staged.network.input_shape))).trace
 
-        def run():
+        def vectorised(sim=sim):
             sink = PowerSink(sim.config.timing)
             sim.replay(sink)
-            return sink
+            return sink.trace()
 
-        def run_reference():
-            return power_reference(
-                t.cycles, t.addresses, t.is_write, sim.config.timing
-            )
+        def reference(t=t, timing=sim.config.timing):
+            return power_reference(t.cycles, t.addresses, t.is_write, timing)
 
-        vec = run()
-        vec_trace, ref_trace = vec.trace(), run_reference()
-        identical = identical and (
-            vec_trace.quantum == ref_trace.quantum
-            and np.array_equal(vec_trace.samples, ref_trace.samples)
-        )
-        if name == "lenet":
-            golden_match = vec_trace.digest() == GOLDEN_LENET_POWER_SHA256
-        ref_walls, vec_walls = [], []
-        for _ in range(reps):
-            ref_walls.append(_per_call_s(run_reference))
-            vec_walls.append(_per_call_s(run))
-        ref_med = statistics.median(ref_walls)
-        vec_med = statistics.median(vec_walls)
-        speedup = ref_med / vec_med if vec_med else 0.0
-        best_speedup = max(best_speedup, speedup)
-        per_net[name] = {
-            "events": int(vec.events),
-            "samples": int(vec_trace.num_samples),
-            "quantum": int(vec_trace.quantum),
-            "total_energy": int(vec_trace.total_energy),
-            "reference_wall_s": round(ref_med, 5),
-            "vectorised_wall_s": round(vec_med, 5),
-            "speedup": round(speedup, 3),
-            "samples_per_second": round(
-                vec_trace.num_samples / min(vec_walls)
-            ) if vec_med else 0,
-            "events_per_second": round(vec.events / min(vec_walls))
-            if vec_med else 0,
-        }
-    entry = _entry(
-        sum(n["reference_wall_s"] for n in per_net.values()),
-        sum(n["vectorised_wall_s"] for n in per_net.values()),
-        1, scale, identical and golden_match, multi_worker=False,
-    )
-    entry.update(
-        nets=per_net,
-        golden_match=golden_match,
-        threshold=3.0,
-        bounded=best_speedup >= 3.0,
-        reps=reps,
-    )
-    return entry
+        sink = PowerSink(sim.config.timing)
+        sim.replay(sink)
+        vec = sink.trace()
+        golden = GOLDEN_LENET_POWER_SHA256 if name == "lenet" else vec.digest()
+        cases.append(Case(
+            name, reference, vectorised, vec.digest() == golden,
+            lambda out, vec=vec: out.quantum == vec.quantum
+            and np.array_equal(out.samples, vec.samples),
+            {"events": int(sink.events), "samples": int(vec.num_samples)},
+            {"quantum": int(vec.quantum),
+             "total_energy": int(vec.total_energy)},
+        ))
+    return reference_vs_vectorised(cases, reps=5 if quick else 11, min_s=0.05)
 
 
-# -- bench: dataflow identification --------------------------------------------
-def bench_dataflow_id(workers: int, quick: bool, scale: str) -> dict:
-    """Dataflow identification accuracy + identifier throughput.
+DATAFLOWS = ("output-stationary", "weight-stationary", "row-stationary")
+GOLDEN_MODELS = ("lenet", "alexnet", "squeezenet")
 
-    Synthesises one clean trace per golden victim × dataflow (each
-    asserted against its pinned digest in ``golden.py``), then times
-    the batch :func:`identify_dataflow` pass over it.  ``identical``
-    carries the digest assertions; ``bounded`` demands 100%
-    identification accuracy.  Single-process bench — no single-CPU
-    skip applies; in ``--quick`` mode the larger victims carry an
-    explicit ``skipped`` marker rather than silently vanishing.
+
+def dataflow_id(quick: bool, workers: int) -> dict:
+    """Time the batch :func:`identify_dataflow` on one clean,
+    digest-checked trace per golden victim x dataflow.
+
+    In ``--quick`` mode the larger victims carry an explicit
+    ``skipped`` marker rather than silently vanishing.
     """
-    from repro.attacks.structure import identify_dataflow
-
-    dataflows = ("output-stationary", "weight-stationary", "row-stationary")
-    all_models = ("lenet", "alexnet", "squeezenet")
-    models = ("lenet",) if quick else all_models
-    per_model: dict[str, dict] = {
-        m: {"skipped": "quick"} for m in all_models if m not in models
-    }
-    correct = total = 0
-    digests_ok = True
-    wall_total = 0.0
-    for m in models:
+    nets: dict[str, dict] = {}
+    wall_total, correct, identical, cases = 0.0, 0, True, 0
+    for m in GOLDEN_MODELS[:1] if quick else GOLDEN_MODELS:
         staged = golden_model(m)
-        shape = staged.network.input_shape
-        per_df: dict[str, dict] = {}
-        for df in dataflows:
+        for df in DATAFLOWS:
             sim = AcceleratorSim(staged, AcceleratorConfig(dataflow=df))
-            x = np.zeros((1, *shape))
-            trace = sim.run(x).trace
-            digests_ok = digests_ok and (
+            trace = sim.run(np.zeros((1, *staged.network.input_shape))).trace
+            identical = identical and (
                 span_stream_digest(trace) == GOLDEN_DATAFLOW_SHA256[(m, df)]
             )
             mem = sim.config.memory
             wall, sig = _timed(lambda: identify_dataflow(
-                trace, shape, mem.element_bytes, mem.block_bytes
+                trace, staged.network.input_shape, mem.element_bytes,
+                mem.block_bytes,
             ))
             wall_total += wall
-            total += 1
             correct += sig.dataflow == df
-            per_df[df] = {
+            cases += 1
+            nets.setdefault(m, {})[df] = {
                 "identified": sig.dataflow,
                 "events": len(trace),
                 "wall_s": round(wall, 5),
                 "events_per_second": round(len(trace) / wall) if wall else 0,
             }
-        per_model[m] = per_df
-    accuracy = correct / total if total else 0.0
-    entry = _entry(
-        wall_total, wall_total, 1, scale, digests_ok, multi_worker=False
-    )
-    entry.update(
-        nets=per_model,
-        accuracy=round(accuracy, 4),
-        cases=total,
-        bounded=accuracy == 1.0,
-    )
-    return entry
+    for m in GOLDEN_MODELS:
+        nets.setdefault(m, {"skipped": "quick"})
+    return {
+        "wall_s": round(wall_total, 4),
+        "workers": 1,
+        "identical": identical,
+        "nets": nets,
+        "accuracy": round(correct / cases, 4),
+        "cases": cases,
+    }
 
 
-# -- bench: trace memory footprint (materialize vs spool+stream) --------------
 def _traced(fn):
     """(wall seconds, tracemalloc peak bytes, result) for one arm."""
     tracemalloc.start()
@@ -479,101 +418,74 @@ def _traced(fn):
     return wall, peak, out
 
 
-def bench_memory(workers: int, quick: bool, scale: str) -> dict:
-    """Peak traced allocations: full-trace analysis vs the spooled stream.
+def memory(quick: bool, workers: int) -> dict:
+    """Peak traced allocations: a saved full trace vs a spooled stream
+    of the same inference; the analyses must match.
 
-    Both arms share one untraced simulation phase (model weights and
-    compute transients are identical either way and would swamp the
-    trace numbers); ``tracemalloc`` then covers only the trace path.
-    The serial arm holds the whole materialised trace and runs the
-    batch ``analyse_trace``; the parallel-slot arm replays spool chunks
-    through ``StreamingTraceAnalyzer`` in O(chunk) memory.  Both must
-    produce the same ``TraceAnalysis`` bit for bit, and the streaming
-    peak must stay under the configured streaming budget.
+    Both simulate outside the traced region (model weights and compute
+    transients are identical either way and would swamp the trace
+    numbers).  ``materialize`` loads the whole trace and runs the batch
+    ``analyse_trace``; ``stream`` replays spool chunks through
+    ``StreamingTraceAnalyzer`` in O(chunk) memory.
     """
-    import dataclasses
-
-    from repro.accel.trace import MemoryTrace
-
     if quick:
         make, budget = build_lenet, 128 << 10
     else:
         make, budget = (
-            lambda: build_alexnet(width_scale=0.25, num_classes=100),
-            1 << 20,
+            lambda: build_alexnet(width_scale=0.25, num_classes=100), 1 << 20
         )
     flush = budget // 4  # spool chunk size: leaves headroom for fold temps
-
-    # Untraced phase: simulate once per arm, trace path not yet running.
     obs = DeviceSession(AcceleratorSim(make())).observe_structure(seed=3)
-    n_events = len(obs.trace)
-    spool_session = DeviceSession(AcceleratorSim(make()))
+    session = DeviceSession(AcceleratorSim(make()))
     with SpoolSink(budget_bytes=flush) as spool, \
             tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        streamed_obs = spool_session.observe_structure(seed=3, sink=spool)
+        streamed_obs = session.observe_structure(seed=3, sink=spool)
         path = os.path.join(tmp, "trace.npz")
         obs.trace.save(path)
-        obs_sans_trace = dataclasses.replace(obs, trace=None)
-        del obs
+        events = len(obs.trace)
+        obs = dataclasses.replace(obs, trace=None)
 
-        def run_materialize():
-            loaded = MemoryTrace.load(path)
+        def materialize():
             return analyse_trace(
-                dataclasses.replace(obs_sans_trace, trace=loaded)
+                dataclasses.replace(obs, trace=MemoryTrace.load(path))
             )
 
-        def run_streaming():
+        def stream():
             analyzer = StreamingTraceAnalyzer(
-                spool_session.image_shape,
-                spool_session.element_bytes,
-                spool_session.block_bytes,
+                session.image_shape, session.element_bytes,
+                session.block_bytes,
             )
-            for sp in spool.spans():
-                analyzer.emit(sp)
+            for span in spool.spans():
+                analyzer.emit(span)
             return analyzer.finish(streamed_obs)
 
-        serial_s, peak_mat, batch = _traced(run_materialize)
-        stream_s, peak_stream, streamed = _traced(run_streaming)
-
-    entry = _entry(
-        serial_s, stream_s, workers, scale, streamed == batch,
-        multi_worker=False,
-    )
-    entry.update(
-        peak_materialize_bytes=int(peak_mat),
-        peak_streaming_bytes=int(peak_stream),
-        budget_bytes=budget,
-        spool_flush_bytes=flush,
-        trace_events=int(n_events),
-        memory_ratio=round(peak_mat / peak_stream, 3) if peak_stream else 0.0,
-        bounded=bool(peak_stream < budget < peak_mat),
-    )
-    return entry
+        serial_s, peak_mat, batch = _traced(materialize)
+        stream_s, peak_stream, streamed = _traced(stream)
+    return {
+        "wall_s": round(stream_s, 4),
+        "speedup": round(serial_s / stream_s, 3),
+        "workers": 1,
+        "serial_wall_s": round(serial_s, 4),
+        "identical": streamed == batch,
+        "peak_materialize_bytes": int(peak_mat),
+        "peak_streaming_bytes": int(peak_stream),
+        "memory_ratio": round(peak_mat / peak_stream, 3),
+        "budget_bytes": budget,
+        "spool_flush_bytes": flush,
+        "trace_events": events,
+    }
 
 
-# -- bench: noisy-channel attack smoke ----------------------------------------
-def bench_channel(workers: int, quick: bool, scale: str) -> dict:
-    """Channel-ablation smoke: robust attacks under two noise points.
+def channel(quick: bool, workers: int) -> dict:
+    """Robust attacks under two noise points.
 
-    Point one is a noisy trace channel (drops, duplication, latency
-    reordering) driving the consensus boundary recovery on a tiny
-    ConvNet; point two is a noisy nnz counter driving the calibrated
-    repeat-and-vote weight attack, serial vs sharded.  ``identical``
-    asserts the parallel-determinism contract extends to noise: the
-    voted ratios match bit for bit at any worker count *and* equal the
-    ideal-channel result.
+    A noisy trace channel (drops, duplication, latency reordering)
+    drives the consensus boundary recovery, scored against the clean
+    tap; a noisy nnz counter drives the calibrated repeat-and-vote
+    weight attack, whose voted ratios must match bit for bit at any
+    worker count *and* equal the ideal-channel result.
     """
-    from repro.attacks.robust import (
-        BoundaryRecovery,
-        VotingChannel,
-        boundary_cycles_from_trace,
-        boundary_f1,
-        calibrate_channel,
-    )
-    from repro.channel import ChannelModel
-
-    # Trace-noise point: boundary recovery must stay exact.
-    net = build_model("convnet" if not quick else "lenet")
+    net = build_model("lenet" if quick else "convnet")
     truth = boundary_cycles_from_trace(
         DeviceSession(AcceleratorSim(net)).observe_structure(seed=0).trace
     )
@@ -586,21 +498,13 @@ def bench_channel(workers: int, quick: bool, scale: str) -> dict:
         result.boundaries, truth, tol=trace_channel.latency_window + 50
     ).f1
 
-    # Counter-noise point: voted weight attack, workers=1 vs workers=N.
-    # Single input channel keeps the repeat-inflated query count small
+    # A single input channel keeps the repeat-inflated query count small
     # enough for a smoke run (sigma 0.5 calibrates to ~60 repeats).
     size, filters = (8, 3) if quick else (10, 4)
-    rng = np.random.default_rng(5)
-    builder = StagedNetworkBuilder("victim", (1, size, size), relu_threshold=0.0)
-    geom = LayerGeometry.from_conv(size, 1, filters, 3, 1, 0, pool=None)
-    builder.add_conv("conv1", geom)
-    staged = builder.build()
-    conv = staged.network.nodes["conv1/conv"].layer
-    w0 = rng.normal(size=conv.weight.value.shape)
-    w0[np.abs(w0) < 0.15] = 0.0
-    conv.weight.value[:] = w0
-    conv.bias.value[:] = -rng.uniform(0.3, 1.2, size=filters)
-    target = AttackTarget.from_geometry(geom)
+    staged = build_victim({"conv": {
+        "w": size, "d": filters, "seed": 5, "bias_sign": -1.0,
+    }})
+    target = AttackTarget.from_geometry(staged.geometries()[0])
     counter_channel = ChannelModel(counter_sigma=0.5, seed=3)
     steps = 18 if quick else 28
 
@@ -621,41 +525,30 @@ def bench_channel(workers: int, quick: bool, scale: str) -> dict:
             voting, target, search_steps=steps, workers=w
         ).run().ratio_tensor()
 
-    serial_s, r1 = _timed(lambda: run(1))
-    parallel_s, rn = _timed(lambda: run(workers))
-    identical = np.array_equal(r1, rn) and np.array_equal(r1, ideal)
-    entry = _entry(serial_s, parallel_s, workers, scale, identical)
-    entry.update(structure_f1=round(f1, 4), bounded=f1 == 1.0)
-    return entry
+    return serial_vs_workers(
+        run, lambda a, b: np.array_equal(a, b) and np.array_equal(a, ideal),
+        workers, structure_f1=round(f1, 4),
+    )
 
 
-# -- bench: campaign throughput + shared cache reuse ---------------------------
-def bench_campaign(workers: int, quick: bool, scale: str) -> dict:
-    """Campaign throughput: jobs/minute and campaign-wide cache reuse.
+def campaign(quick: bool, workers: int) -> dict:
+    """One tiny campaign grid whose second cell duplicates the first.
 
-    Runs one tiny grid with a duplicated cell five times, each time in
-    a fresh directory (campaigns run their jobs serially).  The
-    duplicate cell must be answered entirely by the campaign's shared
-    content-addressed cache, so the hit-rate is structural, not
-    incidental; ``identical`` asserts the runs' ``results.jsonl`` match
-    byte for byte.  ``jobs/minute`` of the fastest run (one run takes
-    ~40 ms) feeds the throughput-regression gate.
+    The duplicate cell must be answered entirely by the campaign's
+    shared content-addressed cache, so the hit rate is structural.
+    Five serial runs in fresh directories; ``results.jsonl`` must match
+    byte for byte and jobs/minute comes from the fastest (~40 ms) one.
     """
-    import shutil
-
-    from repro.campaign import Campaign, JobCheckpoint
-
-    base = {
-        "victim": {"conv": {"w": 6 if quick else 8, "d": 2, "seed": 9}},
-        "device": {"pruning": True},
-        "search_steps": 8 if quick else 12,
-        "filters_per_step": 1,
-    }
     spec = {
         "name": "perf",
         "sweeps": [{
             "kind": "weight_recovery",
-            "base": base,
+            "base": {
+                "victim": {"conv": {"w": 6 if quick else 8, "d": 2, "seed": 9}},
+                "device": {"pruning": True},
+                "search_steps": 8 if quick else 12,
+                "filters_per_step": 1,
+            },
             "grid": {"mode": ["naive", "naive"]},
         }],
     }
@@ -663,72 +556,93 @@ def bench_campaign(workers: int, quick: bool, scale: str) -> dict:
     def run():
         root = Path(tempfile.mkdtemp(prefix="repro-perf-campaign-"))
         try:
-            campaign = Campaign.create(spec, root / "campaign")
-            campaign.run()
+            c = Campaign.create(spec, root / "campaign")
+            c.run()
             text = (root / "campaign" / "results.jsonl").read_bytes()
-            shared = lookups = 0
-            for job in campaign.jobs:
-                ckpt = JobCheckpoint.load(campaign.store.jobs_dir, job.job_id)
-                for snap in ckpt.ledgers:
-                    shared += snap["shared_hits"]
-                    lookups += snap["cache_hits"] + snap["cache_misses"]
-            return text, len(campaign.jobs), shared, lookups
+            snaps = [
+                snap for job in c.jobs
+                for snap in JobCheckpoint.load(c.store.jobs_dir, job.job_id).ledgers
+            ]
+            shared = sum(s["shared_hits"] for s in snaps)
+            lookups = sum(s["cache_hits"] + s["cache_misses"] for s in snaps)
+            return text, len(c.jobs), shared, lookups
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
     timed = [_timed(run) for _ in range(5)]
-    serial_s = min(wall for wall, _ in timed)
-    r1, n_jobs, shared, lookups = timed[0][1]
-    identical = all(out[0] == r1 for _, out in timed)
-    hit_rate = shared / lookups if lookups else 0.0
-    entry = _entry(
-        serial_s, serial_s, 1, scale, identical, multi_worker=False
-    )
-    entry.update(
-        jobs=n_jobs,
-        jobs_per_minute=round(n_jobs / serial_s * 60, 2)
-        if serial_s else 0.0,
-        cache_hit_rate=round(hit_rate, 4),
-        shared_hits=int(shared),
-        probe_lookups=int(lookups),
-        bounded=hit_rate > 0.0,
-    )
+    wall = min(t for t, _ in timed)
+    text, n_jobs, shared, lookups = timed[0][1]
+    return {
+        "wall_s": round(wall, 4),
+        "workers": 1,
+        "identical": all(out[0] == text for _, out in timed),
+        "jobs": n_jobs,
+        "jobs_per_minute": round(n_jobs / wall * 60, 2),
+        "cache_hit_rate": round(shared / lookups if lookups else 0.0, 4),
+        "shared_hits": int(shared),
+        "probe_lookups": int(lookups),
+    }
+
+
+def _per_net(prefix: str, key: str) -> Callable[[dict], dict]:
+    """Gated figures ``<prefix>:<net>``, read from each net's ``key``."""
+    return lambda entry: {
+        f"{prefix}:{net}": stats[key]
+        for net, stats in entry.get("nets", {}).items() if key in stats
+    }
+
+
+def _no_figures(entry: dict) -> dict:
+    return {}
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    name: str  # the entry's key in BENCH_perf.json
+    run: Callable[[bool, int], dict]  # (quick, workers) -> entry
+    bound: Callable[[dict], bool] | None = None
+    figures: Callable[[dict], dict] = _no_figures
+
+
+ROWS: tuple[Row, ...] = (
+    Row("ranking", ranking),
+    Row("weights", weights),
+    Row("events_per_second", synthesis,
+        bound=lambda e: e["best_speedup"] >= 3.0,
+        figures=_per_net("synthesis", "events_per_second")),
+    Row("decode_events_per_second", decode,
+        bound=lambda e: e["best_speedup"] >= 5.0,
+        figures=lambda e: {"decode:alexnet": e["events_per_second"]}),
+    Row("power", power,
+        bound=lambda e: e["best_speedup"] >= 3.0,
+        figures=_per_net("power", "samples_per_second")),
+    Row("dataflow_id", dataflow_id, bound=lambda e: e["accuracy"] == 1.0),
+    Row("memory", memory,
+        bound=lambda e: e["peak_streaming_bytes"] < e["budget_bytes"]
+        < e["peak_materialize_bytes"]),
+    Row("channel", channel, bound=lambda e: e["structure_f1"] == 1.0),
+    Row("campaign", campaign,
+        bound=lambda e: e["cache_hit_rate"] > 0.0,
+        figures=lambda e: {"campaign:jobs_per_minute": e["jobs_per_minute"]}),
+)
+
+
+def run_row(row: Row, workers: int, quick: bool) -> dict:
+    entry = row.run(quick, workers)
+    if row.bound is not None:
+        entry["bounded"] = bool(row.bound(entry))
     return entry
-
-
-BENCHES = {
-    "ranking": bench_ranking,
-    "weights": bench_weights,
-    "events_per_second": bench_throughput,
-    "decode_events_per_second": bench_decode,
-    "power": bench_power,
-    "dataflow_id": bench_dataflow_id,
-    "memory": bench_memory,
-    "channel": bench_channel,
-    "campaign": bench_campaign,
-}
 
 
 REGRESSION_TOLERANCE = 0.7  # new throughput must be >= 70% of baseline
 
 
-def _throughput_figures(results: dict) -> dict[str, int]:
-    """Flat {metric: events/second} map of the throughput entries."""
-    figures: dict[str, int] = {}
-    synth = results.get("events_per_second", {})
-    for net, stats in synth.get("nets", {}).items():
-        if "events_per_second" in stats:
-            figures[f"synthesis:{net}"] = stats["events_per_second"]
-    decode = results.get("decode_events_per_second", {})
-    if "events_per_second" in decode:
-        figures["decode:alexnet"] = decode["events_per_second"]
-    power = results.get("power", {})
-    for net, stats in power.get("nets", {}).items():
-        if "samples_per_second" in stats:
-            figures[f"power:{net}"] = stats["samples_per_second"]
-    campaign = results.get("campaign", {})
-    if "jobs_per_minute" in campaign:
-        figures["campaign:jobs_per_minute"] = campaign["jobs_per_minute"]
+def gated_figures(results: dict) -> dict[str, float]:
+    """Flat ``{figure: value}`` map of every row's gated figures."""
+    figures: dict[str, float] = {}
+    for row in ROWS:
+        if row.name in results:
+            figures.update(row.figures(results[row.name]))
     return figures
 
 
@@ -767,8 +681,8 @@ def check_throughput_regression(
         return []
     old_unit = baseline["_meta"]["ref_kernel_s"]
     new_unit = results["_meta"]["ref_kernel_s"]
-    old = _throughput_figures(baseline)
-    new = _throughput_figures(results)
+    old = gated_figures(baseline)
+    new = gated_figures(results)
     failures = []
     for metric in sorted(old.keys() & new.keys()):
         old_ref = old[metric] * old_unit
@@ -809,7 +723,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="shrink every workload (CI smoke run)")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel arm's worker count "
-                             "(default: all cores, minimum 2)")
+                             "(default: all usable cores, minimum 2)")
     parser.add_argument("--output", type=Path,
                         default=REPO_ROOT / "BENCH_perf.json")
     parser.add_argument("--profile", type=Path, default=None,
@@ -824,42 +738,37 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, json.JSONDecodeError):
             baseline = None
 
-    workers = args.workers or max(2, os.cpu_count() or 1)
-    scale = "small" if args.quick else os.environ.get(
-        "REPRO_BENCH_SCALE", "small"
-    )
-    effective = effective_cpus()
-
-    # The gate's unit, sampled between benches (see the gate).
+    cpus = available_cpus()
+    workers = args.workers or max(2, cpus)
+    # The gate's unit, sampled between rows (see the gate).
     probe = HostProbe()
     kernel_s = [probe.kernel()]
     results: dict[str, dict] = {}
-    for name, bench in BENCHES.items():
-        print(f"[{name}] workers=1 vs workers={workers} ...", flush=True)
-        results[name] = bench(workers, args.quick, scale)
+    for row in ROWS:
+        print(f"[{row.name}] workers=1 vs workers={workers} ...", flush=True)
+        e = results[row.name] = run_row(row, workers, args.quick)
         kernel_s.append(probe.kernel())
-        e = results[name]
-        speedup = (f"{e['speedup']:.2f}x" if e["speedup"] is not None
-                   else f"skipped ({e['skipped']})")
-        print(f"  serial {e['serial_wall_s']:.2f}s  parallel "
-              f"{e['wall_s']:.2f}s  speedup {speedup}  "
+        speedup = e.get("skipped") or (
+            f"{e['speedup']:.2f}x" if "speedup" in e else "n/a"
+        )
+        print(f"  wall {e['wall_s']:.2f}s  speedup {speedup}  "
               f"identical={e['identical']}")
         if not e["identical"]:
-            print(f"  ERROR: {name} parallel result diverged", file=sys.stderr)
+            print(f"  ERROR: {row.name} arms diverged", file=sys.stderr)
             return 1
         if not e.get("bounded", True):
-            print(f"  ERROR: {name} failed its bound: "
+            print(f"  ERROR: {row.name} failed its bound: "
                   f"{json.dumps(e, default=str)}", file=sys.stderr)
             return 1
 
     results["_meta"] = {
         "cpu_count": os.cpu_count(),
-        "effective_cpus": effective,
+        "effective_cpus": cpus,
         "python": platform.python_version(),
         "quick": args.quick,
         "ref_kernel_s": round(min(kernel_s), 6),
     }
-    failures = check_throughput_regression(baseline, results, effective)
+    failures = check_throughput_regression(baseline, results, cpus)
     if failures:
         # The baseline stays as it was: overwriting it with the
         # regressed figures would let the next run pass against them.

@@ -27,27 +27,7 @@ from repro.attacks.weights import (
     recover_crossing_multiset,
 )
 from repro.device import DeviceSession
-from repro.nn.shapes import PoolSpec
-from repro.nn.spec import LayerGeometry
-from repro.nn.stages import StagedNetworkBuilder
-
-
-def build_victim(size: int, filters: int, seed: int = 0):
-    """CONV1-shaped stage with ~30% zero (compressed) weights."""
-    rng = np.random.default_rng(seed)
-    builder = StagedNetworkBuilder("victim", (3, size, size), relu_threshold=0.0)
-    geom = LayerGeometry.from_conv(
-        size, 3, filters, 11, 4, 0, pool=PoolSpec(3, 2, 0)
-    )
-    builder.add_conv("conv1", geom)
-    staged = builder.build()
-    conv = staged.network.nodes["conv1/conv"].layer
-    weights = rng.normal(size=conv.weight.value.shape) * 0.1
-    weights[np.abs(weights) < 0.03] = 0.0  # Deep-Compression-style pruning
-    conv.weight.value[:] = weights
-    biases = -rng.uniform(0.05, 0.3, size=filters)
-    conv.bias.value[:] = biases
-    return staged, geom, weights, biases
+from repro.nn.zoo import build_weight_victim
 
 
 def main() -> None:
@@ -60,7 +40,7 @@ def main() -> None:
                              "bit-identical at any worker count)")
     args = parser.parse_args()
 
-    staged, geom, weights, biases = build_victim(args.size, args.filters)
+    staged, geom, weights, biases = build_weight_victim(args.size, args.filters)
     print(f"victim conv1: {weights.shape} weights "
           f"({(weights == 0).mean():.0%} zeros), pool 3x3/2")
 

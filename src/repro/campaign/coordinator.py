@@ -40,6 +40,7 @@ __all__ = ["Campaign"]
 
 _KILL_ENV = "REPRO_CAMPAIGN_KILL"
 _BUDGETS = ("max_queries", "max_inferences", "max_trace_bytes")
+_SPEND = ("channel_queries", "inferences", "trace_bytes")  # what quotas cap
 _persisted_checkpoints = 0
 
 
@@ -56,7 +57,7 @@ def _maybe_kill() -> None:
 
 def _device_charge(snapshots: list) -> dict:
     """The quota-relevant device spend recorded in ledger snapshots."""
-    out = {"channel_queries": 0, "inferences": 0, "trace_bytes": 0}
+    out = dict.fromkeys(_SPEND, 0)
     for snap in snapshots:
         for key in out:
             out[key] += int(snap.get(key, 0))
@@ -95,6 +96,7 @@ def _execute_job(
             ledger.restore(snap)
             for axis in _BUDGETS:
                 setattr(ledger, axis, budgets.get(axis))
+        ckpt.ledgers = [ledger.snapshot() for ledger in ledgers]
 
         def checkpoint(name: str, state: dict) -> None:
             ckpt.state = state
@@ -114,8 +116,12 @@ def _execute_job(
         record["status"] = ckpt.status = "failed:error"
         record["error"] = ckpt.error = f"{type(exc).__name__}: {exc}"
     if ckpt.status != "done" and ledgers:
-        # Bill the failed step's device spend to the tenant.
-        ckpt.ledgers = [ledger.snapshot() for ledger in ledgers]
+        # Bill the failed step's device spend to the tenant.  The rest
+        # of the account (lookups, observations) stays at the last
+        # completed step: a resume re-runs the failed step, which counts
+        # it again, so the finished record matches an uninterrupted run.
+        for snap, ledger in zip(ckpt.ledgers, ledgers):
+            snap.update({key: getattr(ledger, key) for key in _SPEND})
     ckpt.save(store.jobs_dir, store.tmp_dir)
     store.write_result(job, record)
     return record["status"]

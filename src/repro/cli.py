@@ -15,6 +15,7 @@ that touches real hardware.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -50,10 +51,11 @@ from repro.attacks.weights import (
 from repro.channel import ChannelModel
 from repro.data import make_dataset
 from repro.device import DeviceSession, QueryLedger
+from repro.errors import ReproError
 from repro.nn.shapes import PoolSpec
 from repro.nn.spec import LayerGeometry
 from repro.nn.stages import StagedNetworkBuilder
-from repro.nn.zoo import MODEL_BUILDERS, build_model
+from repro.nn.zoo import MODEL_BUILDERS, build_model, build_weight_victim
 from repro.power import PowerSink
 from repro.report import render_table
 from repro.report.traceviz import AccessPatternRaster, render_layer_timeline
@@ -125,14 +127,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _clean_truth_boundaries(staged, dataflow: str) -> list[int]:
-    """Clean-tap ground-truth boundary cycles for CLI diagnostics."""
-    return boundary_cycles_from_trace(
+def _power_segments(session: DeviceSession, seed: int):
+    """One power observation and the power channel's own segmentation."""
+    trace = session.observe_power(seed=seed)
+    return trace, segment_power_trace(
+        trace, stage_overhead=session.device.config.timing.stage_overhead
+    )
+
+
+def _clean_tap_f1(staged, dataflow: str, channel: ChannelModel):
+    """Scores recovered boundaries (F1) against the clean-tap ground
+    truth, for CLI diagnostics."""
+    truth = boundary_cycles_from_trace(
         DeviceSession(
             AcceleratorSim(staged, AcceleratorConfig(dataflow=dataflow))
         )
         .observe_structure(seed=0).trace
     )
+    tol = channel.latency_window + 50
+    return lambda boundaries: boundary_f1(boundaries, truth, tol=tol).f1
 
 
 def cmd_structure(args) -> int:
@@ -158,11 +171,9 @@ def cmd_structure(args) -> int:
         ):
             print(f"  run {k}: {len(raw)} RAW candidates, "
                   f"{len(edges)} power edges")
-        truth = _clean_truth_boundaries(staged, args.dataflow)
-        ftol = channel.latency_window + 50
-        score = boundary_f1(result.boundaries, truth, tol=ftol)
+        f1 = _clean_tap_f1(staged, args.dataflow, channel)
         print(f"[diagnostic vs clean-tap ground truth] fused F1 "
-              f"{score.f1:.3f}")
+              f"{f1(result.boundaries):.3f}")
         _print_ledger(session.ledger)
         return 0
     if args.power:
@@ -172,11 +183,7 @@ def cmd_structure(args) -> int:
             AcceleratorSim(staged, AcceleratorConfig(dataflow=args.dataflow)),
             channel=channel,
         )
-        trace = psession.observe_power(seed=0)
-        seg = segment_power_trace(
-            trace,
-            stage_overhead=psession.device.config.timing.stage_overhead,
-        )
+        trace, seg = _power_segments(psession, seed=0)
         print(f"power trace: {trace.num_samples:,} samples @ "
               f"{trace.quantum} cycles/bin; {seg.num_layers} segments, "
               f"edges at {seg.edges}")
@@ -193,15 +200,10 @@ def cmd_structure(args) -> int:
               f"(quorum {result.quorum}, tol {result.tol} cycles): "
               f"{result.boundaries}")
         print(f"layers detected: {result.num_layers}")
-        truth = _clean_truth_boundaries(staged, args.dataflow)
-        ftol = channel.latency_window + 50
-        score = boundary_f1(result.boundaries, truth, tol=ftol)
-        naive = [
-            boundary_f1(n, truth, tol=ftol).f1 for n in result.naive_runs
-        ]
+        f1 = _clean_tap_f1(staged, args.dataflow, channel)
         print(f"[diagnostic vs clean-tap ground truth] robust F1 "
-              f"{score.f1:.3f}; naive per-run F1 "
-              f"{', '.join(f'{f:.3f}' for f in naive)}")
+              f"{f1(result.boundaries):.3f}; naive per-run F1 "
+              f"{', '.join(f'{f1(n):.3f}' for n in result.naive_runs)}")
         _print_ledger(session.ledger)
         return 0
     rules = PracticalityRules(exact_pool_division=not args.loose_rules)
@@ -233,26 +235,8 @@ def cmd_structure(args) -> int:
     return 0
 
 
-def _demo_weight_victim(size: int, filters: int, seed: int):
-    rng = np.random.default_rng(seed)
-    builder = StagedNetworkBuilder(
-        "victim", (3, size, size), relu_threshold=0.0
-    )
-    geom = LayerGeometry.from_conv(
-        size, 3, filters, 11, 4, 0, pool=PoolSpec(3, 2, 0)
-    )
-    builder.add_conv("conv1", geom)
-    staged = builder.build()
-    conv = staged.network.nodes["conv1/conv"].layer
-    weights = rng.normal(size=conv.weight.value.shape) * 0.1
-    weights[np.abs(weights) < 0.03] = 0.0
-    conv.weight.value[:] = weights
-    conv.bias.value[:] = -rng.uniform(0.05, 0.3, size=filters)
-    return staged, geom, weights, conv.bias.value.copy()
-
-
 def cmd_weights(args) -> int:
-    staged, geom, weights, biases = _demo_weight_victim(
+    staged, geom, weights, biases = build_weight_victim(
         args.size, args.filters, args.seed
     )
     sim = AcceleratorSim(
@@ -320,11 +304,7 @@ def cmd_clone(args) -> int:
             print(f"fused structure pre-check: {fused.num_layers} "
                   f"layer(s) at {fused.boundaries}")
         else:
-            trace = psession.observe_power(seed=args.seed)
-            seg = segment_power_trace(
-                trace,
-                stage_overhead=psession.device.config.timing.stage_overhead,
-            )
+            _, seg = _power_segments(psession, seed=args.seed)
             print(f"power pre-check: {seg.num_layers} segment(s), "
                   f"edges at {seg.edges}")
         _print_ledger(psession.ledger, "pre-check")
@@ -487,6 +467,31 @@ def _add_dataflow_flag(sub_parser: argparse.ArgumentParser) -> None:
     )
 
 
+# (flag, ChannelModel field, type, help); each flag's default is the
+# field's.  Flags keep their own dests (``args.channel_seed``), so none
+# collides with a subcommand's ``--seed``.
+_CHANNEL_FLAGS = (
+    ("--channel-drop", "drop_rate", float,
+     "per-event trace loss probability"),
+    ("--channel-dup", "dup_rate", float,
+     "per-event trace duplication probability"),
+    ("--channel-gran", "probe_granularity", int,
+     "probe address granularity in bytes (observed addresses are "
+     "truncated to multiples of it)"),
+    ("--channel-jitter", "cycle_sigma", float,
+     "trace delivery-latency scale in cycles (reorders nearby events)"),
+    ("--channel-sigma", "counter_sigma", float,
+     "counter read-out noise std-dev"),
+    ("--channel-quantum", "counter_quantum", int,
+     "counter read-out quantisation step"),
+    ("--channel-power-sigma", "power_sigma", float,
+     "power-probe read-out noise std-dev"),
+    ("--channel-power-quantum", "power_quantum", int,
+     "power-probe read-out quantisation step"),
+    ("--channel-seed", "seed", int, "noise stream seed"),
+)
+
+
 def _add_channel_flags(sub_parser: argparse.ArgumentParser) -> None:
     """Measurement-channel fidelity knobs (default: a perfect tap)."""
     grp = sub_parser.add_argument_group(
@@ -494,25 +499,10 @@ def _add_channel_flags(sub_parser: argparse.ArgumentParser) -> None:
         "imperfections of the attacker's probe (see repro.channel); "
         "all default to the ideal channel of the paper's threat model",
     )
-    grp.add_argument("--channel-drop", type=float, default=0.0,
-                     help="per-event trace loss probability")
-    grp.add_argument("--channel-dup", type=float, default=0.0,
-                     help="per-event trace duplication probability")
-    grp.add_argument("--channel-gran", type=int, default=None,
-                     help="probe address granularity (blocks)")
-    grp.add_argument("--channel-jitter", type=float, default=0.0,
-                     help="trace delivery-latency scale in cycles "
-                          "(reorders nearby events)")
-    grp.add_argument("--channel-sigma", type=float, default=0.0,
-                     help="counter read-out noise std-dev")
-    grp.add_argument("--channel-quantum", type=int, default=1,
-                     help="counter read-out quantisation step")
-    grp.add_argument("--channel-power-sigma", type=float, default=0.0,
-                     help="power-probe read-out noise std-dev")
-    grp.add_argument("--channel-power-quantum", type=int, default=1,
-                     help="power-probe read-out quantisation step")
-    grp.add_argument("--channel-seed", type=int, default=0,
-                     help="noise stream seed")
+    defaults = {f.name: f.default for f in dataclasses.fields(ChannelModel)}
+    for flag, name, kind, help_text in _CHANNEL_FLAGS:
+        grp.add_argument(flag, type=kind, default=defaults[name],
+                         help=help_text)
 
 
 def _add_power_flags(sub_parser: argparse.ArgumentParser) -> None:
@@ -531,17 +521,10 @@ def _add_power_flags(sub_parser: argparse.ArgumentParser) -> None:
 
 
 def _channel_from_args(args) -> ChannelModel:
-    return ChannelModel(
-        drop_rate=args.channel_drop,
-        dup_rate=args.channel_dup,
-        probe_granularity=args.channel_gran,
-        cycle_sigma=args.channel_jitter,
-        counter_sigma=args.channel_sigma,
-        counter_quantum=args.channel_quantum,
-        power_sigma=args.channel_power_sigma,
-        power_quantum=args.channel_power_quantum,
-        seed=args.channel_seed,
-    )
+    return ChannelModel(**{
+        name: getattr(args, flag[2:].replace("-", "_"))
+        for flag, name, _, _ in _CHANNEL_FLAGS
+    })
 
 
 def _voted_channel(session: DeviceSession, channel: ChannelModel, repeats):
@@ -557,7 +540,11 @@ def _voted_channel(session: DeviceSession, channel: ChannelModel, repeats):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -80,22 +80,15 @@ class _MeteredBoundary:
     Spans cross the boundary untouched (the access pattern is exactly
     what the threat model leaks) and are counted for ledger accounting;
     ``begin_stage`` is swallowed — stage identity is device ground
-    truth, not an attacker observation.  With a ``recorder`` the post-
-    channel stream is additionally captured for the shared observation
-    cache.
+    truth, not an attacker observation.
     """
 
-    def __init__(
-        self, inner: TraceSink, recorder: "_SpanRecorder | None" = None
-    ) -> None:
+    def __init__(self, inner: TraceSink) -> None:
         self._inner = inner
-        self._recorder = recorder
         self.events = 0
 
     def emit(self, span: TraceSpan) -> None:
         self.events += len(span)
-        if self._recorder is not None:
-            self._recorder.emit(span)
         self._inner.emit(span)
 
     def begin_stage(self, name: str, kind: str) -> None:
@@ -103,30 +96,6 @@ class _MeteredBoundary:
 
     def close(self) -> None:
         self._inner.close()
-
-
-class _SpanRecorder:
-    """Accumulates one observation's post-channel stream as flat arrays."""
-
-    def __init__(self) -> None:
-        self._cycles: list[np.ndarray] = []
-        self._addresses: list[np.ndarray] = []
-        self._is_write: list[np.ndarray] = []
-
-    def emit(self, span: TraceSpan) -> None:
-        self._cycles.append(np.asarray(span.cycles))
-        self._addresses.append(np.asarray(span.addresses))
-        self._is_write.append(np.asarray(span.is_write))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self._cycles:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=bool)
-        return (
-            np.concatenate(self._cycles),
-            np.concatenate(self._addresses),
-            np.concatenate(self._is_write),
-        )
 
 
 class DeviceSession:
@@ -408,67 +377,49 @@ class DeviceSession:
                 "accelerator; use the pruning ablation benches for the "
                 "pruned-trace variant"
             )
-        if x is None:
-            rng = np.random.default_rng(seed)
-            x = rng.normal(size=(1, *self.image_shape))
-        run_index = self._obs_runs if run is None else int(run)
-        self._obs_runs = max(self._obs_runs, run_index) + 1
-
-        obs_key: str | None = None
+        x, run_index = self._next_run(x, seed, run)
+        obs_key = payload = None
         if self._shared is not None:
             obs_key = self._observation_key(x, run_index)
             payload = self._shared.get_observation(obs_key)
-            if payload is not None:
-                return self._replay_observation(payload, sink)
-
-        self.ledger.charge_inference()
-        recorder = _SpanRecorder() if obs_key is not None else None
-        if sink is None:
-            if self.channel.trace_noisy:
-                mat = MaterializeSink()
-                result = self.device.run(
-                    x, sink=ChannelSink(mat, self.channel, run_index)
-                )
-                trace = mat.trace()
-            else:
-                result = self.device.run(x)
-                trace = result.trace
-            self.ledger.record_trace(len(trace))
-            if recorder is not None:
-                recorder.emit(
-                    TraceSpan(trace.cycles, trace.addresses, trace.is_write)
-                )
+        if payload is not None:
+            trace = self._replay_observation(payload, sink)
+            num_classes = payload["num_classes"]
+            total_cycles = payload["total_cycles"]
         else:
-            boundary = _MeteredBoundary(sink, recorder)
-            run_sink: TraceSink = boundary
-            if self.channel.trace_noisy:
-                run_sink = ChannelSink(boundary, self.channel, run_index)
-            result = self.device.run(x, sink=run_sink)
-            trace = None
-            self.ledger.record_trace(boundary.events)
-        if obs_key is not None and recorder is not None:
-            cycles, addresses, is_write = recorder.arrays()
-            self._shared.put_observation(
-                obs_key,
-                cycles,
-                addresses,
-                is_write,
-                self._num_classes,
-                result.total_cycles,
-            )
+            # The post-channel stream is materialised when the caller
+            # wants the trace back or the shared cache stores it, once
+            # for both.
+            mat, memory = None, sink
+            if sink is None or obs_key is not None:
+                mat = MaterializeSink()
+                memory = mat if sink is None else TeeSink(mat, sink)
+            total_cycles = self._run(x, run_index, memory).total_cycles
+            num_classes = self._num_classes
+            trace = mat.trace() if mat is not None else None
+            if obs_key is not None:
+                self._shared.put_observation(
+                    obs_key,
+                    trace.cycles,
+                    trace.addresses,
+                    trace.is_write,
+                    num_classes,
+                    total_cycles,
+                )
         return StructureObservation(
-            trace=trace,
+            trace=trace if sink is None else None,
             input_shape=self.image_shape,
-            num_classes=self._num_classes,
+            num_classes=num_classes,
             element_bytes=self.element_bytes,
             block_bytes=self.block_bytes,
-            total_cycles=result.total_cycles,
+            total_cycles=total_cycles,
         )
 
     def _replay_observation(
         self, payload: dict, sink: TraceSink | None
-    ) -> StructureObservation:
-        """Serve one observation from the shared cache, device idle.
+    ) -> MemoryTrace | None:
+        """Serve one observation's stream from the shared cache, device
+        idle.
 
         The stored stream is already post-channel; it is replayed into
         the attacker's sink in bounded chunks (or materialised when no
@@ -481,28 +432,19 @@ class DeviceSession:
         is_write = payload["is_write"]
         self.ledger.record_cached_inference()
         self.ledger.record_trace(len(cycles))
-        trace: MemoryTrace | None = None
         if sink is None:
-            trace = MemoryTrace(cycles, addresses, is_write)
-        else:
-            chunk = 1 << 18
-            for lo in range(0, len(cycles), chunk):
-                hi = lo + chunk
-                sink.emit(
-                    TraceSpan(cycles[lo:hi], addresses[lo:hi], is_write[lo:hi])
-                )
-            # A live run closes the attacker's sink when the device
-            # finishes; buffering sinks flush on close, so replay must
-            # observe the same protocol.
-            sink.close()
-        return StructureObservation(
-            trace=trace,
-            input_shape=self.image_shape,
-            num_classes=payload["num_classes"],
-            element_bytes=self.element_bytes,
-            block_bytes=self.block_bytes,
-            total_cycles=payload["total_cycles"],
-        )
+            return MemoryTrace(cycles, addresses, is_write)
+        chunk = 1 << 18
+        for lo in range(0, len(cycles), chunk):
+            hi = lo + chunk
+            sink.emit(
+                TraceSpan(cycles[lo:hi], addresses[lo:hi], is_write[lo:hi])
+            )
+        # A live run closes the attacker's sink when the device finishes;
+        # buffering sinks flush on close, so replay must observe the same
+        # protocol.
+        sink.close()
+        return None
 
     # -- power side (second leak surface) ---------------------------------
     def observe_power(
@@ -541,34 +483,56 @@ class DeviceSession:
                 "the Section 3 structure attack is defined on a dense-write "
                 "accelerator; a pruned device leaks power only"
             )
-        if x is None:
-            rng = np.random.default_rng(seed)
-            x = rng.normal(size=(1, *self.image_shape))
-        run_index = self._obs_runs if run is None else int(run)
-        self._obs_runs = max(self._obs_runs, run_index) + 1
-
-        self.ledger.charge_inference()
-        power_sink = PowerSink(
+        x, run_index = self._next_run(x, seed, run)
+        probe = PowerSink(
             self.device.config.timing,
             power,
             channel=self.channel,
             run_index=run_index,
         )
-        boundary: _MeteredBoundary | None = None
-        if sink is None:
-            run_sink: TraceSink = power_sink
-        else:
-            boundary = _MeteredBoundary(sink)
-            mem_path: TraceSink = boundary
-            if self.channel.trace_noisy:
-                mem_path = ChannelSink(boundary, self.channel, run_index)
-            run_sink = TeeSink(power_sink, mem_path)
-        self.device.run(x, sink=run_sink)
-        if boundary is not None:
-            self.ledger.record_trace(boundary.events)
-        trace = power_sink.trace()
+        self._run(x, run_index, sink, tap=probe)
+        trace = probe.trace()
         self.ledger.record_power(trace.num_samples)
         return trace
+
+    # -- the one observation run path ---------------------------------------
+    def _next_run(
+        self, x: np.ndarray | None, seed: int, run: int | None
+    ) -> tuple[np.ndarray, int]:
+        """The observed input (a random image from ``seed`` by default)
+        and the run index that keys its noise streams."""
+        if x is None:
+            x = np.random.default_rng(seed).normal(size=(1, *self.image_shape))
+        run_index = self._obs_runs if run is None else int(run)
+        self._obs_runs = max(self._obs_runs, run_index) + 1
+        return x, run_index
+
+    def _run(
+        self,
+        x: np.ndarray,
+        run_index: int,
+        memory: TraceSink | None,
+        tap: TraceSink | None = None,
+    ) -> SimulationResult:
+        """Charge one inference and run the device once.
+
+        ``memory`` receives the memory-bus stream across the metered
+        boundary, through the channel when it is noisy; its events are
+        recorded on the ledger.  ``tap`` listens to the physical stream
+        before the bus channel (the power probe).
+        """
+        self.ledger.charge_inference()
+        boundary = run_sink = None
+        if memory is not None:
+            boundary = run_sink = _MeteredBoundary(memory)
+            if self.channel.trace_noisy:
+                run_sink = ChannelSink(boundary, self.channel, run_index)
+        if tap is not None:
+            run_sink = tap if run_sink is None else TeeSink(tap, run_sink)
+        result = self.device.run(x, sink=run_sink)
+        if boundary is not None:
+            self.ledger.record_trace(boundary.events)
+        return result
 
     def classify(self, x: np.ndarray) -> np.ndarray:
         """Submit one input sample and read its classification scores.

@@ -1,5 +1,8 @@
 """Model zoo: the four networks of the paper's Table 3.
 
+Beside them, :func:`build_weight_victim` builds the one-stage demo
+victim of the Section 4 weight attack.
+
 Each builder returns a :class:`~repro.nn.stages.StagedNetwork` whose
 stage decomposition is what the accelerator simulator executes; the
 ground-truth geometries are available both per model
@@ -21,6 +24,7 @@ from repro.nn.zoo.squeezenet import (
     build_squeezenet,
     squeezenet_conv1_geometry,
 )
+from repro.nn.zoo.weight_victim import build_weight_victim
 
 __all__ = [
     "build_lenet",
@@ -36,6 +40,7 @@ __all__ = [
     "FireSpec",
     "MODEL_BUILDERS",
     "build_model",
+    "build_weight_victim",
 ]
 
 MODEL_BUILDERS: dict[str, Callable[..., StagedNetwork]] = {

@@ -296,7 +296,7 @@ def test_corrupt_result_raises_typed_error_and_rebuilds(tmp_path):
     assert JobCheckpoint.load(resumed.store.jobs_dir, job.job_id).ledgers == spent
 
 
-def test_torn_results_file_raises_typed_error_and_rebuilds(tmp_path):
+def test_torn_results_file_raises_typed_error_and_rebuilds(tmp_path, capsys):
     from repro.cli import main
 
     campaign = Campaign.create(BOUNDARY_ONLY, tmp_path / "c")
@@ -305,9 +305,12 @@ def test_torn_results_file_raises_typed_error_and_rebuilds(tmp_path):
     reference = path.read_bytes()
     path.write_bytes(reference[: len(reference) // 2])  # torn last line
     with pytest.raises(ConfigError) as info:
-        main(["campaign", "status", "--dir", str(tmp_path / "c")])
+        Campaign.load(tmp_path / "c").store.read_all()
     assert str(path) in str(info.value)
     assert "repro campaign resume" in str(info.value)
+    # The CLI prints the same advice instead of a traceback.
+    assert main(["campaign", "status", "--dir", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == f"repro: error: {info.value}\n"
     # Following the advice rebuilds the file from the per-job results.
     path.unlink()
     assert main(["campaign", "resume", "--dir", str(tmp_path / "c")]) == 0
@@ -424,3 +427,64 @@ def test_victim_memo_lives_for_one_run(tmp_path, monkeypatch):
             assert device_fingerprint(
                 build_device(victim, device_spec)
             ) == fingerprint
+
+
+def test_quota_breach_resumes_under_a_raised_quota(tmp_path, monkeypatch):
+    """A job stopped mid-step by its tenant quota finishes after the
+    quota is raised in spec.json (job ids do not include quotas): it
+    re-enters at the failed step, never redoes a completed one, spends
+    within the new quota, and its record equals that of a run which had
+    the raised quota from the start."""
+    from repro.campaign import coordinator
+
+    executed: list[str] = []
+    drive = coordinator.drive
+
+    def recording_drive(runner, state, done, on_step):
+        run_step = runner.run_step
+
+        def step(name, step_state):
+            executed.append(name)
+            return run_step(name, step_state)
+
+        runner.run_step = step
+        return drive(runner, state, done, on_step)
+
+    monkeypatch.setattr(coordinator, "drive", recording_drive)
+
+    def spec_with(max_queries: int) -> dict:
+        return dict(TINY_SPEC, name="raise", tenants={
+            "weights": {"max_queries": max_queries},
+        })
+
+    reference = Campaign.create(spec_with(1000), tmp_path / "ref")
+    reference.run()
+    root = tmp_path / "c"
+    campaign = Campaign.create(spec_with(10), root)
+    weight_job = campaign.jobs[0]
+    # Step filters:0:1 costs 95 queries and filters:1:2 27 more, so a
+    # quota of 100 breaks the second step after the first completed.
+    runs = []
+    for quota in (10, 100, 1000):
+        (root / "spec.json").write_text(json.dumps(spec_with(quota)))
+        executed.clear()
+        status = Campaign.load(root).run()
+        ckpt = JobCheckpoint.load(campaign.store.jobs_dir, weight_job.job_id)
+        spent = status["tenants"]["weights"]["spent"]["channel_queries"]
+        assert spent <= quota
+        runs.append((
+            [n for n in executed if n.startswith("filters")],
+            ckpt.status, list(ckpt.done),
+        ))
+    assert runs == [
+        (["filters:0:1"], "failed:budget", []),
+        (["filters:0:1", "filters:1:2"], "failed:budget", ["filters:0:1"]),
+        (["filters:1:2"], "done", ["filters:0:1", "filters:1:2"]),
+    ]
+    record = campaign.store.read_result(weight_job.job_id)
+    expected = reference.store.read_result(weight_job.job_id)
+    assert record["metrics"] == expected["metrics"]
+    assert record == expected
+    assert spent == reference.status()["tenants"]["weights"]["spent"][
+        "channel_queries"
+    ]

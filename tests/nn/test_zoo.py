@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -13,6 +14,7 @@ from repro.nn.zoo import (
     build_lenet,
     build_model,
     build_squeezenet,
+    build_weight_victim,
     convnet_geometries,
     lenet_geometries,
     squeezenet_conv1_geometry,
@@ -104,3 +106,25 @@ def test_zoo_ground_truth_geometries_consistent():
         sn = builder(**kwargs)
         for stage in sn.conv_stages():
             stage.geometry.validate()
+
+
+@pytest.mark.parametrize("filters", [2, 8])
+def test_weight_victim_matches_the_demo_victim_draws(filters):
+    """Same RNG draws as the `repro weights` demo victim it replaced
+    (kept verbatim in the benchmark-owned perfbench.workloads)."""
+    from perfbench.workloads import _demo_weight_victim
+
+    staged, geom, weights, biases = build_weight_victim(43, filters, 0)
+    _, ref_geom, ref_weights, ref_biases = _demo_weight_victim(43, filters, 0)
+    assert geom == ref_geom
+    assert np.array_equal(weights, ref_weights)
+    assert np.array_equal(biases, ref_biases)
+    conv = staged.network.nodes["conv1/conv"].layer
+    assert np.array_equal(conv.weight.value, weights)
+    assert np.array_equal(conv.bias.value, biases)
+
+
+def test_weight_victim_takes_filter_size_and_stride():
+    _, geom, weights, _ = build_weight_victim(19, 4, filter_size=5, stride=2)
+    assert (geom.f_conv, geom.s_conv) == (5, 2)
+    assert weights.shape == (4, 3, 5, 5)

@@ -14,8 +14,8 @@ import pytest
 
 from benchmarks.perf.__main__ import (
     SKIP_SINGLE_CPU,
-    _throughput_figures,
     check_throughput_regression,
+    gated_figures,
 )
 
 
@@ -79,7 +79,7 @@ def test_gate_cancels_the_host_speed():
 
 
 def test_figures_cover_synthesis_and_decode():
-    figs = _throughput_figures(results_with(1_000_000, 2_000_000))
+    figs = gated_figures(results_with(1_000_000, 2_000_000))
     assert figs == {
         "synthesis:alexnet": 1_000_000,
         "decode:alexnet": 2_000_000,
@@ -144,13 +144,15 @@ def test_gate_ignores_metrics_missing_from_either_side():
 def test_failed_gate_leaves_the_baseline_untouched(tmp_path, monkeypatch):
     import benchmarks.perf.__main__ as perf
 
-    def below_floor(workers, quick, scale):
-        entry = perf._entry(1.0, 1.0, 1, scale, True, multi_worker=False)
-        entry["nets"] = {"alexnet": {"events_per_second": 1}}
-        return entry
+    def below_floor(quick, workers):
+        return {"wall_s": 1.0, "identical": True,
+                "nets": {"alexnet": {"events_per_second": 1}}}
 
-    monkeypatch.setattr(perf, "BENCHES", {"events_per_second": below_floor})
-    monkeypatch.setattr(perf, "effective_cpus", lambda: 2)
+    (synthesis,) = [r for r in perf.ROWS if r.name == "events_per_second"]
+    monkeypatch.setattr(perf, "ROWS", (perf.Row(
+        synthesis.name, below_floor, figures=synthesis.figures,
+    ),))
+    monkeypatch.setattr(perf, "available_cpus", lambda: 2)
     baseline = tmp_path / "BENCH_perf.json"
     baseline.write_text(json.dumps(results_with(1_000_000, 2_000_000)))
     before = baseline.read_bytes()

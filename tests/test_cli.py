@@ -150,3 +150,57 @@ def test_campaign_run_without_spec_fails(capsys, tmp_path):
         ["campaign", "run", "--dir", str(tmp_path / "nowhere")]
     ) == 2
     assert "pass --spec" in capsys.readouterr().err
+
+
+def test_channel_flags_round_trip_every_channel_field():
+    import dataclasses
+
+    from repro.channel import ChannelModel
+    from repro.cli import _CHANNEL_FLAGS, _channel_from_args
+
+    fields = {f.name for f in dataclasses.fields(ChannelModel)}
+    assert {name for _, name, _, _ in _CHANNEL_FLAGS} == fields - {"spawn_key"}
+    parser = build_parser()
+    for command in ("structure", "weights", "clone"):
+        args = parser.parse_args([command])
+        assert _channel_from_args(args) == ChannelModel()
+    model = ChannelModel(
+        drop_rate=0.05, dup_rate=0.02, probe_granularity=128,
+        cycle_sigma=12.5, counter_sigma=0.25, counter_quantum=3,
+        power_sigma=1.5, power_quantum=4, seed=17,
+    )
+    argv = ["weights"]
+    for flag, name, _, _ in _CHANNEL_FLAGS:
+        argv += [flag, str(getattr(model, name))]
+    args = parser.parse_args(argv)
+    assert _channel_from_args(args) == model
+    assert args.seed == 0
+
+
+def test_channel_seed_and_victim_seed_are_separate_flags():
+    from repro.channel import ChannelModel
+    from repro.cli import _channel_from_args
+
+    parser = build_parser()
+    for command, default_seed in (("weights", 0), ("clone", 4)):
+        args = parser.parse_args([command, "--seed", "3"])
+        assert args.seed == 3
+        assert _channel_from_args(args) == ChannelModel()
+        args = parser.parse_args([command, "--channel-seed", "7"])
+        assert args.seed == default_seed
+        assert _channel_from_args(args) == ChannelModel(seed=7)
+
+
+def test_invalid_channel_flag_prints_an_error(capsys):
+    assert main(["structure", "--channel-drop", "1.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: drop_rate must be in [0, 1)")
+    assert "Traceback" not in err
+
+
+def test_campaign_status_of_missing_dir_prints_an_error(capsys, tmp_path):
+    missing = tmp_path / "nowhere"
+    assert main(["campaign", "status", "--dir", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: no campaign spec at ")
+    assert str(missing) in err
