@@ -602,11 +602,12 @@ class Row:
     run: Callable[[bool, int], dict]  # (quick, workers) -> entry
     bound: Callable[[dict], bool] | None = None
     figures: Callable[[dict], dict] = _no_figures
+    parallel: bool = False  # run ends in serial_vs_workers
 
 
 ROWS: tuple[Row, ...] = (
-    Row("ranking", ranking),
-    Row("weights", weights),
+    Row("ranking", ranking, parallel=True),
+    Row("weights", weights, parallel=True),
     Row("events_per_second", synthesis,
         bound=lambda e: e["best_speedup"] >= 3.0,
         figures=_per_net("synthesis", "events_per_second")),
@@ -620,11 +621,20 @@ ROWS: tuple[Row, ...] = (
     Row("memory", memory,
         bound=lambda e: e["peak_streaming_bytes"] < e["budget_bytes"]
         < e["peak_materialize_bytes"]),
-    Row("channel", channel, bound=lambda e: e["structure_f1"] == 1.0),
+    Row("channel", channel, bound=lambda e: e["structure_f1"] == 1.0,
+        parallel=True),
     Row("campaign", campaign,
         bound=lambda e: e["cache_hit_rate"] > 0.0,
         figures=lambda e: {"campaign:jobs_per_minute": e["jobs_per_minute"]}),
 )
+
+
+def header(row: Row, workers: int) -> str:
+    """The progress line printed before ``row`` runs; only rows that
+    time a worker pool announce the comparison."""
+    if row.parallel:
+        return f"[{row.name}] workers=1 vs workers={workers} ..."
+    return f"[{row.name}] ..."
 
 
 def run_row(row: Row, workers: int, quick: bool) -> dict:
@@ -745,7 +755,7 @@ def main(argv: list[str] | None = None) -> int:
     kernel_s = [probe.kernel()]
     results: dict[str, dict] = {}
     for row in ROWS:
-        print(f"[{row.name}] workers=1 vs workers={workers} ...", flush=True)
+        print(header(row, workers), flush=True)
         e = results[row.name] = run_row(row, workers, args.quick)
         kernel_s.append(probe.kernel())
         speedup = e.get("skipped") or (

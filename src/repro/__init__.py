@@ -27,7 +27,6 @@ from repro.errors import (
     ConfigError,
     GraphError,
     ReproError,
-    SearchError,
     ShapeError,
     SimulationError,
     SolverError,
@@ -48,5 +47,4 @@ __all__ = [
     "ThreatModelViolation",
     "AttackError",
     "SolverError",
-    "SearchError",
 ]

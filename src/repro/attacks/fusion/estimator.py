@@ -41,7 +41,6 @@ import numpy as np
 from repro.attacks.fusion.segment import segment_power_trace
 from repro.attacks.robust.structure import BoundaryRecovery
 from repro.device import CoalescingSink, DeviceSession
-from repro.errors import ConfigError
 from repro.power import PowerModel
 
 __all__ = ["FusedStructureResult", "FusedBoundaryRecovery"]
@@ -96,81 +95,51 @@ class FusedBoundaryRecovery(BoundaryRecovery):
         runs: observation runs to stack (default 1 — the point of the
             fusion is to reach consensus-grade reliability without a
             repeat budget).
-        min_support: RAW hysteresis support per run.  Defaults to the
-            *relaxed* setting (1): forged candidates are vetoed by the
-            power edges instead of by support counting.
-        expiry, refractory, quorum, tol, seed, dataflow: as
+        dataflow: as
             :class:`~repro.attacks.robust.structure.BoundaryRecovery`.
-        confirm_tol: how close a RAW candidate must land to a power
-            segment edge to survive the veto, in cycles (default: the
-            latency window plus two power quanta — the two channels'
-            own slacks).
         power: power-proxy coefficients (device-physics model; defaults
             apply).
-        stage_overhead: the device's public per-stage overhead in
-            cycles, used by the power segmentation (default: read off
-            the device's datasheet timing model).
         augment_unmatched: also promote power edges with no nearby RAW
             candidate to boundaries.  Off by default — deep victims'
             intra-layer lulls masquerade as layer gaps on the power
             channel alone.
-        max_power_segments: credibility gate for the veto — a run
-            whose power segmentation yields more edges than this is
-            treated as power-uninformative and keeps its RAW
-            candidates unfiltered.
+
+    The RAW tracker runs at the *relaxed* support (``min_support`` 1):
+    forged candidates are vetoed by the power edges instead of by
+    support counting.  A candidate survives the veto when it lands
+    within ``confirm_tol`` cycles of a power segment edge: the channel's
+    latency window plus two power quanta, the two channels' own slacks.
+    The power segmentation reads the device's public per-stage overhead
+    off its datasheet timing model.  A run whose segmentation yields
+    more than ``max_power_segments`` edges is treated as
+    power-uninformative and keeps its RAW candidates unfiltered.
     """
+
+    min_support = 1
+    # Credibility gate for the veto: no plausible victim has more layers.
+    max_power_segments = 64
 
     def __init__(
         self,
         session: DeviceSession,
         runs: int = 1,
         *,
-        min_support: int = 1,
-        expiry: int = 4096,
-        refractory: int | None = None,
-        quorum: int | None = None,
-        tol: int | None = None,
-        confirm_tol: int | None = None,
-        seed: int = 0,
         dataflow: str = "output-stationary",
         power: PowerModel | None = None,
-        stage_overhead: int | None = None,
         augment_unmatched: bool = False,
-        max_power_segments: int = 64,
     ) -> None:
-        super().__init__(
-            session,
-            runs,
-            min_support=min_support,
-            expiry=expiry,
-            refractory=refractory,
-            quorum=quorum,
-            tol=tol,
-            seed=seed,
-            dataflow=dataflow,
-        )
-        if max_power_segments < 1:
-            raise ConfigError(
-                f"max_power_segments must be >= 1, got {max_power_segments}"
-            )
+        super().__init__(session, runs, dataflow=dataflow)
         self.power = power if power is not None else PowerModel()
         # The per-stage overhead is a public (datasheet) timing figure,
         # same threat-model footing as the channel's latency window.
-        self.stage_overhead = (
-            session.device.config.timing.stage_overhead
-            if stage_overhead is None
-            else stage_overhead
-        )
+        self.stage_overhead = session.device.config.timing.stage_overhead
         # A power edge snaps down to its bin start (up to one quantum
         # early) while the RAW cycle jitters by up to the channel
         # latency window — both slacks, plus margin, must fit.
         self.confirm_tol = (
             session.channel.latency_window + 2 * self.power.quantum
-            if confirm_tol is None
-            else confirm_tol
         )
         self.augment_unmatched = augment_unmatched
-        self.max_power_segments = max_power_segments
 
     def _fuse(self, raw: list[int], edges: list[int]) -> list[int]:
         """Cross-validate one run's RAW candidates against power edges.
@@ -212,7 +181,7 @@ class FusedBoundaryRecovery(BoundaryRecovery):
         # memory channel feeding the RAW tracker.  Coalescing upstream
         # of the tracker is pure decode throughput (chunking-invariant).
         trace = self.session.observe_power(
-            seed=self.seed, sink=CoalescingSink(robust), run=k, power=self.power
+            sink=CoalescingSink(robust), run=k, power=self.power
         )
         seg = segment_power_trace(trace, stage_overhead=self.stage_overhead)
         raw = [int(c) for c in robust.boundary_cycles]

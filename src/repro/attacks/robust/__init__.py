@@ -5,13 +5,13 @@ makes them survive a realistic one (see :mod:`repro.channel`).  Three
 pieces, one per leak:
 
 * :class:`VotingChannel` — repeat-and-vote querying for the weight
-  attack's counter channel, with a principled repeat budget
-  (:func:`required_repeats`) and adaptive escalation;
+  attack's counter channel, with a repeat budget sized from the
+  calibrated sigma (:func:`required_repeats`);
 * :class:`RobustRawBoundaryTracker` / :class:`BoundaryRecovery` —
   hysteresis + multi-run consensus boundary detection for the
   structure attack's trace channel;
 * :func:`calibrate_channel` — attacker-side estimation of the channel
-  parameters (counter sigma and quantum, trace loss+dup rate) from
+  parameters (counter sigma and quantum, power read-out noise) from
   repeated null measurements, so the above can be sized from data.
 
 All of it speaks only the :class:`~repro.device.DeviceSession`

@@ -15,14 +15,6 @@ guessing.  Everything here uses only the sanctioned session surface:
   values are used and the largest spread kept, because the counter is
   clipped at zero: a probe whose true count is 0 sees only the
   positive half of the noise and understates sigma by ~40%.
-* **event dispersion** — repeat :meth:`observe_structure` with a
-  counting sink and compare per-run event totals.  Independent
-  per-event drop ``p`` / duplication ``q`` make the total's
-  variance-to-mean ratio ``≈ p + q`` (a clean channel is
-  deterministic: dispersion 0).  Drops and duplications are *not*
-  separable from totals alone — both inflate dispersion the same way —
-  so the estimate is reported as a single loss+dup rate, which is all
-  the consensus estimators need to size their quorum.
 * **power noise** — repeat :meth:`observe_power` on one fixed input
   and compare the traces bin by bin.  The clean proxy is
   deterministic, so per-bin spread across runs is probe read-out
@@ -66,8 +58,6 @@ class ChannelCalibration:
         counter_quantum: estimated counter granularity — observed
             counts move in multiples of it (None when not probed;
             1 when no quantisation was observed).
-        event_dispersion: variance-to-mean ratio of per-run trace event
-            totals, ``≈ drop_rate + dup_rate`` (None when not probed).
         power_sigma: estimated std-dev of the power-proxy read-out on
             active bins (None when the power channel was not probed).
         power_quantum: estimated power read-out granularity (None when
@@ -75,7 +65,6 @@ class ChannelCalibration:
         power_plateau: median active-bin level of the probed trace —
             the scale ``power_sigma`` must be compared against.
         counter_repeats: measurements spent probing the counter.
-        trace_runs: observation runs spent probing the trace.
         power_runs: observation runs spent probing the power channel.
         recommended_repeats: voting repeats sized for the estimated
             sigma at the default per-decision confidence (1 when the
@@ -84,12 +73,10 @@ class ChannelCalibration:
 
     counter_sigma: float | None = None
     counter_quantum: int | None = None
-    event_dispersion: float | None = None
     power_sigma: float | None = None
     power_quantum: int | None = None
     power_plateau: float | None = None
     counter_repeats: int = 0
-    trace_runs: int = 0
     power_runs: int = 0
 
     @property
@@ -133,11 +120,6 @@ class ChannelCalibration:
                 f"({self.counter_repeats} reads, "
                 f"recommend {self.recommended_repeats} repeats)"
             )
-        if self.event_dispersion is not None:
-            parts.append(
-                f"trace loss+dup~{self.event_dispersion:.4f} "
-                f"({self.trace_runs} runs)"
-            )
         if self.power_sigma is not None:
             parts.append(
                 f"power sigma~{self.power_sigma:.3f} "
@@ -162,7 +144,6 @@ def _estimate_quantum(stack: np.ndarray) -> int:
 def calibrate_channel(
     session: DeviceSession,
     repeats: int = 32,
-    runs: int = 0,
     power_runs: int = 0,
 ) -> ChannelCalibration:
     """Probe the channel with null measurements; see module docstring.
@@ -170,12 +151,9 @@ def calibrate_channel(
     Args:
         session: the device session under calibration.  The counter is
             probed when the device leaks the zero-pruning channel
-            (``session.pruning_enabled``); the trace side is probed
-            only when ``runs > 0`` *and* the device is dense-write
-            (the structure observation's threat-model precondition).
+            (``session.pruning_enabled``).
         repeats: counter reads of the null input (>= 2 to estimate a
             spread).
-        runs: trace observation runs (0 skips the trace probe).
         power_runs: power observation runs (0 skips the power probe;
             >= 2 to estimate a spread).  The power probe has no
             dense-write precondition — it listens to the rail, not
@@ -185,8 +163,6 @@ def calibrate_channel(
     """
     if repeats < 2:
         raise ConfigError(f"repeats must be >= 2, got {repeats}")
-    if runs < 0:
-        raise ConfigError(f"runs must be >= 0, got {runs}")
     if power_runs == 1:
         raise ConfigError("power_runs must be 0 or >= 2 to estimate a spread")
     if power_runs < 0:
@@ -207,19 +183,6 @@ def calibrate_channel(
             quanta.append(_estimate_quantum(stack))
         counter_sigma = max(sigmas)
         counter_quantum = max(quanta)
-
-    dispersion: float | None = None
-    trace_runs = 0
-    if runs > 0 and not session.pruning_enabled:
-        totals = []
-        for _ in range(runs):
-            counter = _EventCounter()
-            session.observe_structure(sink=counter)
-            totals.append(counter.events)
-        trace_runs = runs
-        arr = np.asarray(totals, dtype=float)
-        mean = arr.mean()
-        dispersion = float(arr.var(ddof=1) / mean) if mean > 0 else 0.0
 
     power_sigma: float | None = None
     power_quantum: int | None = None
@@ -250,27 +213,10 @@ def calibrate_channel(
     return ChannelCalibration(
         counter_sigma=counter_sigma,
         counter_quantum=counter_quantum,
-        event_dispersion=dispersion,
         power_sigma=power_sigma,
         power_quantum=power_quantum,
         power_plateau=power_plateau,
         counter_repeats=counter_reads,
-        trace_runs=trace_runs,
         power_runs=power_probes,
     )
 
-
-class _EventCounter:
-    """Minimal sink: counts post-channel events, retains nothing."""
-
-    def __init__(self) -> None:
-        self.events = 0
-
-    def emit(self, span) -> None:
-        self.events += len(span)
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
-
-    def close(self) -> None:
-        pass

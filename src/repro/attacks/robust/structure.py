@@ -106,28 +106,20 @@ class BoundaryRecovery(Stepped):
     drawn, making resume bit-identical.  ``.run()`` drives every step.
 
     The per-run refractory and the cross-run clustering tolerance both
-    default from the channel's latency window — a property of the
+    derive from the channel's latency window — a property of the
     attacker's *own probe*, so presuming it violates nothing in the
     threat model: echoes of a transition appear for up to one window
     after it (suppressed per run), while independent runs place the
     same true boundary within a fraction of the window of each other
-    (clustered across runs at ``window // 4``).
+    (clustered across runs at ``window // 4``).  A boundary survives
+    the consensus when a strict majority of runs (``runs // 2 + 1``)
+    agrees on it.  Every run observes the same generic input (seed 0);
+    only the channel noise varies across runs.
 
     Args:
         session: the metered device session (its channel model decides
             how noisy each observation run is).
         runs: independent observation runs to stack.
-        min_support: hysteresis support per run (see
-            :class:`RobustRawBoundaryTracker`).
-        expiry: candidate expiry window per run, in events.
-        refractory: post-commit suppression window per run, in cycles
-            (default: the channel's latency window).
-        quorum: runs that must agree on a boundary (default: strict
-            majority, ``runs // 2 + 1``).
-        tol: clustering tolerance in cycles (default: a quarter of the
-            latency window).
-        seed: seed of the generic observation input (same input every
-            run — only the channel noise varies across runs).
         compare_naive: also run the naive single-event RAW rule on the
             identical post-channel streams, for ablation.
         dataflow: the victim's (identified) dataflow.  Output-stationary
@@ -142,33 +134,25 @@ class BoundaryRecovery(Stepped):
             :class:`RobustRawBoundaryTracker`).
     """
 
+    # Distinct RAW addresses that corroborate a boundary in one run.
+    min_support = 3
+
     def __init__(
         self,
         session: DeviceSession,
         runs: int = 3,
         *,
-        min_support: int = 3,
-        expiry: int = 4096,
-        refractory: int | None = None,
-        quorum: int | None = None,
-        tol: int | None = None,
-        seed: int = 0,
         compare_naive: bool = False,
         dataflow: str = "output-stationary",
     ) -> None:
         if runs < 1:
             raise ConfigError(f"runs must be >= 1, got {runs}")
-        if quorum is not None and not 1 <= quorum <= runs:
-            raise ConfigError(f"quorum must be in [1, {runs}], got {quorum}")
         window = session.channel.latency_window
         self.session = session
         self.runs = runs
-        self.min_support = min_support
-        self.expiry = expiry
-        self.refractory = window if refractory is None else refractory
-        self.quorum = quorum if quorum is not None else runs // 2 + 1
-        self.tol = max(1, window // 4) if tol is None else tol
-        self.seed = seed
+        self.refractory = window
+        self.quorum = runs // 2 + 1
+        self.tol = max(1, window // 4)
         self.compare_naive = compare_naive
         self.producer_refractory = (
             self.refractory if dataflow == "output-stationary" else 0
@@ -189,7 +173,6 @@ class BoundaryRecovery(Stepped):
         """A fresh per-run hysteresis tracker at this recovery's settings."""
         return RobustRawBoundaryTracker(
             min_support=self.min_support,
-            expiry=self.expiry,
             refractory=self.refractory,
             producer_refractory=self.producer_refractory,
         )
@@ -212,9 +195,7 @@ class BoundaryRecovery(Stepped):
         # Coalesce upstream of the tee: the channel's reorder buffer
         # delivers fragmented spans, and both decoders are chunking
         # invariant, so fewer/larger chunks is pure decode throughput.
-        self.session.observe_structure(
-            seed=self.seed, sink=CoalescingSink(sink), run=k
-        )
+        self.session.observe_structure(sink=CoalescingSink(sink), run=k)
         self._record(state, "runs", k, [int(c) for c in robust.boundary_cycles])
         if naive is not None:
             self._record(

@@ -82,10 +82,6 @@ class StructureAttack(Stepped):
         tolerance: timing-filter tolerance.
         rules: practicality rules (defaults per
             :class:`~repro.attacks.structure.solver.PracticalityRules`).
-        use_modular_assumption: apply identical-module role constraints
-            when repeated fire modules are detected (Section 3.2).
-        enumerate_limit: abort enumeration past this many candidates
-            (the count is still computed exactly by DP).
         runs: number of inferences to observe; per-layer durations are
             averaged, countering device timing noise.
         dataflow: the victim accelerator's loop order, deciding which
@@ -94,7 +90,14 @@ class StructureAttack(Stepped):
             metered observation identifying it with
             :class:`DataflowIdentifier` before decoding — the attack
             has no a-priori schedule knowledge in that mode.
+
+    Identical-module role constraints apply whenever repeated fire
+    modules are detected (Section 3.2).  Enumeration is skipped past
+    ``enumerate_limit`` candidates; the count is still computed exactly
+    by DP.
     """
+
+    enumerate_limit = 100_000
 
     def __init__(
         self,
@@ -102,8 +105,6 @@ class StructureAttack(Stepped):
         x: np.ndarray | None = None,
         tolerance: float = 0.25,
         rules: PracticalityRules | None = None,
-        use_modular_assumption: bool = True,
-        enumerate_limit: int = 100_000,
         seed: int = 0,
         runs: int = 1,
         dataflow: str = "output-stationary",
@@ -112,8 +113,6 @@ class StructureAttack(Stepped):
         self.x = x
         self.tolerance = tolerance
         self.rules = rules
-        self.use_modular_assumption = use_modular_assumption
-        self.enumerate_limit = enumerate_limit
         self.seed = seed
         self.runs = runs
         self._auto = dataflow == "auto"
@@ -208,9 +207,7 @@ class StructureAttack(Stepped):
             analysis_from_dict(analyses[str(k)]) for k in range(self.runs)
         ]
         analysis = per_run[0] if self.runs == 1 else average_analyses(per_run)
-        roles = (
-            detect_fire_modules(analysis) if self.use_modular_assumption else {}
-        )
+        roles = detect_fire_modules(analysis)
         search = StructureSearch(
             analysis,
             DeviceKnowledge.from_timing(self.session.public_timing),

@@ -833,21 +833,16 @@ def analyse_trace(
     return analyzer.finish(obs)
 
 
-def average_analyses(
-    analyses: list[TraceAnalysis], mode: str = "min"
-) -> TraceAnalysis:
+def average_analyses(analyses: list[TraceAnalysis]) -> TraceAnalysis:
     """Combine repeated observations of the same device.
 
     Addresses and sizes are deterministic across runs, but real devices
     show run-to-run timing noise.  Contention noise is one-sided (it
     only delays), so the adversary's standard filter is the *minimum*
     per-layer duration over several inferences — it converges to the
-    deterministic execution time (``mode="mean"`` is also available for
-    symmetric-noise devices).  All runs must agree on the structural
+    deterministic execution time.  All runs must agree on the structural
     facts — a mismatch means the traces came from different devices.
     """
-    if mode not in ("min", "mean"):
-        raise TraceError(f"unknown aggregation mode {mode!r}")
     if not analyses:
         raise TraceError("no analyses to average")
     first = analyses[0]
@@ -873,11 +868,7 @@ def average_analyses(
                 size_ifm_per_source=base.size_ifm_per_source,
                 size_ofm=base.size_ofm,
                 size_fltr=base.size_fltr,
-                duration=(
-                    int(min(o.duration for o in obs))
-                    if mode == "min"
-                    else int(round(np.mean([o.duration for o in obs])))
-                ),
+                duration=int(min(o.duration for o in obs)),
                 read_transactions=base.read_transactions,
                 write_transactions=base.write_transactions,
             )

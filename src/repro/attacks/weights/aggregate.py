@@ -36,11 +36,16 @@ class Crossing:
     delta: int
 
 
+# The probe pixel (the corner: its crossings are every filter's
+# ``b/w(0,0)``) and the bisection depth that refines each located step.
+_PIXEL = (0, 0, 0)
+_REFINE_STEPS = 60
+
+
 @dataclass
 class AggregateAttackResult:
-    """Unattributed crossings of one probe pixel."""
+    """Unattributed crossings of the corner probe pixel."""
 
-    pixel: tuple[int, int, int]
     crossings: list[Crossing]
     queries: int
 
@@ -53,10 +58,7 @@ class AggregateAttackResult:
 
 
 def recover_crossing_multiset(
-    channel: DeviceSession,
-    pixel: tuple[int, int, int] = (0, 0, 0),
-    resolution: int = 512,
-    refine_steps: int = 60,
+    channel: DeviceSession, resolution: int = 512
 ) -> AggregateAttackResult:
     """Locate every count step of the corner-pixel probe.
 
@@ -68,32 +70,22 @@ def recover_crossing_multiset(
     if resolution < 2:
         raise AttackError("resolution must be >= 2")
     lo_lim, hi_lim = channel.input_range
-
-    def total(x: float) -> int:
-        counts = channel.query([pixel], [x])
-        return int(counts if np.isscalar(counts) else np.sum(counts))
-
     xs = np.linspace(lo_lim, hi_lim, resolution + 1)
-    if hasattr(channel, "query_batch"):
-        scanned = channel.query_batch([pixel], xs[:, None])
-        counts = [int(row.sum()) for row in scanned]
-    else:  # deprecated per-probe channels
-        counts = [total(float(x)) for x in xs]
+    scanned = channel.query_batch([_PIXEL], xs[:, None])
+    counts = [int(row.sum()) for row in scanned]
     crossings: list[Crossing] = []
     for k in range(resolution):
         if counts[k] == counts[k + 1]:
             continue
         lo, hi = float(xs[k]), float(xs[k + 1])
         c_lo = counts[k]
-        for _ in range(refine_steps):
+        for _ in range(_REFINE_STEPS):
             mid = 0.5 * (lo + hi)
-            if total(mid) == c_lo:
+            if int(np.sum(channel.query([_PIXEL], [mid]))) == c_lo:
                 lo = mid
             else:
                 hi = mid
         crossings.append(
             Crossing(x=0.5 * (lo + hi), delta=counts[k + 1] - counts[k])
         )
-    return AggregateAttackResult(
-        pixel=pixel, crossings=crossings, queries=channel.queries
-    )
+    return AggregateAttackResult(crossings=crossings, queries=channel.queries)

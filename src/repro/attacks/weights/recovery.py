@@ -372,21 +372,23 @@ class WeightAttack:
         target: structural knowledge of the attacked stage.
         search_steps: bisection iterations per crossing (64 reaches
             float64 resolution over any practical input range).
-        max_resolution_rounds: extra passes resolving pooling-masked
-            weights through alternate probes.
         workers: shard the filter range over this many worker
             processes; ``None``/``0``/``1`` (default) runs serially.
         filter_range: restrict the attack to filters ``[lo, hi)`` —
             the shard a parallel worker owns.  Results then contain
             only those filters.
+
+    After the main pass, up to ``max_resolution_rounds`` extra passes
+    resolve pooling-masked weights through alternate probes.
     """
+
+    max_resolution_rounds = 4
 
     def __init__(
         self,
         channel: DeviceSession,
         target: AttackTarget,
         search_steps: int = 64,
-        max_resolution_rounds: int = 4,
         workers: int | None = None,
         filter_range: tuple[int, int] | None = None,
     ):
@@ -410,7 +412,6 @@ class WeightAttack:
         self.channel = channel
         self.target = target
         self.search_steps = search_steps
-        self.max_resolution_rounds = max_resolution_rounds
         self.workers = workers
         self.x_max = float(min(abs(channel.input_range[0]), channel.input_range[1]))
         if self.x_max <= 0:
@@ -1051,7 +1052,6 @@ class WeightAttack:
             channel=self.channel,
             target=self.target,
             search_steps=self.search_steps,
-            max_resolution_rounds=self.max_resolution_rounds,
         )
         shard_results = fork_map(
             _recover_shard, shards, len(shards),
@@ -1080,7 +1080,6 @@ class _ShardContext:
     channel: DeviceSession
     target: AttackTarget
     search_steps: int
-    max_resolution_rounds: int
 
 
 _SHARD_CONTEXT: _ShardContext | None = None
@@ -1100,7 +1099,6 @@ def _recover_shard(filter_range: tuple[int, int]):
         session,
         ctx.target,
         search_steps=ctx.search_steps,
-        max_resolution_rounds=ctx.max_resolution_rounds,
         filter_range=filter_range,
     )
     return attack._run_shard_local(), session.ledger
@@ -1123,7 +1121,7 @@ class SteppedWeightAttack(Stepped):
     Args:
         channel: the metered device session (per-plane).
         target: structural knowledge of the attacked stage.
-        search_steps, max_resolution_rounds: as :class:`WeightAttack`.
+        search_steps: as :class:`WeightAttack`.
         filters_per_step: chunk width; the last chunk may be narrower.
     """
 
@@ -1132,7 +1130,6 @@ class SteppedWeightAttack(Stepped):
         channel: DeviceSession,
         target: AttackTarget,
         search_steps: int = 64,
-        max_resolution_rounds: int = 4,
         filters_per_step: int = 8,
     ) -> None:
         if filters_per_step < 1:
@@ -1142,7 +1139,6 @@ class SteppedWeightAttack(Stepped):
         self.channel = channel
         self.target = target
         self.search_steps = search_steps
-        self.max_resolution_rounds = max_resolution_rounds
         self.filters_per_step = filters_per_step
 
     def _chunks(self) -> list[tuple[int, int]]:
@@ -1162,7 +1158,6 @@ class SteppedWeightAttack(Stepped):
             self.channel,
             self.target,
             search_steps=self.search_steps,
-            max_resolution_rounds=self.max_resolution_rounds,
             filter_range=(int(lo), int(hi)),
         )
         partial = attack._run_shard_local()

@@ -35,15 +35,17 @@ from repro.attacks.weights.target import AttackTarget
 __all__ = ["ThresholdAttackResult", "ThresholdWeightAttack", "recover_positive_biases"]
 
 
-def recover_positive_biases(
-    channel: DeviceSession,
-    t_max: float = 1e6,
-    steps: int = 64,
-) -> np.ndarray:
+# Upper end of the bias bisection and its depth.
+_T_MAX = 1e6
+_BIAS_STEPS = 64
+
+
+def recover_positive_biases(channel: DeviceSession) -> np.ndarray:
     """Per-filter bias via the zero-input threshold sweep.
 
-    Returns the recovered bias for filters with ``b > 0`` and ``nan``
-    for the rest (their zero-input count is zero at every threshold).
+    Bisects each positive bias over ``[0, 1e6]`` in 64 steps.  Returns
+    the recovered bias for filters with ``b > 0`` and ``nan`` for the
+    rest (their zero-input count is zero at every threshold).
     """
     channel.set_threshold(0.0)
     base = np.asarray(channel.query([(0, 0, 0)], [0.0]))
@@ -53,14 +55,12 @@ def recover_positive_biases(
         channel.set_threshold(0.0)
         return biases
     lo = np.zeros(len(base))
-    hi = np.full(len(base), t_max)
-    for _ in range(steps):
+    hi = np.full(len(base), _T_MAX)
+    for _ in range(_BIAS_STEPS):
         mid = 0.5 * (lo + hi)
-        # One device run per distinct threshold would be the physical
-        # cost; filters share the sweep because counts are per plane.
-        channel.set_threshold(float(mid.max()))
-        # Evaluate each filter at its own midpoint: requires separate
-        # runs; loop over unique values for fidelity.
+        # Evaluate each filter at its own midpoint: one device run per
+        # distinct threshold, shared by the filters at that midpoint
+        # because counts are per plane.
         counts = np.empty(len(base))
         for t in np.unique(mid[positive]):
             channel.set_threshold(float(t))

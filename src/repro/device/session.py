@@ -106,8 +106,6 @@ class DeviceSession:
         stage_name: the conv stage the zero-pruning channel observes;
             defaults to the device's first stage (the paper attacks
             layer by layer from the input).
-        input_range: device input domain; queries outside it are
-            rejected with :class:`~repro.errors.ThreatModelViolation`.
         max_queries: channel-query budget, ``None`` for unlimited.
         max_inferences: inference budget, ``None`` for unlimited.
         cache_size: LRU capacity for channel memoisation; ``None`` or
@@ -132,13 +130,15 @@ class DeviceSession:
     # The count oracle, built on the first channel query in each process
     # (see fork); the dense reference session in repro.reference swaps it.
     _oracle_type: type[StageOracle] = SparseStageOracle
+    # The device's input domain; queries outside it are rejected with
+    # ThreatModelViolation.
+    input_range: tuple[float, float] = (-256.0, 256.0)
 
     def __init__(
         self,
         device: VictimDevice,
         stage_name: str | None = None,
         *,
-        input_range: tuple[float, float] = (-256.0, 256.0),
         max_queries: int | None = None,
         max_inferences: int | None = None,
         max_trace_bytes: int | None = None,
@@ -150,7 +150,6 @@ class DeviceSession:
     ):
         self.device = device
         self.stage_name = stage_name or device.staged.stages[0].name
-        self.input_range = input_range
         self.channel = channel if channel is not None else ChannelModel.ideal()
         self.ledger = (
             ledger
@@ -197,7 +196,6 @@ class DeviceSession:
         forked = type(self)(
             self.device,
             self.stage_name,
-            input_range=self.input_range,
             max_queries=self.ledger.max_queries,
             max_inferences=self.ledger.max_inferences,
             max_trace_bytes=self.ledger.max_trace_bytes,

@@ -230,15 +230,14 @@ class SharedQueryCache:
         path: sqlite database file (created on first use).  An
             existing file that is not a sqlite database raises
             :class:`ConfigError` here.
-        max_trace_events: observations longer than this are not stored
-            (lookups still work); bounds per-entry blob size.
     """
 
-    def __init__(
-        self, path: str | Path, *, max_trace_events: int = 2_000_000
-    ) -> None:
+    # Observations longer than this are not stored (lookups still
+    # work); bounds per-entry blob size.
+    max_trace_events = 2_000_000
+
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.max_trace_events = int(max_trace_events)
         self._conn: sqlite3.Connection | None = None
         self._pid: int | None = None
         if self.path.exists():
@@ -292,14 +291,10 @@ class SharedQueryCache:
 
     def __getstate__(self) -> dict:
         # Connections never cross process boundaries; workers reconnect.
-        return {
-            "path": self.path,
-            "max_trace_events": self.max_trace_events,
-        }
+        return {"path": self.path}
 
     def __setstate__(self, state: dict) -> None:
         self.path = state["path"]
-        self.max_trace_events = state["max_trace_events"]
         self._conn = None
         self._pid = None
 

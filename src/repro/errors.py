@@ -58,7 +58,3 @@ class AttackError(ReproError):
 
 class SolverError(AttackError):
     """The structure constraint solver found no feasible configuration."""
-
-
-class SearchError(AttackError):
-    """A zero-crossing binary search could not bracket a sign change."""

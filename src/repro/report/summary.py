@@ -10,22 +10,12 @@ kind and selecting the interesting columns per kind.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.report.tables import render_table
 
 __all__ = [
-    "load_jsonl",
     "render_campaign_summary",
     "render_bench_results",
 ]
-
-
-def load_jsonl(path: Path | str) -> list[dict]:
-    """Parse one record per non-empty line."""
-    text = Path(path).read_text()
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def _fmt(value) -> str:

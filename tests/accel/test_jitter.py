@@ -71,12 +71,11 @@ def test_min_filter_approaches_clean_durations():
     analyses = [
         analyse_trace(observe_structure(sim, seed=k)) for k in range(15)
     ]
-    filtered = average_analyses(analyses, mode="min")
+    filtered = average_analyses(analyses)
     for a, b in zip(filtered.layers, clean.layers):
         assert a.duration <= 1.3 * b.duration
-    mean = average_analyses(analyses, mode="mean")
-    for lo, mid in zip(filtered.layers, mean.layers):
-        assert lo.duration <= mid.duration
+    for k, lo in enumerate(filtered.layers):
+        assert lo.duration == min(a.layers[k].duration for a in analyses)
 
 
 def test_average_analyses_validation():
@@ -84,8 +83,6 @@ def test_average_analyses_validation():
     ana = analyse_trace(observe_structure(AcceleratorSim(victim), seed=0))
     with pytest.raises(TraceError):
         average_analyses([])
-    with pytest.raises(TraceError):
-        average_analyses([ana], mode="median")
     # Disagreeing structures are rejected.
     from repro.nn.zoo import build_convnet
 

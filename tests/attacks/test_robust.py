@@ -35,17 +35,14 @@ PIXEL = [(0, 2, 2)]
 
 def test_required_repeats_scaling():
     assert required_repeats(0.0) == 1
-    # Quadratic in sigma, at fixed statistic and confidence.
-    r1 = required_repeats(0.5, statistic="mean")
-    r2 = required_repeats(1.0, statistic="mean")
+    # Quadratic in sigma, at fixed confidence.
+    r1 = required_repeats(0.5)
+    r2 = required_repeats(1.0)
     assert 3.5 < r2 / r1 < 4.5
     # The median pays the pi/2 efficiency penalty.
-    assert required_repeats(1.0, statistic="median") == math.ceil(
+    assert required_repeats(1.0) == math.ceil(
         math.pi / 2.0 * (2.0 * 5.326723886384500 * 1.0) ** 2
     )
-    med = required_repeats(2.0, statistic="median")
-    mean = required_repeats(2.0, statistic="mean")
-    assert 1.4 < med / mean < 1.7
 
 
 def test_required_repeats_validates_confidence():
@@ -54,11 +51,10 @@ def test_required_repeats_validates_confidence():
 
 
 def test_vote_confidence_matches_required_repeats():
-    for stat in ("mean", "median"):
-        sigma, conf = 1.3, 0.999
-        n = required_repeats(sigma, conf, statistic=stat)
-        assert vote_confidence(n, sigma, statistic=stat) >= conf
-        assert vote_confidence(max(1, n // 4), sigma, statistic=stat) < conf
+    sigma, conf = 1.3, 0.999
+    n = required_repeats(sigma, conf)
+    assert vote_confidence(n, sigma) >= conf
+    assert vote_confidence(max(1, n // 4), sigma) < conf
     assert vote_confidence(1, 0.0) == 1.0
 
 
@@ -74,11 +70,7 @@ def test_voting_channel_validates_configuration():
     staged, _, _, _ = _victim()
     session = pruned_session(staged)
     with pytest.raises(ConfigError, match="repeats"):
-        VotingChannel(session, repeats=0)
-    with pytest.raises(ConfigError, match="statistic"):
-        VotingChannel(session, statistic="mode")
-    with pytest.raises(ConfigError, match="max_repeats"):
-        VotingChannel(session, repeats=8, max_repeats=4)
+        VotingChannel(session, repeats=0, sigma=0.0)
 
 
 def test_voting_recovers_truth_under_counter_noise():
@@ -87,10 +79,10 @@ def test_voting_recovers_truth_under_counter_noise():
     noisy = pruned_session(
         staged, channel=ChannelModel(counter_sigma=1.0, seed=5)
     )
-    voting = VotingChannel(noisy, sigma=1.0, confidence=1.0 - 1e-6)
+    voting = VotingChannel(noisy, sigma=1.0)
     assert np.array_equal(voting.query(PIXEL, [1.5]), truth)
-    assert voting.last_repeats == required_repeats(1.0, 1.0 - 1e-6)
-    assert voting.last_confidence >= 1.0 - 1e-6
+    assert voting.fixed_repeats == required_repeats(1.0)
+    assert vote_confidence(voting.fixed_repeats, 1.0) >= 1.0 - 1e-7
     # A single noisy read disagrees with the consensus often; check the
     # raw channel is actually noisy so the test above is meaningful.
     reps = noisy.query_repeat(PIXEL, [1.5], repeats=16)
@@ -103,7 +95,7 @@ def test_voting_on_clean_channel_is_single_shot():
     voting = VotingChannel(session, repeats=9, sigma=0.0)
     truth = session.query(PIXEL, [1.5])
     assert np.array_equal(voting.query(PIXEL, [1.5]), truth)
-    assert voting.last_repeats == 1
+    assert voting.fixed_repeats == 1
     assert session.ledger.repeat_queries == 0
 
 
@@ -112,31 +104,12 @@ def test_voting_charges_repeat_overhead_to_ledger():
     session = pruned_session(
         staged, channel=ChannelModel(counter_sigma=0.5, seed=5)
     )
-    voting = VotingChannel(session, repeats=7, sigma=0.5, confidence=0.9)
+    # At sigma 0.1 two reads suffice, so the floor of 7 decides.
+    voting = VotingChannel(session, repeats=7, sigma=0.1)
     voting.query(PIXEL, [1.0])
-    assert voting.last_repeats == 7
+    assert voting.fixed_repeats == 7
     assert session.ledger.repeat_queries == 6
     assert session.ledger.channel_queries == 7
-
-
-def test_adaptive_voting_escalates_deterministically():
-    staged, _, _, _ = _victim()
-
-    def run():
-        session = pruned_session(
-            staged, channel=ChannelModel(counter_sigma=1.0, seed=5)
-        )
-        voting = VotingChannel(
-            session, repeats=3, confidence=0.999, max_repeats=64
-        )
-        out = voting.query(PIXEL, [1.5])
-        return out, voting.last_repeats, voting.escalations
-
-    out1, n1, esc1 = run()
-    out2, n2, esc2 = run()
-    assert np.array_equal(out1, out2)
-    assert (n1, esc1) == (n2, esc2)
-    assert n1 > 3 and esc1 >= 1
 
 
 def test_voting_batch_shapes_match_session():
@@ -145,7 +118,7 @@ def test_voting_batch_shapes_match_session():
         staged, channel=ChannelModel(counter_sigma=0.5, seed=5)
     )
     clean = pruned_session(staged)
-    voting = VotingChannel(session, sigma=0.5, confidence=0.999)
+    voting = VotingChannel(session, sigma=0.5)
     values = np.linspace(-1.0, 1.0, 4)[:, None]
     assert np.array_equal(
         voting.query_batch(PIXEL, values), clean.query_batch(PIXEL, values)
@@ -161,7 +134,7 @@ def test_voting_batch_shapes_match_session():
 def test_voting_delegates_device_facts_and_guards_privates():
     staged, _, _, _ = _victim()
     session = pruned_session(staged)
-    voting = VotingChannel(session)
+    voting = VotingChannel(session, sigma=0.0)
     assert voting.d_ofm == session.d_ofm
     assert voting.input_shape == session.input_shape
     assert voting.ledger is session.ledger
@@ -175,14 +148,14 @@ def test_voting_fork_preserves_configuration():
     session = pruned_session(
         staged, channel=ChannelModel(counter_sigma=0.5, seed=5)
     )
-    voting = VotingChannel(
-        session, repeats=5, sigma=0.5, confidence=0.99, statistic="mean"
-    )
+    voting = VotingChannel(session, repeats=5, sigma=0.5)
     fork = voting.fork(2)
     assert isinstance(fork, VotingChannel)
     assert fork.session is not session
     assert fork.session.channel.spawn_key == (2,)
-    assert (fork.repeats, fork.sigma, fork.statistic) == (5, 0.5, "mean")
+    assert (fork.repeats, fork.sigma, fork.fixed_repeats) == (
+        5, 0.5, voting.fixed_repeats
+    )
 
 
 # -- hysteresis boundary tracking on synthetic streams ---------------------
@@ -465,16 +438,6 @@ def test_calibration_on_clean_channel_reports_zero_noise():
     assert cal.recommended_repeats == 1
 
 
-def test_calibration_estimates_event_dispersion():
-    staged, _, _, _ = build_conv_stage(seed=5)
-    channel = ChannelModel(drop_rate=0.05, dup_rate=0.02, seed=7)
-    session = DeviceSession(AcceleratorSim(staged), channel=channel)
-    cal = calibrate_channel(session, runs=8)
-    assert cal.trace_runs == 8
-    assert cal.event_dispersion is not None
-    assert 0.0 < cal.event_dispersion < 0.5
-
-
 # -- parallel determinism under noise (the spawn-key contract) -------------
 
 def test_sharded_weight_attack_bit_identical_under_noise():
@@ -484,9 +447,7 @@ def test_sharded_weight_attack_bit_identical_under_noise():
 
     def run(workers):
         session = pruned_session(staged, channel=channel)
-        voting = VotingChannel(
-            session, sigma=0.5, confidence=1.0 - 1e-4
-        )
+        voting = VotingChannel(session, sigma=0.5)
         return WeightAttack(
             voting, target, search_steps=12, workers=workers
         ).run()

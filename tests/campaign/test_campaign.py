@@ -211,6 +211,40 @@ BOUNDARY_ONLY = {
 }
 
 
+VOTED_ONLY = {
+    "name": "voted",
+    "sweeps": [{"kind": "weight_recovery", "tenant": "weights", "base": {
+        "victim": {"conv": {"w": 8, "d": 3, "seed": 5, "bias_sign": -1.0}},
+        "device": {"pruning": True},
+        "channel": {"counter_sigma": 0.5, "seed": 3},
+        "search_steps": 24,
+        "filters_per_step": 3,
+        "mode": "voted",
+    }}],
+}
+
+
+def test_voted_weight_job_resumes_after_calibration(tmp_path):
+    ref = Campaign.create(VOTED_ONLY, tmp_path / "reference")
+    ref.run()
+    resumed = Campaign.create(VOTED_ONLY, tmp_path / "resumed")
+    _kill_after(tmp_path / "resumed", 1)
+    (job,) = resumed.jobs
+    ckpt = JobCheckpoint.load(resumed.store.jobs_dir, job.job_id)
+    assert "calibrated_sigma" in ckpt.state and "filters" not in ckpt.state
+    Campaign.load(tmp_path / "resumed").run()
+    assert (
+        (tmp_path / "reference" / "results.jsonl").read_bytes()
+        == (tmp_path / "resumed" / "results.jsonl").read_bytes()
+    )
+    (record,) = ref.store.read_all()
+    metrics = record["metrics"]
+    assert record["status"] == "done" and metrics["mode"] == "voted"
+    assert metrics["repeats"] > 1 and metrics["repeat_queries"] > 0
+    assert metrics["resolved_fraction"] == 1.0
+    assert metrics["max_ratio_error"] < 2.0**-10
+
+
 def test_resume_applies_fresh_budgets_over_checkpointed_ones(tmp_path):
     from repro.campaign.coordinator import _execute_job
     from repro.campaign.victims import VictimMemo

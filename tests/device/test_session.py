@@ -323,8 +323,12 @@ def test_wrappers_answer_multi_pattern_queries_probe_by_probe():
 
     staged, _, _, _ = build_conv_stage(seed=5, pool=PoolSpec(2, 2, 0))
     noisy = ChannelModel(counter_sigma=0.5, seed=5)
-    batched = VotingChannel(pruned_session(staged, channel=noisy), repeats=3)
-    alone = VotingChannel(pruned_session(staged, channel=noisy), repeats=3)
+    batched = VotingChannel(
+        pruned_session(staged, channel=noisy), repeats=3, sigma=0.1
+    )
+    alone = VotingChannel(
+        pruned_session(staged, channel=noisy), repeats=3, sigma=0.1
+    )
     patterns, values = _probes(batched)
     counts = batched.query_per_filter(patterns, values)
     for row, p, v in zip(counts, patterns, values):
@@ -346,7 +350,7 @@ def test_voting_channel_refuses_unvoted_queries():
     from repro.attacks.robust import VotingChannel
 
     staged, _, _, _ = build_conv_stage(seed=5)
-    voting = VotingChannel(pruned_session(staged))
+    voting = VotingChannel(pruned_session(staged), sigma=0.0)
     with pytest.raises(ConfigError):
         voting.query_repeat(PIXEL, [1.0], 3)
     # A query form the wrapper does not define is never forwarded to

@@ -159,3 +159,18 @@ def test_failed_gate_leaves_the_baseline_untouched(tmp_path, monkeypatch):
     assert perf.main(["--quick", "--output", str(baseline)]) == 1
     # A regressed run must not become the next run's baseline.
     assert baseline.read_bytes() == before
+
+
+@pytest.mark.parametrize("name, compared", [
+    ("ranking", True), ("weights", True), ("channel", True),
+    ("events_per_second", False), ("decode_events_per_second", False),
+    ("power", False), ("dataflow_id", False), ("memory", False),
+    ("campaign", False),
+])
+def test_header_announces_workers_only_for_worker_rows(name, compared):
+    from benchmarks.perf.__main__ import ROWS, header
+
+    (row,) = [r for r in ROWS if r.name == name]
+    line = header(row, 2)
+    assert line.startswith(f"[{name}] ")
+    assert ("workers=1 vs workers=2" in line) is compared

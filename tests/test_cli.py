@@ -46,6 +46,17 @@ def test_weights_command(capsys):
     assert "max |w/b| error" in out
 
 
+@pytest.mark.slow
+def test_weights_command_votes_on_a_noisy_counter(capsys):
+    out = run_cli(
+        capsys, "weights", "--size", "19", "--filters", "1",
+        "--channel-sigma", "0.5", "--repeats", "3",
+    )
+    assert out.startswith("calibration: counter sigma~")
+    assert "resolved 100.0%" in out
+    assert "noise repeats=" in out
+
+
 def test_weights_threshold_command(capsys):
     out = run_cli(
         capsys, "weights", "--size", "27", "--filters", "3", "--threshold"
