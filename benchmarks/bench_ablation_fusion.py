@@ -94,7 +94,7 @@ def _campaign_spec() -> dict:
     }
 
 
-def _rows(memory_records, fused_record):
+def _table_rows(memory_records, fused_record):
     """Table rows + keyed scores for one victim."""
     rows = []
     scores = {}
@@ -132,8 +132,8 @@ def test_ablation_fusion(benchmark):
     lenet_mem = records[0:n]
     alex_mem = records[n:2 * n]
     lenet_fused, alex_fused = records[2 * n], records[2 * n + 1]
-    lrows, lscores, lcal = _rows(lenet_mem, lenet_fused)
-    arows, ascores, _ = _rows(alex_mem, alex_fused)
+    lrows, lscores, lcal = _table_rows(lenet_mem, lenet_fused)
+    arows, ascores, _ = _table_rows(alex_mem, alex_fused)
 
     headers = ["estimator", "runs (=inferences)", "boundary F1",
                "boundaries", "power samples", "calibration"]

@@ -39,7 +39,6 @@ __all__ = [
     "Pixel",
     "StageOracle",
     "SparseStageOracle",
-    "one_pattern_per_row",
 ]
 
 # A pixel coordinate in the stage input: (channel, row, col).
@@ -80,13 +79,12 @@ class StageOracle:
     d_ofm: int
     input_shape: tuple[int, int, int]
 
-    def nnz_batch(self, pixels, values) -> np.ndarray:
+    def nnz_batch(self, patterns: list[tuple], rows) -> np.ndarray:
         """Counts for ``B`` independent runs, in one call.
 
-        ``pixels`` is either one pattern shared by every row — then
-        ``values`` has shape ``(B, len(pixels))`` — or a list of ``B``
-        patterns, one per row, with ``values[b]`` of length
-        ``len(pixels[b])``.  Returns shape ``(B, d_ofm)``.
+        Run ``b`` drives the pixels ``patterns[b]`` with the values
+        ``rows[b]``, one per pixel; callers have validated both.  Returns
+        shape ``(B, d_ofm)``.
         """
         raise NotImplementedError
 
@@ -98,7 +96,7 @@ class StageOracle:
                 f"need one value per pixel, got {values.shape} for "
                 f"{len(pixels)} pixels"
             )
-        return self.nnz_batch(list(pixels), values[None])[0]
+        return self.nnz_batch([tuple(pixels)], [values])[0]
 
     def nnz_per_filter(self, pixels: list[Pixel], values) -> np.ndarray:
         """Counts of ``d_ofm`` runs, plane ``f`` read from run ``f``.
@@ -112,7 +110,8 @@ class StageOracle:
                 f"values must be (n_pixels, d_ofm) = "
                 f"({len(pixels)}, {self.d_ofm}), got {values.shape}"
             )
-        return self.nnz_batch(list(pixels), values.T).diagonal().copy()
+        runs = self.nnz_batch([tuple(pixels)] * self.d_ofm, list(values.T))
+        return runs.diagonal().copy()
 
     def set_threshold(self, threshold: float) -> None:
         """Adjust the stage's tunable pruning threshold, if it has one."""
@@ -127,40 +126,6 @@ class StageOracle:
                 )
         if len(set(pixels)) != len(pixels):
             raise ConfigError(f"duplicate pixels in {pixels}")
-
-
-def one_pattern_per_row(pixels) -> bool:
-    """Whether ``pixels`` lists one pattern per row (vs one shared pattern)."""
-    return len(pixels) > 0 and (
-        len(pixels[0]) == 0 or not np.isscalar(pixels[0][0])
-    )
-
-
-def _rows(pixels, values) -> tuple[list[tuple], list[np.ndarray]]:
-    """Normalise either ``nnz_batch`` form to (pattern, values) per row."""
-    if one_pattern_per_row(pixels):
-        if len(values) != len(pixels):
-            raise ConfigError(
-                f"need one value row per pattern, got {len(values)} rows "
-                f"for {len(pixels)} patterns"
-            )
-        patterns = [tuple(p) for p in pixels]
-        rows = [np.asarray(v, dtype=float).reshape(-1) for v in values]
-        for p, row in zip(patterns, rows):
-            if row.shape != (len(p),):
-                raise ConfigError(
-                    f"need one value per pixel, got {row.shape} for "
-                    f"{len(p)} pixels"
-                )
-        return patterns, rows
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(pixels):
-        raise ConfigError(
-            f"values must be (batch, n_pixels) = (*, {len(pixels)}), "
-            f"got {values.shape}"
-        )
-    pattern = tuple(pixels)
-    return [pattern] * len(values), list(values)
 
 
 class _Plan(NamedTuple):
@@ -356,11 +321,10 @@ class SparseStageOracle(StageOracle):
         return plan
 
     # -- queries -------------------------------------------------------------
-    def nnz_batch(self, pixels, values) -> np.ndarray:
-        patterns, rows = _rows(pixels, values)
+    def nnz_batch(self, patterns: list[tuple], rows) -> np.ndarray:
         if not rows:
             return np.zeros((0, self.d_ofm), dtype=np.int64)
-        return self._count(patterns, np.concatenate(rows))
+        return self._count([tuple(p) for p in patterns], np.concatenate(rows))
 
     def _batch_plan(self, patterns: list[tuple]) -> _BatchPlan:
         """The batch plan of ``patterns``, memoised for the last batch:

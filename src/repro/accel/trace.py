@@ -278,10 +278,6 @@ class TraceBuilder:
         return self._last_cycle
 
     @property
-    def last_cycle(self) -> int:
-        return self._last_cycle
-
-    @property
     def num_events(self) -> int:
         """Events appended so far (O(1); the simulator reads it per stage)."""
         return self._num_events

@@ -38,7 +38,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from repro.device import DeviceSession, one_pattern_per_row
+from repro.device import DeviceSession
 from repro.errors import ConfigError
 
 __all__ = ["VotingChannel", "required_repeats", "vote_confidence"]
@@ -119,13 +119,19 @@ class VotingChannel:
         self.measurements = 0
 
     # -- the vote ----------------------------------------------------------
-    def _measure(self, take) -> np.ndarray:
-        """Measure ``take(rep)`` ``fixed_repeats`` times; the median wins."""
+    def _measure(self, take, probes: int = 1) -> np.ndarray:
+        """Measure ``take(rep)`` ``fixed_repeats`` times; the element-wise
+        median wins.
+
+        One call may answer several probes; each counts as its own vote
+        (one measurement, ``fixed_repeats - 1`` repeats), exactly as if
+        it had been asked alone.
+        """
         stack = np.asarray(
             [take(r) for r in range(self.fixed_repeats)], dtype=np.int64
         )
-        self._session.ledger.record_repeats(self.fixed_repeats - 1)
-        self.measurements += 1
+        self._session.ledger.record_repeats((self.fixed_repeats - 1) * probes)
+        self.measurements += probes
         return np.rint(np.median(stack, axis=0)).astype(np.int64)
 
     # -- channel surface ---------------------------------------------------
@@ -140,14 +146,9 @@ class VotingChannel:
         )
 
     def query_per_filter(self, pixels, values) -> np.ndarray:
-        if one_pattern_per_row(pixels):
-            # Several probes in one call: each gets its own vote, exactly
-            # as if it had been asked alone.
-            return np.stack(
-                [self.query_per_filter(p, v) for p, v in zip(pixels, values)]
-            )
         return self._measure(
-            lambda r: self._session.query_per_filter(pixels, values, rep=r)
+            lambda r: self._session.query_per_filter(pixels, values, rep=r),
+            len(pixels),
         )
 
     def query_repeat(self, pixels, values, repeats: int) -> np.ndarray:

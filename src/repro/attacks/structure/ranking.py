@@ -46,10 +46,6 @@ class RankedCandidate:
     train_loss: float
     is_original: bool = False
 
-    def mark_original(self) -> "RankedCandidate":
-        self.is_original = True
-        return self
-
 
 def candidate_seed(seed: int, index: int) -> int:
     """The shuffling seed of candidate ``index`` under base ``seed``.

@@ -121,9 +121,6 @@ class LayerObservation:
     def transactions(self) -> int:
         return self.read_transactions + self.write_transactions
 
-    def source_size(self, source: int) -> SizeRange:
-        return self.size_ifm_per_source[self.sources.index(source)]
-
 
 @dataclass(frozen=True)
 class TraceAnalysis:

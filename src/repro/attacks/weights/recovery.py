@@ -320,14 +320,6 @@ class FilterRecovery:
     ratios: np.ndarray  # (d_ifm, f, f) float
     status: np.ndarray  # (d_ifm, f, f) object (status strings)
 
-    @property
-    def num_recovered(self) -> int:
-        return int((self.status == WeightStatus.RECOVERED).sum())
-
-    @property
-    def num_zero(self) -> int:
-        return int((self.status == WeightStatus.ZERO).sum())
-
 
 @dataclass
 class WeightAttackResult:
@@ -1007,7 +999,7 @@ class WeightAttack:
                 else:
                     pixels.append(request[0])
                     values.append(request[1])
-            replies = np.asarray(self.channel.query_per_filter(pixels, values))
+            replies = self.channel.query_per_filter(pixels, values)
             if at:
                 table.step(replies[at])
             for k, reply in zip(order, replies):

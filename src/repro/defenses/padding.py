@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.accel.simulator import AcceleratorSim, SimulationResult
-from repro.device import DeviceSession, one_pattern_per_row
+from repro.device import DeviceSession
 
 __all__ = ["PaddedChannel", "PaddingOverhead", "measure_padding_overhead"]
 
@@ -75,12 +75,6 @@ class PaddedChannel:
         return self._constant(counts)
 
     def query_per_filter(self, pixels, values):
-        if one_pattern_per_row(pixels):
-            # Several probes in one call: each is padded (and charged)
-            # exactly as if it had been asked alone.
-            return np.stack(
-                [self.query_per_filter(p, v) for p, v in zip(pixels, values)]
-            )
         counts = self._inner.query_per_filter(pixels, values)
         return self._constant(counts)
 

@@ -12,7 +12,6 @@ the boundary).  A guard test asserts that nothing under
 :mod:`repro.attacks` imports simulator or oracle internals directly.
 """
 
-from repro.accel.oracle import one_pattern_per_row
 from repro.accel.sinks import CoalescingSink, TeeSink
 from repro.device.observation import StructureObservation
 from repro.device.cache import QueryCache
@@ -40,5 +39,4 @@ __all__ = [
     "CoalescingSink",
     "TeeSink",
     "TRACE_EVENT_BYTES",
-    "one_pattern_per_row",
 ]

@@ -30,12 +30,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.accel.oracle import (
-    Pixel,
-    SparseStageOracle,
-    StageOracle,
-    one_pattern_per_row,
-)
+from repro.accel.oracle import Pixel, SparseStageOracle, StageOracle
 from repro.accel.simulator import AcceleratorConfig, SimulationResult
 from repro.accel.sinks import MaterializeSink, TeeSink
 from repro.accel.timing import TimingModel
@@ -72,6 +67,21 @@ class VictimDevice(Protocol):
     def run(
         self, x: np.ndarray, sink: TraceSink | None = None
     ) -> SimulationResult: ...
+
+
+def _pattern(pixels) -> tuple:
+    """One probe's pixels as a tuple of ``(c, i, j)`` triples."""
+    pattern = tuple(pixels)
+    try:
+        triples = all(len(px) == 3 for px in pattern)
+    except TypeError:
+        triples = False
+    if not triples:
+        raise ConfigError(
+            "query_per_filter takes a list of probes: pixels[p] is one "
+            f"probe's sequence of (c, i, j) pixels, got {pixels!r}"
+        )
+    return pattern
 
 
 class _MeteredBoundary:
@@ -731,59 +741,55 @@ class DeviceSession:
         return np.stack(self._replies([pattern] * len(values), list(values), rep))
 
     def query_per_filter(self, pixels, values, rep: int = 0) -> np.ndarray:
-        """Batch of ``d_ofm`` runs, value column ``f`` read via plane ``f``.
+        """Counts of ``P`` probes, each a batch of ``d_ofm`` runs.
 
-        ``values`` has shape ``(len(pixels), d_ofm)``.  Physically this is
-        ``d_ofm`` separate device runs; the session decomposes it that
-        way, so runs repeated across filters (idle filters probing 0.0,
-        shared bracket endpoints) hit the cache and are charged once.
-
-        With ``pixels`` a list of ``P`` patterns and ``values`` a list of
-        ``P`` such arrays, all ``P * d_ofm`` runs go to the device in one
-        batch (charged all-or-nothing) and the result has shape
-        ``(P, d_ofm)``; row ``p`` equals the one-pattern call on probe
-        ``p``.
+        ``pixels`` lists the ``P`` probes' patterns and ``values`` their
+        value arrays, ``values[p]`` of shape ``(len(pixels[p]), d_ofm)``:
+        run ``f`` of probe ``p`` drives column ``f`` and is read via
+        plane ``f``.  Physically these are ``P * d_ofm`` separate device
+        runs, sent in one batch (charged all-or-nothing); runs repeated
+        across filters or probes (idle filters probing 0.0, shared
+        bracket endpoints) hit the cache and are charged once.  Returns
+        shape ``(P, d_ofm)``.
         """
         if not self.per_plane:
             raise ThreatModelViolation(
                 "per-filter queries need per-plane substreams; this device "
                 "writes one aggregate stream"
             )
-        multi = one_pattern_per_row(pixels)
-        if not multi:
-            pixels, values = [pixels], [values]
-        elif len(values) != len(pixels):
+        patterns = [_pattern(p) for p in pixels]
+        if len(values) != len(patterns):
             raise ConfigError(
                 f"need one value array per pattern, got {len(values)} "
-                f"for {len(pixels)} patterns"
+                f"for {len(patterns)} patterns"
             )
         d_ofm = self.d_ofm
         probes = [np.asarray(v, dtype=float) for v in values]
-        for probe_pixels, probe_values in zip(pixels, probes):
-            if probe_values.shape != (len(probe_pixels), d_ofm):
+        for pattern, probe_values in zip(patterns, probes):
+            if probe_values.shape != (len(pattern), d_ofm):
                 raise ConfigError(
                     f"values must be (n_pixels, d_ofm) = "
-                    f"({len(probe_pixels)}, {d_ofm}), got {probe_values.shape}"
+                    f"({len(pattern)}, {d_ofm}), got {probe_values.shape}"
                 )
+        if not probes:
+            return np.zeros((0, d_ofm), dtype=np.int64)
         # Column block p of ``runs`` holds probe p's pixel values, one
         # row per filter: run p * d_ofm + f drives it with row f.
         runs = np.concatenate(probes).T.copy()
         self._check_values(runs)
-        patterns: list[tuple] = []
+        run_patterns: list[tuple] = []
         rows: list[np.ndarray] = []
         start = 0
-        for probe_pixels in pixels:
-            pattern = tuple(probe_pixels)
+        for pattern in patterns:
             stop = start + len(pattern)
-            patterns += [pattern] * d_ofm
+            run_patterns += [pattern] * d_ofm
             rows += list(runs[:, start:stop])
             start = stop
-        replies = self._replies(patterns, rows, rep)
+        replies = self._replies(run_patterns, rows, rep)
         # Run p * d_ofm + f is read through plane f: the diagonal of
         # probe p's (d_ofm, d_ofm) reply block.
         counts = np.concatenate(replies).reshape(len(probes), d_ofm * d_ofm)
-        counts = counts[:, :: d_ofm + 1].astype(np.int64)
-        return counts if multi else counts[0]
+        return counts[:, :: d_ofm + 1].astype(np.int64)
 
     def set_threshold(self, threshold: float) -> None:
         """Tune the device's pruning threshold (Minerva-style extension).

@@ -7,7 +7,7 @@ from repro.nn.layers.activations import (
     Softmax,
     ThresholdReLU,
 )
-from repro.nn.layers.base import FixedShapeLayer, Layer, Parameter
+from repro.nn.layers.base import Layer, Parameter
 from repro.nn.layers.combine import Concat, ElementwiseAdd, MultiInputLayer
 from repro.nn.layers.conv import Conv2D, col2im, im2col
 from repro.nn.layers.linear import Linear
@@ -16,7 +16,6 @@ from repro.nn.layers.pool import AvgPool2D, MaxPool2D
 __all__ = [
     "Layer",
     "Parameter",
-    "FixedShapeLayer",
     "Conv2D",
     "im2col",
     "col2im",

@@ -14,9 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.errors import ShapeError
 
-__all__ = ["Parameter", "Layer", "FixedShapeLayer"]
+__all__ = ["Parameter", "Layer"]
 
 
 class Parameter:
@@ -87,22 +86,3 @@ class Layer:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-
-class FixedShapeLayer(Layer):
-    """A layer that validates a fixed input shape before computing.
-
-    The accelerator simulator relies on layers having a statically known
-    geometry (so the DRAM allocator can place tensors before execution);
-    this helper enforces it at run time too.
-    """
-
-    def __init__(self, input_shape: tuple[int, ...]):
-        super().__init__()
-        self.input_shape = tuple(int(s) for s in input_shape)
-
-    def check_input(self, x: np.ndarray) -> None:
-        if tuple(x.shape[1:]) != self.input_shape:
-            raise ShapeError(
-                f"{type(self).__name__} expected per-sample shape "
-                f"{self.input_shape}, got {tuple(x.shape[1:])}"
-            )

@@ -74,10 +74,6 @@ class PowerTrace:
     def total_energy(self) -> int:
         return int(self.samples.sum())
 
-    def bin_cycle(self, bin_index: int) -> int:
-        """First cycle covered by ``bin_index``."""
-        return int(bin_index) * self.quantum
-
     def digest(self) -> str:
         """Content digest: sha256 of the little-endian sample bytes."""
         h = hashlib.sha256()

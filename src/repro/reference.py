@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.accel.dataflow import resolve_dataflow
 from repro.accel.memory import MemoryRegion
-from repro.accel.oracle import StageOracle, _rows, _stage_components
+from repro.accel.oracle import StageOracle, _stage_components
 from repro.accel.simulator import AcceleratorSim, SimulationResult
 from repro.accel.timing import TimingModel
 from repro.accel.trace import READ, TraceBuilder, TraceSink
@@ -487,8 +487,7 @@ class DenseStageOracle(StageOracle):
             raise ConfigError("stage activation has no tunable threshold")
         self._act.set_threshold(threshold)
 
-    def nnz_batch(self, pixels, values) -> np.ndarray:
-        patterns, rows = _rows(pixels, values)
+    def nnz_batch(self, patterns: list[tuple], rows) -> np.ndarray:
         counts = np.zeros((len(rows), self.d_ofm), dtype=np.int64)
         for b, (pattern, row) in enumerate(zip(patterns, rows)):
             self._check_pixels(list(pattern))
@@ -527,8 +526,8 @@ def _bisect_alone(
         mid = np.where(moved, 0.5 * (lo + hi), 0.0)
         if bisection.anchor is None:
             measured = attack.channel.query_per_filter(
-                bisection.pixels, mid[None, :]
-            )
+                [bisection.pixels], [mid[None, :]]
+            )[0]
             modeled = attack._model_counts(
                 mid, bisection.known_rho, state.bias_pos, state.base,
                 bisection.members,
@@ -536,8 +535,8 @@ def _bisect_alone(
             flipped = (measured - modeled) != 0
         else:
             measured = attack.channel.query_per_filter(
-                bisection.pixels, np.stack([bisection.anchor, mid])
-            )
+                [bisection.pixels], [np.stack([bisection.anchor, mid])]
+            )[0]
             flipped = measured != bisection.g0
         hi = np.where(moved & flipped, mid, hi)
         lo = np.where(moved & ~flipped, mid, lo)
@@ -555,9 +554,7 @@ def _drive_alone(
                 reply = _bisect_alone(attack, state, request)
             else:
                 pixels, values = request
-                reply = np.asarray(
-                    attack.channel.query_per_filter(pixels, values)
-                )
+                reply = attack.channel.query_per_filter([pixels], [values])[0]
             request = search.send(reply)
     except StopIteration as stop:
         return bool(stop.value)
@@ -569,7 +566,7 @@ def weight_attack_reference(attack: WeightAttack) -> WeightAttackResult:
     The oracle of :meth:`WeightAttack._run_shard_local` (the attack's
     own filter range, in this process): the same per-weight searches,
     driven in lexicographic order within each round, each probe its own
-    one-pattern ``query_per_filter`` call, and each bisection request a
+    one-probe ``query_per_filter`` call, and each bisection request a
     plain loop of such calls (the lockstep driver steps all running
     bisections in one table instead).  Ratios, statuses and the
     session ledger must match the lockstep schedule exactly.

@@ -94,7 +94,7 @@ def test_query_accounting(rng):
     session.query([(0, 0, 0)], [1.0])
     assert session.ledger.channel_queries == 1
     values = np.arange(2.0, 2.0 + session.d_ofm)[None]  # one run per filter
-    session.query_per_filter([(0, 0, 0)], values)
+    session.query_per_filter([[(0, 0, 0)]], [values])
     assert session.ledger.channel_queries == 1 + session.d_ofm
     assert not hasattr(SparseStageOracle(staged, "conv1"), "queries")
 
@@ -104,7 +104,7 @@ def test_one_run_forms_are_batch_rows(rng):
     sparse = SparseStageOracle(staged, "conv1")
     pixels = [(0, 2, 3), (1, 5, 5)]
     values = rng.normal(size=(2, sparse.d_ofm)) * 4
-    batch = sparse.nnz_batch(pixels, values.T)
+    batch = sparse.nnz_batch([tuple(pixels)] * sparse.d_ofm, list(values.T))
     np.testing.assert_array_equal(sparse.nnz(pixels, values[:, 0]), batch[0])
     np.testing.assert_array_equal(
         sparse.nnz_per_filter(pixels, values), batch.diagonal()

@@ -126,8 +126,8 @@ def test_voting_batch_shapes_match_session():
     per_filter = np.zeros((1, session.d_ofm))
     per_filter[0, :] = 1.5
     assert np.array_equal(
-        voting.query_per_filter(PIXEL, per_filter),
-        clean.query_per_filter(PIXEL, per_filter),
+        voting.query_per_filter([PIXEL], [per_filter]),
+        clean.query_per_filter([PIXEL], [per_filter]),
     )
 
 

@@ -68,7 +68,7 @@ def test_padded_channel_is_constant():
     a = channel.query([(0, 0, 0)], [5.0])
     b = channel.query([(0, 3, 3)], [-7.0])
     np.testing.assert_array_equal(a, b)
-    c = channel.query_per_filter([(0, 0, 0)], np.ones((1, channel.d_ofm)))
+    c = channel.query_per_filter([[(0, 0, 0)]], [np.ones((1, channel.d_ofm))])[0]
     np.testing.assert_array_equal(np.asarray(a), np.asarray(c))
 
 

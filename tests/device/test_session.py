@@ -123,7 +123,7 @@ def test_per_filter_decomposition_shares_cached_runs():
     oracle = SparseStageOracle(staged, "conv1")
     values = np.zeros((1, geom.d_ofm))
     values[0, 0] = 1.5  # every other filter probes the idle 0.0 run
-    counts = session.query_per_filter(PIXEL, values)
+    counts = session.query_per_filter([PIXEL], [values])[0]
     assert np.array_equal(counts, oracle.nnz_per_filter(PIXEL, values))
     assert session.queries == 2  # the 1.5 run plus one shared 0.0 run
 
@@ -248,7 +248,7 @@ def test_per_filter_requires_plane_substreams():
     staged, geom, _, _ = build_conv_stage()
     session = pruned_session(staged, granularity="aggregate")
     with pytest.raises(ThreatModelViolation):
-        session.query_per_filter(PIXEL, np.zeros((1, geom.d_ofm)))
+        session.query_per_filter([PIXEL], [np.zeros((1, geom.d_ofm))])
 
 
 def test_untunable_device_rejects_set_threshold():
@@ -266,7 +266,12 @@ def test_shape_validation():
     with pytest.raises(ConfigError):
         session.query_batch(PIXEL, np.zeros((2, 3)))
     with pytest.raises(ConfigError):
-        session.query_per_filter(PIXEL, np.zeros((2, geom.d_ofm)))
+        session.query_per_filter([PIXEL], [np.zeros((2, geom.d_ofm))])
+    # One probe's pixels are not a list of probes: (0, 2, 2) would read
+    # as a three-pixel pattern.
+    with pytest.raises(ConfigError, match="list of probes"):
+        session.query_per_filter(PIXEL, np.ones((1, geom.d_ofm)))
+    assert session.queries == 0
 
 
 # -- multi-pattern per-filter queries and the channel wrappers ----------------
@@ -286,7 +291,7 @@ def test_multi_pattern_per_filter_equals_one_probe_at_a_time():
     counts = batched.query_per_filter(patterns, values)
     assert counts.shape == (3, batched.d_ofm) and counts.dtype == np.int64
     for row, p, v in zip(counts, patterns, values):
-        np.testing.assert_array_equal(row, alone.query_per_filter(p, v))
+        np.testing.assert_array_equal(row, alone.query_per_filter([p], [v])[0])
     assert batched.ledger.snapshot() == alone.ledger.snapshot()
 
 
@@ -316,33 +321,59 @@ def test_channel_wrappers_define_every_query_method():
         assert not missing, f"{wrapper.__name__} lacks {missing}"
 
 
+def _counting(session):
+    """``session`` with its ``query_per_filter`` calls recorded (probes
+    per call)."""
+    calls = []
+    inner = session.query_per_filter
+
+    def counted(pixels, values, rep=0):
+        calls.append(len(pixels))
+        return inner(pixels, values, rep)
+
+    session.query_per_filter = counted
+    return session, calls
+
+
 def test_wrappers_answer_multi_pattern_queries_probe_by_probe():
+    """Both wrappers pass a multi-probe call on whole, and answer and
+    account for it exactly as for its probes asked one at a time."""
     from repro.attacks.robust import VotingChannel
     from repro.channel import ChannelModel
     from repro.defenses import PaddedChannel
 
     staged, _, _, _ = build_conv_stage(seed=5, pool=PoolSpec(2, 2, 0))
     noisy = ChannelModel(counter_sigma=0.5, seed=5)
-    batched = VotingChannel(
-        pruned_session(staged, channel=noisy), repeats=3, sigma=0.1
-    )
+    session, calls = _counting(pruned_session(staged, channel=noisy))
+    batched = VotingChannel(session, repeats=3, sigma=0.1)
     alone = VotingChannel(
         pruned_session(staged, channel=noisy), repeats=3, sigma=0.1
     )
     patterns, values = _probes(batched)
     counts = batched.query_per_filter(patterns, values)
+    assert calls == [3] * batched.fixed_repeats
     for row, p, v in zip(counts, patterns, values):
-        np.testing.assert_array_equal(row, alone.query_per_filter(p, v))
+        np.testing.assert_array_equal(row, alone.query_per_filter([p], [v])[0])
     assert batched.measurements == alone.measurements == 3
     assert batched.ledger.snapshot() == alone.ledger.snapshot()
 
-    padded = PaddedChannel(pruned_session(staged))
+    session, calls = _counting(pruned_session(staged))
+    alone_session = pruned_session(staged)
+    padded, padded_alone = PaddedChannel(session), PaddedChannel(alone_session)
     counts = padded.query_per_filter(patterns, values)
-    expected = padded.query_per_filter(patterns[0], values[0])
+    assert calls == [3]
+    expected = np.stack(
+        [
+            padded_alone.query_per_filter([p], [v])[0]
+            for p, v in zip(patterns, values)
+        ]
+    )
+    np.testing.assert_array_equal(counts, expected)
     assert counts.shape == (3, padded.d_ofm)
-    assert (counts == expected).all()
+    assert (counts == counts[0, 0]).all()
+    assert session.ledger.snapshot() == alone_session.ledger.snapshot()
     np.testing.assert_array_equal(
-        padded.query_repeat(PIXEL, [1.0], 2), np.stack([expected] * 2)
+        padded.query_repeat(PIXEL, [1.0], 2), np.stack([expected[0]] * 2)
     )
 
 
