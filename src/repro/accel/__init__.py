@@ -28,7 +28,6 @@ from repro.accel.simulator import (
 from repro.accel.sinks import (
     MaterializeSink,
     SpoolSink,
-    StageStats,
     StatsSink,
     TeeSink,
     reclaim_spool_dirs,
@@ -60,7 +59,6 @@ __all__ = [
     "SpoolSink",
     "reclaim_spool_dirs",
     "StatsSink",
-    "StageStats",
     "TeeSink",
     "TimingModel",
     "BufferConfig",

@@ -377,7 +377,6 @@ class AcceleratorSim:
         cycle = 0
 
         for stage in self.staged.stages:
-            sink.begin_stage(stage.name, stage.kind)
             cycle += self.config.timing.stage_overhead
             start_cycle = cycle
             events_before = builder.num_events

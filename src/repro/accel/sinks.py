@@ -12,10 +12,10 @@ is bounded by what the chosen sink retains rather than by trace length:
   and spills the rest to chunked ``.npz`` files, readable back as a span
   iterator — full-fidelity traces of arbitrarily large victims without
   the O(trace) resident footprint.
-* :class:`StatsSink` keeps O(1) running tallies (per-stage event /
-  read / write / byte counts plus address and cycle extents) and
-  retains no events at all — enough for ledger trace-byte accounting
-  and for sizing a second-pass renderer.
+* :class:`StatsSink` keeps O(1) running tallies (event / read / write /
+  byte counts plus address and cycle extents) and retains no events —
+  enough for ledger trace-byte accounting and for sizing a second-pass
+  renderer.
 * :class:`TeeSink` fans one span stream out to several sinks.
 * :class:`CoalescingSink` re-batches a fragmented span stream into
   decode-sized chunks for the attack-side vectorised decoders.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -40,7 +39,6 @@ __all__ = [
     "MaterializeSink",
     "SpoolSink",
     "StatsSink",
-    "StageStats",
     "TeeSink",
     "reclaim_spool_dirs",
 ]
@@ -98,19 +96,12 @@ class MaterializeSink:
         self._spans.append(span)
         self._num_events += len(span)
 
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
     @property
     def num_events(self) -> int:
         return self._num_events
-
-    def spans(self) -> Iterator[TraceSpan]:
-        """Replay the retained stream."""
-        yield from self._spans
 
     def trace(self) -> MemoryTrace:
         """The materialised trace (always a private copy, safe to keep)."""
@@ -172,9 +163,6 @@ class SpoolSink:
         self._num_events += len(span)
         if self._pending_bytes > self.budget_bytes:
             self._flush()
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
 
     def close(self) -> None:
         pass
@@ -249,36 +237,17 @@ class SpoolSink:
         self.cleanup()
 
 
-@dataclass
-class StageStats:
-    """Running tallies for one producer-announced stage."""
-
-    name: str
-    kind: str
-    events: int = 0
-    reads: int = 0
-    writes: int = 0
-
-    @property
-    def bytes(self) -> int:
-        return self.events * TRACE_EVENT_BYTES
-
-
 class StatsSink:
     """O(1)-memory tallies over the span stream; retains no events.
 
     Feeds :class:`~repro.device.QueryLedger` trace-byte accounting and
     records the address/cycle extents a second-pass renderer needs.
-    Per-stage tallies appear only when the producer announces stages
-    (``begin_stage`` is a device-side signal that the session strips
-    before spans reach an attacker).
     """
 
     def __init__(self) -> None:
         self.events = 0
         self.reads = 0
         self.writes = 0
-        self.stages: list[StageStats] = []
         self._min_address: int | None = None
         self._max_address: int | None = None
         self._min_cycle: int | None = None
@@ -292,11 +261,6 @@ class StatsSink:
         self.events += n
         self.writes += writes
         self.reads += n - writes
-        if self.stages:
-            stage = self.stages[-1]
-            stage.events += n
-            stage.writes += writes
-            stage.reads += n - writes
         lo_a = int(span.addresses.min())
         hi_a = int(span.addresses.max())
         self._min_address = (
@@ -309,9 +273,6 @@ class StatsSink:
         if self._min_cycle is None:
             self._min_cycle = int(span.cycles[0])
         self._max_cycle = int(span.cycles[-1])
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        self.stages.append(StageStats(name=name, kind=kind))
 
     def close(self) -> None:
         pass
@@ -344,7 +305,7 @@ class StatsSink:
 
 
 class TeeSink:
-    """Forwards every span (and stage/close signal) to several sinks."""
+    """Forwards every span (and the close signal) to several sinks."""
 
     def __init__(self, *sinks) -> None:
         if not sinks:
@@ -354,10 +315,6 @@ class TeeSink:
     def emit(self, span: TraceSpan) -> None:
         for sink in self.sinks:
             sink.emit(span)
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        for sink in self.sinks:
-            sink.begin_stage(name, kind)
 
     def close(self) -> None:
         for sink in self.sinks:
@@ -377,9 +334,7 @@ class CoalescingSink:
     chunking-invariant (asserted in tests), so re-batching never
     changes a result — only how fast it arrives.
 
-    Buffered events are flushed before a ``begin_stage`` marker is
-    forwarded (stage attribution stays exact for sinks that use it)
-    and on ``close``.
+    Buffered events are flushed on ``close``.
     """
 
     def __init__(self, inner, target_events: int = 1 << 16) -> None:
@@ -424,10 +379,6 @@ class CoalescingSink:
         self._spans = []
         self._buffered = 0
         self.inner.emit(out)
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        self.flush()
-        self.inner.begin_stage(name, kind)
 
     def close(self) -> None:
         self.flush()

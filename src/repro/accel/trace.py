@@ -77,16 +77,11 @@ class TraceSpan:
 class TraceSink(Protocol):
     """Streaming consumer of trace spans.
 
-    ``emit`` receives each span in trace order.  ``begin_stage`` is a
-    producer-side (ground truth) signal announcing the stage about to
-    execute — it never crosses the attacker/device boundary (the
-    session strips it); attacker-facing sinks may ignore it.  ``close``
-    marks the end of the stream.
+    ``emit`` receives each span in trace order; ``close`` marks the end
+    of the stream.
     """
 
     def emit(self, span: TraceSpan) -> None: ...
-
-    def begin_stage(self, name: str, kind: str) -> None: ...
 
     def close(self) -> None: ...
 

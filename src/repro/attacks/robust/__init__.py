@@ -28,7 +28,6 @@ from repro.attacks.robust.boundary import (
 from repro.attacks.robust.calibrate import ChannelCalibration, calibrate_channel
 from repro.attacks.robust.structure import (
     BoundaryRecovery,
-    RawBoundaryCycleSink,
     RobustStructureResult,
     boundary_cycles_from_trace,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "vote_confidence",
     "RobustRawBoundaryTracker",
     "BoundaryRecovery",
-    "RawBoundaryCycleSink",
     "RobustStructureResult",
     "boundary_cycles_from_trace",
     "consensus_boundaries",

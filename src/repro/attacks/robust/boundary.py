@@ -6,7 +6,7 @@ tap but brittle on a real one.  Under a lossy, latency-reordering,
 granularity-truncated channel two artefacts appear:
 
 * a *delayed OFM write* delivered amid the next layer's reads forges a
-  RAW edge mid-layer (the naive tracker commits a false boundary on a
+  RAW edge mid-layer (the naive rule commits a false boundary on a
   single event);
 * *address truncation* aliases neighbouring regions, adding spurious
   last-write entries.
@@ -30,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attacks.structure.decode import LastWriterIndex
-from repro.attacks.structure.trace_analysis import _previous_write_index
+from repro.attacks.structure.decode import (
+    LastWriterIndex,
+    previous_write_index,
+)
 from repro.errors import ConfigError
 
 __all__ = [
@@ -50,7 +52,8 @@ class RobustRawBoundaryTracker:
 
     Args:
         min_support: distinct RAW-read addresses required before a
-            candidate boundary commits.  1 reduces to the naive rule.
+            candidate boundary commits.  1, with the default zero
+            refractories, is the naive rule (see below).
         expiry: events a candidate may wait for support before being
             discarded as a channel artefact.
         refractory: *cycles* after a committed boundary during which
@@ -80,6 +83,16 @@ class RobustRawBoundaryTracker:
             would eat them.  Pass ``0`` for such dataflows and let
             ``min_support`` plus cross-run consensus reject forged
             edges instead.
+
+    ``RobustRawBoundaryTracker(min_support=1)`` is the paper's naive
+    rule exactly: a boundary is a read of an address written since the
+    previous boundary.  A one-address candidate commits on the spot, so
+    ``expiry`` never acts, and both refractory tests compare a cycle
+    against the last commit's cycle: a read after the boundary, or a
+    write at or after it, is never stamped earlier because delivered
+    cycles never decrease (:class:`~repro.accel.trace.MemoryTrace`
+    validates this; :class:`~repro.channel.ChannelSink` guarantees it
+    for noisy streams).
 
     Candidate RAW reads are processed in segments — one batched pass
     per candidacy window instead of one Python iteration per event —
@@ -145,9 +158,6 @@ class RobustRawBoundaryTracker:
     def emit(self, span) -> None:
         self.feed(span.cycles, span.addresses, span.is_write)
 
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
@@ -170,9 +180,8 @@ class RobustRawBoundaryTracker:
             self._boundary_cycles.append(int(cycles[0]))
             self._last_commit_cycle = int(cycles[0])
         # Previous-write indices and cycles: local edges vectorised,
-        # cross-chunk edges via the carried address→last-write map (the
-        # same incremental scheme as the naive streaming tracker).
-        local_prev = _previous_write_index(addresses, is_write)
+        # cross-chunk edges via the carried address→last-write map.
+        local_prev = previous_write_index(addresses, is_write)
         prev = np.where(local_prev >= 0, base + local_prev, np.int64(-1))
         prev_cyc = np.where(
             local_prev >= 0, cycles[local_prev], np.int64(-1)

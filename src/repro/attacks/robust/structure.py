@@ -5,8 +5,9 @@ noisy channel: it takes several metered observation runs (each run
 draws independent channel noise), detects boundaries per run with the
 hysteresis tracker, and keeps only boundaries a quorum of runs agrees
 on.  For the ablation bench it can simultaneously run the paper's
-naive single-event RAW rule on the *same* post-channel streams, so
-robust and naive estimators are compared on identical noise draws.
+naive single-event RAW rule (the same tracker at ``min_support=1``) on
+the *same* post-channel streams, so robust and naive estimators are
+compared on identical noise draws.
 
 Each observation streams into the trackers through a tee (one pass,
 two consumers) rather than materialising the trace — the memory
@@ -17,54 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.attacks.robust.boundary import (
     RobustRawBoundaryTracker,
     consensus_boundaries,
 )
 from repro.attacks.stepped import Stepped
-from repro.attacks.structure.trace_analysis import RawBoundaryTracker
 from repro.device import CoalescingSink, DeviceSession, TeeSink
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceError
 
 __all__ = [
-    "RawBoundaryCycleSink",
     "RobustStructureResult",
     "BoundaryRecovery",
     "boundary_cycles_from_trace",
 ]
-
-
-class RawBoundaryCycleSink:
-    """The paper's naive RAW rule as a sink, reporting boundary cycles.
-
-    Adapts the streaming :class:`RawBoundaryTracker` (which speaks
-    event indices) to cycle space so its output is comparable across
-    runs of a channel that drops and duplicates events (indices shift;
-    cycle stamps survive).
-    """
-
-    def __init__(self) -> None:
-        self._tracker = RawBoundaryTracker()
-        self._cycles: list[int] = []
-
-    @property
-    def boundary_cycles(self) -> list[int]:
-        return list(self._cycles)
-
-    def emit(self, span) -> None:
-        base = self._tracker.num_events
-        if base == 0 and len(span):
-            self._cycles.append(int(span.cycles[0]))
-        for idx in self._tracker.feed(span.addresses, span.is_write):
-            self._cycles.append(int(span.cycles[idx - base]))
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -187,7 +153,7 @@ class BoundaryRecovery(Stepped):
     def _step_run(self, k: int, state: dict) -> dict:
         robust = self._tracker()
         if self.compare_naive:
-            naive = RawBoundaryCycleSink()
+            naive = RobustRawBoundaryTracker(min_support=1)
             sink = TeeSink(robust, naive)
         else:
             naive = None
@@ -243,9 +209,10 @@ def boundary_cycles_from_trace(trace) -> list[int]:
     """Ground-truth boundary cycles from a clean materialised trace.
 
     Convenience for benches: run the naive rule on an *ideal-channel*
-    trace (where it is exact) and map boundary indices to cycles.
+    trace (where it is exact) and report its boundary cycles.
     """
-    tracker = RawBoundaryTracker()
-    tracker.feed(trace.addresses, trace.is_write)
-    cycles = np.asarray(trace.cycles, dtype=np.int64)
-    return [int(cycles[i]) for i in tracker.boundaries]
+    if len(trace.cycles) == 0:
+        raise TraceError("empty trace")
+    tracker = RobustRawBoundaryTracker(min_support=1)
+    tracker.feed(trace.cycles, trace.addresses, trace.is_write)
+    return tracker.boundary_cycles

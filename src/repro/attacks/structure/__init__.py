@@ -31,7 +31,6 @@ from repro.attacks.structure.trace_analysis import (
     BoundaryTracker,
     DataflowBoundaryTracker,
     LayerObservation,
-    RawBoundaryTracker,
     SizeRange,
     StreamingTraceAnalyzer,
     TraceAnalysis,
@@ -67,7 +66,6 @@ __all__ = [
     "find_layer_boundaries",
     "find_layer_boundaries_dataflow",
     "BoundaryTracker",
-    "RawBoundaryTracker",
     "DataflowBoundaryTracker",
     "StreamingTraceAnalyzer",
     "DataflowIdentifier",

@@ -89,7 +89,7 @@ class DataflowIdentifier:
     """Streaming classifier of the victim accelerator's dataflow.
 
     Feed attacker-observed event chunks (or use it directly as a trace
-    sink — ``emit``/``begin_stage``/``close``), then call
+    sink — ``emit``/``close``), then call
     :meth:`finish` for the verdict.  State is O(address intervals).
 
     Args:
@@ -124,9 +124,6 @@ class DataflowIdentifier:
     # -- trace-sink protocol ----------------------------------------------
     def emit(self, span: TraceSpan) -> None:
         self.feed(span.addresses, span.is_write)
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
 
     def close(self) -> None:
         pass

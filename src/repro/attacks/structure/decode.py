@@ -12,11 +12,11 @@ decoders now share:
   deduplication.  ``np.unique`` on large int64 address arrays takes a
   hash path that is ~50× slower than an explicit sort + diff mask on
   this workload; the decoders never call hash-unique on a hot path.
-* :class:`LastWriterIndex` — the vectorised address→last-write map
-  shared by the RAW boundary trackers.  Within a chunk, RAW edges are
-  resolved by :func:`~repro.attacks.structure.trace_analysis.
-  _previous_write_index`; across chunks, this index answers "when was
-  this address last written?" for a whole address vector at once.
+* :func:`previous_write_index` and :class:`LastWriterIndex` — the RAW
+  edge kernels of the RAW boundary tracker.  Within a chunk, RAW edges
+  are resolved by :func:`previous_write_index`; across chunks, the
+  index answers "when was this address last written?" for a whole
+  address vector at once.
 
 Every decoder built on them is asserted bit-identical to the
 per-event oracles in :mod:`repro.reference`, for every model ×
@@ -45,6 +45,7 @@ from repro.errors import ConfigError
 __all__ = [
     "sorted_unique",
     "sorted_unique_counts",
+    "previous_write_index",
     "LastWriterIndex",
 ]
 
@@ -79,12 +80,40 @@ def sorted_unique_counts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[first], counts
 
 
+def previous_write_index(addresses: np.ndarray, is_write: np.ndarray) -> np.ndarray:
+    """For each event, the index of the latest earlier write to the same
+    address (-1 if none).  Vectorised via per-address running maxima."""
+    n = len(addresses)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    order = np.lexsort((idx, addresses))
+    addr_s = addresses[order]
+    write_idx_s = np.where(is_write[order], idx[order], -1)
+    group_start = np.empty(n, dtype=bool)
+    group_start[0] = True
+    group_start[1:] = addr_s[1:] != addr_s[:-1]
+    group_id = np.cumsum(group_start) - 1
+    # Running max within groups via per-group offsets (values < n + 2).
+    big = np.int64(n + 2)
+    lifted = write_idx_s + group_id * big
+    cummax = np.maximum.accumulate(lifted)
+    prev_excl = np.empty(n, dtype=np.int64)
+    prev_excl[0] = -1
+    prev_excl[1:] = cummax[:-1] - group_id[1:] * big
+    prev_excl[group_start] = -1
+    prev_excl = np.where(prev_excl >= 0, prev_excl, -1)
+    out = np.empty(n, dtype=np.int64)
+    out[order] = prev_excl
+    return out
+
+
 class LastWriterIndex:
     """Vectorised address → (last write index[, cycle]) map.
 
-    The streaming RAW trackers need, per chunk, the global event index
-    (and for the robust tracker, the delivered cycle) of the most
-    recent *earlier-chunk* write to each address.  This index answers
+    The streaming RAW tracker needs, per chunk, the global event index
+    (and the delivered cycle) of the most recent *earlier-chunk* write
+    to each address.  This index answers
     those queries for whole address vectors.
 
     Representation is chosen from the data:

@@ -22,8 +22,7 @@ read previously written data but no filters; they are classified by
 comparing their OFM size against their operand sizes.
 
 Every step is a streaming class (:class:`BoundaryTracker`,
-:class:`RawBoundaryTracker`, :class:`DataflowBoundaryTracker`,
-:class:`StreamingTraceAnalyzer`) that folds vectorised event chunks as
+:class:`DataflowBoundaryTracker`, :class:`StreamingTraceAnalyzer`) that folds vectorised event chunks as
 they arrive — the adversary's tap records a *stream*, so the analysis
 runs in O(chunk) memory no matter how large the victim, and plugs
 directly into :meth:`repro.device.DeviceSession.observe_structure` as a
@@ -42,7 +41,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.device import StructureObservation
-from repro.attacks.structure.decode import LastWriterIndex, sorted_unique
+from repro.attacks.structure.decode import sorted_unique
 
 __all__ = [
     "SizeRange",
@@ -51,7 +50,6 @@ __all__ = [
     "find_layer_boundaries",
     "find_layer_boundaries_dataflow",
     "BoundaryTracker",
-    "RawBoundaryTracker",
     "DataflowBoundaryTracker",
     "StreamingTraceAnalyzer",
     "analyse_trace",
@@ -140,34 +138,6 @@ class TraceAnalysis:
         return [l.index for l in self.layers if index in l.sources]
 
 
-def _previous_write_index(addresses: np.ndarray, is_write: np.ndarray) -> np.ndarray:
-    """For each event, the index of the latest earlier write to the same
-    address (-1 if none).  Vectorised via per-address running maxima."""
-    n = len(addresses)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    order = np.lexsort((idx, addresses))
-    addr_s = addresses[order]
-    write_idx_s = np.where(is_write[order], idx[order], -1)
-    group_start = np.empty(n, dtype=bool)
-    group_start[0] = True
-    group_start[1:] = addr_s[1:] != addr_s[:-1]
-    group_id = np.cumsum(group_start) - 1
-    # Running max within groups via per-group offsets (values < n + 2).
-    big = np.int64(n + 2)
-    lifted = write_idx_s + group_id * big
-    cummax = np.maximum.accumulate(lifted)
-    prev_excl = np.empty(n, dtype=np.int64)
-    prev_excl[0] = -1
-    prev_excl[1:] = cummax[:-1] - group_id[1:] * big
-    prev_excl[group_start] = -1
-    prev_excl = np.where(prev_excl >= 0, prev_excl, -1)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = prev_excl
-    return out
-
-
 class BoundaryTracker:
     """Layer boundaries by the write-at-end protocol rule.
 
@@ -215,77 +185,6 @@ class BoundaryTracker:
         new = (self._n + np.flatnonzero(after_write & ~is_write)).tolist()
         self._last_was_write = bool(is_write[-1])
         self._n += len(is_write)
-        self._boundaries.extend(new)
-        return new
-
-
-class RawBoundaryTracker:
-    """Layer boundaries by the paper's literal RAW rule.
-
-    This is the Section 3.1 rule verbatim: a boundary is a read whose
-    address was written since the previous boundary.  It is exact for
-    sequential networks but under-segments at branch fan-out (a second
-    consumer re-reading an already-consumed OFM produces no fresh RAW
-    edge); :class:`BoundaryTracker` handles general DAGs.
-
-    Chunks resolve RAW edges locally via :func:`_previous_write_index`
-    and reach into a carried
-    :class:`~repro.attacks.structure.decode.LastWriterIndex` only for
-    addresses with no earlier write in the chunk.
-    """
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._boundaries: list[int] = [0]
-        self._start = 0
-        self._index = LastWriterIndex()
-
-    @property
-    def num_events(self) -> int:
-        return self._n
-
-    @property
-    def boundaries(self) -> list[int]:
-        """Event indices at which a layer begins, found so far."""
-        if self._n == 0:
-            raise TraceError("empty trace")
-        return list(self._boundaries)
-
-    def feed(self, addresses: np.ndarray, is_write: np.ndarray) -> list[int]:
-        """Fold one event chunk; returns boundaries found in it."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
-        n = len(addresses)
-        if n == 0:
-            return []
-        base = self._n
-        local_prev = _previous_write_index(addresses, is_write)
-        prev = np.where(local_prev >= 0, base + local_prev, np.int64(-1))
-        carried_needed = local_prev < 0
-        if carried_needed.any():
-            prev[carried_needed] = self._index.lookup(addresses[carried_needed])
-
-        new: list[int] = []
-        cand = np.flatnonzero((~is_write) & (prev >= 0))
-        cand_prev = prev[cand]
-        pos = 0
-        while pos < len(cand):
-            rel_start = self._start - base
-            hits = np.flatnonzero(
-                (cand[pos:] >= rel_start) & (cand_prev[pos:] >= self._start)
-            )
-            if len(hits) == 0:
-                break
-            j = pos + int(hits[0])
-            self._start = base + int(cand[j])
-            new.append(self._start)
-            pos = j + 1
-
-        w = np.flatnonzero(is_write)
-        if len(w):
-            self._index.update(addresses[w], base + w)
-
-        self._n += n
         self._boundaries.extend(new)
         return new
 
@@ -621,9 +520,6 @@ class StreamingTraceAnalyzer:
     # -- sink protocol ----------------------------------------------------
     def emit(self, span) -> None:
         self.feed(span.cycles, span.addresses, span.is_write)
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
 
     def close(self) -> None:
         pass

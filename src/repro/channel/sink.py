@@ -112,13 +112,6 @@ class ChannelSink:
         # horizon — delivered cycles stay non-decreasing.
         self._deliver(int(span.cycles[-1]) - self._lag)
 
-    def begin_stage(self, name: str, kind: str) -> None:
-        # Device-side ground truth passes through untouched; note that
-        # buffered events may be delivered after a later stage opens —
-        # under a latency-reordering channel, stage attribution of
-        # individual events is inherently approximate.
-        self.inner.begin_stage(name, kind)
-
     def close(self) -> None:
         if self._closed:
             return

@@ -88,9 +88,7 @@ class _MeteredBoundary:
     """The session's wrapper around an attacker-supplied trace sink.
 
     Spans cross the boundary untouched (the access pattern is exactly
-    what the threat model leaks) and are counted for ledger accounting;
-    ``begin_stage`` is swallowed — stage identity is device ground
-    truth, not an attacker observation.
+    what the threat model leaks) and are counted for ledger accounting.
     """
 
     def __init__(self, inner: TraceSink) -> None:
@@ -100,9 +98,6 @@ class _MeteredBoundary:
     def emit(self, span: TraceSpan) -> None:
         self.events += len(span)
         self._inner.emit(span)
-
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
 
     def close(self) -> None:
         self._inner.close()

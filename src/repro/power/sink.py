@@ -75,13 +75,6 @@ class PowerSink:
         if self.inner is not None:
             self.inner.emit(span)
 
-    def begin_stage(self, name: str, kind: str) -> None:
-        # Stage identity is device ground truth, not part of the proxy:
-        # the power trace must come out identical whether the stream
-        # carries stage markers (live device run) or not (spool replay).
-        if self.inner is not None:
-            self.inner.begin_stage(name, kind)
-
     def close(self) -> None:
         if self._trace is None:
             samples = self._acc[: self._last_bin + 1]

@@ -117,9 +117,6 @@ class AccessPatternRaster:
     def emit(self, span) -> None:
         self.add(span.cycles, span.addresses, span.is_write)
 
-    def begin_stage(self, name: str, kind: str) -> None:
-        pass
-
     def close(self) -> None:
         pass
 

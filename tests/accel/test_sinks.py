@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.accel import AcceleratorSim
+from repro.accel import AcceleratorConfig, AcceleratorSim, available_dataflows
 from repro.accel.sinks import (
     CoalescingSink,
     MaterializeSink,
@@ -23,7 +23,7 @@ from repro.accel.trace import (
     TraceSink,
     TraceSpan,
 )
-from repro.nn.zoo import build_lenet
+from repro.nn.zoo import build_lenet, build_squeezenet
 
 
 def span(cycles, addresses, is_write) -> TraceSpan:
@@ -164,27 +164,6 @@ def test_stats_tallies_and_extents():
     assert sink.max_cycle == 8
 
 
-def test_stats_without_stage_signals_has_no_stages():
-    sink = StatsSink()
-    feed(sink, *SPANS)
-    assert sink.stages == []
-
-
-def test_stats_per_stage_tallies():
-    sink = StatsSink()
-    sink.begin_stage("conv1", "conv")
-    sink.emit(SPANS[0])
-    sink.emit(SPANS[1])
-    sink.begin_stage("fc2", "fc")
-    sink.emit(SPANS[2])
-    sink.close()
-    assert [s.name for s in sink.stages] == ["conv1", "fc2"]
-    assert [s.events for s in sink.stages] == [4, 2]
-    assert sink.stages[0].writes == 1
-    assert sink.stages[1].reads == 1
-    assert sum(s.bytes for s in sink.stages) == sink.bytes
-
-
 def test_stats_extents_undefined_when_empty():
     sink = StatsSink()
     sink.close()
@@ -198,10 +177,8 @@ def test_tee_fans_out_to_all_sinks():
     mat = MaterializeSink()
     stats = StatsSink()
     tee = TeeSink(mat, stats)
-    tee.begin_stage("conv1", "conv")
     feed(tee, *SPANS)
     assert mat.num_events == stats.events == 6
-    assert [s.name for s in stats.stages] == ["conv1"]
 
 
 def test_tee_requires_a_downstream():
@@ -269,19 +246,6 @@ def test_coalescing_is_bit_identical_to_direct():
     np.testing.assert_array_equal(a.is_write, b.is_write)
 
 
-def test_coalescing_flushes_before_stage_marker():
-    stats = StatsSink()
-    sink = CoalescingSink(stats, target_events=100)
-    sink.begin_stage("conv1", "conv")
-    sink.emit(SPANS[0])
-    sink.emit(SPANS[1])
-    sink.begin_stage("fc2", "fc")  # must flush conv1's events first
-    sink.emit(SPANS[2])
-    sink.close()
-    assert [s.name for s in stats.stages] == ["conv1", "fc2"]
-    assert [s.events for s in stats.stages] == [4, 2]
-
-
 def test_coalescing_ignores_empty_spans():
     mat = MaterializeSink()
     sink = CoalescingSink(mat, target_events=4)
@@ -344,15 +308,32 @@ def test_simulator_default_and_explicit_materialize_agree():
 
 
 def test_simulator_with_external_sink_materialises_nothing():
-    x = np.random.default_rng(0).normal(size=(1, 1, 28, 28))
-    stats = StatsSink()
-    result = AcceleratorSim(build_lenet()).run(x, sink=stats)
-    assert result.trace is None
-    assert stats.events > 0
-    # The device-side stream announces every stage in execution order.
-    assert [s.name for s in stats.stages] == [
-        st.name for st in build_lenet().stages
-    ]
+    victims = {
+        "lenet": (build_lenet, (1, 1, 28, 28)),
+        "squeezenet": (
+            lambda: build_squeezenet(num_classes=10, width_scale=0.25),
+            (1, 3, 227, 227),
+        ),
+    }
+    for name, (build, shape) in victims.items():
+        x = np.random.default_rng(0).normal(size=shape)
+        for dataflow in available_dataflows():
+            staged = build()
+            stats = StatsSink()
+            result = AcceleratorSim(
+                staged, AcceleratorConfig(dataflow=dataflow)
+            ).run(x, sink=stats)
+            case = (name, dataflow)
+            assert result.trace is None, case
+            assert stats.events > 0, case
+            # Per-stage facts are the simulator's windows: one per stage
+            # in execution order, together accounting for every event
+            # the sink saw.
+            assert [w.name for w in result.windows] == [
+                st.name for st in staged.stages
+            ], case
+            assert sum(w.num_reads for w in result.windows) == stats.reads, case
+            assert sum(w.num_writes for w in result.windows) == stats.writes, case
 
 
 def test_simulator_spooled_trace_bit_identical_to_default():

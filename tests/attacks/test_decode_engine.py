@@ -23,7 +23,6 @@ from repro.attacks.structure.decode import (
 from repro.attacks.structure.trace_analysis import (
     BoundaryTracker,
     DataflowBoundaryTracker,
-    RawBoundaryTracker,
     _BlockIntervalSet,
 )
 from repro.reference import (
@@ -222,10 +221,12 @@ def test_fuzz_raw_tracker_identity(seed):
         rng, int(rng.integers(1, 300)), int(rng.integers(1, 40))
     )
     edges = chunk_edges(rng, len(addresses))
-    vec = RawBoundaryTracker()
-    got = feed_chunked(vec, (addresses, is_write), edges)
+    # min_support=1 is the naive rule the oracle runs event by event.
+    vec = RobustRawBoundaryTracker(min_support=1)
+    got = feed_chunked(vec, (cycles, addresses, is_write), edges)
     ref = raw_boundaries_reference(addresses, is_write)
     assert [0] + got == ref == vec.boundaries
+    assert vec.boundary_cycles == [int(cycles[i]) for i in ref]
 
 
 @settings(max_examples=60, deadline=None)

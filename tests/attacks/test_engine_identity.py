@@ -126,12 +126,16 @@ def test_noisy_channel_robust_tracker_identical(dataflow):
         assert (tracker.boundaries, tracker.boundary_cycles) == ref, chunk
 
 
-def test_noisy_consensus_recovery_identical():
+def _consensus_recovery_matches_reference(dataflow):
     def session():
-        sim = AcceleratorSim(build_model("lenet"), AcceleratorConfig())
+        sim = AcceleratorSim(
+            build_model("lenet"), AcceleratorConfig(dataflow=dataflow)
+        )
         return DeviceSession(sim, channel=NOISY)
 
-    result = BoundaryRecovery(session(), runs=3, compare_naive=True).run()
+    result = BoundaryRecovery(
+        session(), runs=3, compare_naive=True, dataflow=dataflow
+    ).run()
     window = NOISY.latency_window
     robust, naive = [], []
     for k in range(3):
@@ -139,16 +143,26 @@ def test_noisy_consensus_recovery_identical():
         robust.append(robust_boundaries_reference(
             t.cycles, t.addresses, t.is_write,
             min_support=3, expiry=4096, refractory=window,
+            producer_refractory=(
+                window if dataflow == "output-stationary" else 0
+            ),
         )[1])
         naive.append([
             int(t.cycles[i])
             for i in raw_boundaries_reference(t.addresses, t.is_write)
         ])
-    assert result.runs == robust
-    assert result.naive_runs == naive
+    assert result.runs == robust, dataflow
+    assert result.naive_runs == naive, dataflow
     assert result.boundaries == consensus_boundaries(
         robust, quorum=2, tol=max(1, window // 4)
-    )
+    ), dataflow
+
+
+def test_noisy_consensus_recovery_identical():
+    # The naive comparator is RobustRawBoundaryTracker(min_support=1);
+    # it must equal the per-event RAW oracle on every dataflow's stream.
+    for dataflow in DATAFLOWS:
+        _consensus_recovery_matches_reference(dataflow)
 
 
 def test_jittered_channel_fragmented_spans_still_identical():

@@ -11,11 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accel import AcceleratorSim
+from repro.accel import AcceleratorSim, MemoryTrace
+from repro.attacks.robust import (
+    RobustRawBoundaryTracker,
+    boundary_cycles_from_trace,
+)
 from repro.attacks.structure import run_structure_attack
 from repro.attacks.structure.trace_analysis import (
     BoundaryTracker,
-    RawBoundaryTracker,
     StreamingTraceAnalyzer,
     analyse_trace,
 )
@@ -63,9 +66,10 @@ def test_boundary_tracker_matches_batch_for_any_chunking(observed, chunk):
 def test_raw_boundary_tracker_matches_batch_for_any_chunking(observed, chunk):
     _, obs, _ = observed
     trace = obs.trace
-    tracker = RawBoundaryTracker()
-    for _, addresses, is_write in chunked(trace, chunk):
-        tracker.feed(addresses, is_write)
+    # min_support=1 is the naive rule the oracle runs event by event.
+    tracker = RobustRawBoundaryTracker(min_support=1)
+    for cycles, addresses, is_write in chunked(trace, chunk):
+        tracker.feed(cycles, addresses, is_write)
     assert tracker.boundaries == raw_boundaries_reference(
         trace.addresses, trace.is_write
     )
@@ -76,8 +80,11 @@ def test_empty_trackers_raise_like_the_batch_functions():
         raw_boundaries_reference(np.empty(0, np.int64), np.empty(0, bool))
     with pytest.raises(TraceError, match="empty trace"):
         BoundaryTracker().boundaries
+    empty = MemoryTrace(
+        np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool)
+    )
     with pytest.raises(TraceError, match="empty trace"):
-        RawBoundaryTracker().boundaries
+        boundary_cycles_from_trace(empty)
 
 
 # -- streaming analyzer ----------------------------------------------------

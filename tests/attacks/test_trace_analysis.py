@@ -8,9 +8,9 @@ import pytest
 from repro.accel import AcceleratorSim
 
 from tests.conftest import observe_structure
+from repro.attacks.robust import RobustRawBoundaryTracker
 from repro.attacks.structure import (
     INPUT_SOURCE,
-    RawBoundaryTracker,
     SizeRange,
     analyse_trace,
     find_layer_boundaries,
@@ -20,8 +20,8 @@ from repro.nn.zoo import build_convnet, build_lenet, build_squeezenet
 
 
 def _raw_rule(trace):
-    tracker = RawBoundaryTracker()
-    tracker.feed(trace.addresses, trace.is_write)
+    tracker = RobustRawBoundaryTracker(min_support=1)
+    tracker.feed(trace.cycles, trace.addresses, trace.is_write)
     return tracker.boundaries
 
 

@@ -93,9 +93,6 @@ def test_latency_jitters_within_window_and_keeps_delivery_sorted():
             delivered.append(span.cycles.copy())
             delivered_addr.append(span.addresses.copy())
 
-        def begin_stage(self, name, kind):
-            pass
-
         def close(self):
             pass
 

@@ -8,12 +8,16 @@ code path no program runs.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
 import repro
 import repro.report
+from repro.accel.trace import TraceSink
 from repro.attacks.fusion import FusedBoundaryRecovery
 from repro.attacks.robust import (
     BoundaryRecovery,
@@ -70,3 +74,41 @@ def test_voting_sigma_is_required():
 def test_unreferenced_public_names_are_gone():
     assert not hasattr(repro, "SearchError")
     assert not hasattr(repro.report, "load_jsonl")
+
+
+def test_trace_sink_is_emit_and_close():
+    members = {
+        name
+        for name, value in vars(TraceSink).items()
+        if callable(value) and not name.startswith("_")
+    }
+    assert members == {"emit", "close"}
+
+
+def test_no_class_defines_begin_stage():
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "begin_stage"
+                for item in node.body
+            ):
+                offenders.append(f"{path.name}:{node.name}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.accel",
+        "repro.accel.sinks",
+        "repro.attacks.structure",
+        "repro.attacks.structure.trace_analysis",
+        "repro.attacks.robust",
+        "repro.attacks.robust.structure",
+    ],
+)
+def test_naive_tracker_and_stage_stats_are_gone(module):
+    mod = importlib.import_module(module)
+    for name in ("RawBoundaryTracker", "RawBoundaryCycleSink", "StageStats"):
+        assert not hasattr(mod, name), (module, name)
