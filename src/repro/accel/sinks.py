@@ -89,11 +89,11 @@ class MaterializeSink:
     """Retains every span; :meth:`trace` freezes them into a trace."""
 
     def __init__(self) -> None:
-        self._spans: list[TraceSpan] = []
+        self.spans: list[TraceSpan] = []
         self._num_events = 0
 
     def emit(self, span: TraceSpan) -> None:
-        self._spans.append(span)
+        self.spans.append(span)
         self._num_events += len(span)
 
     def close(self) -> None:
@@ -105,7 +105,7 @@ class MaterializeSink:
 
     def trace(self) -> MemoryTrace:
         """The materialised trace (always a private copy, safe to keep)."""
-        spans = self._spans
+        spans = self.spans
         if not spans:
             return MemoryTrace(
                 np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, bool)

@@ -213,8 +213,8 @@ class CloneAttack(Stepped):
         tolerance: structure-attack timing tolerance.
         distill_epochs: training epochs on the victim-labelled probes.
         dataflow: the victim accelerator's loop order, forwarded to the
-            structure phase (``"auto"`` identifies it from one extra
-            observation).
+            structure phase (``"auto"`` identifies it from the trace
+            the structure phase decodes, at no extra observation).
     """
 
     def __init__(

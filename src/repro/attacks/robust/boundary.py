@@ -134,7 +134,7 @@ class RobustRawBoundaryTracker:
         self._boundaries: list[int] = [0]
         self._boundary_cycles: list[int] = []
         # address -> (global index, delivered cycle) of its last write
-        self._index = LastWriterIndex(track_cycles=True)
+        self._index = LastWriterIndex()
         self._cand_index: int | None = None
         self._cand_cycle = 0
         self._cand_support: set[int] = set()

@@ -14,8 +14,10 @@ import numpy as np
 from repro.device import (
     CoalescingSink,
     DeviceSession,
+    MaterializeSink,
     QueryLedger,
     StructureObservation,
+    TeeSink,
 )
 from repro.errors import ConfigError
 from repro.attacks.stepped import Stepped
@@ -57,12 +59,12 @@ class StructureAttack(Stepped):
     """Checkpointable step/resume runner for Algorithm 1.
 
     Algorithm 1 (:func:`run_structure_attack`) is decomposed into a
-    deterministic plan of named steps — ``identify`` (only with
-    ``dataflow="auto"``), one ``observe:k`` per observation run, and a
-    final ``enumerate`` — threaded through a JSON-serialisable *state*
-    dict.  A campaign persists the state after each step; a killed
-    attack resumes by replaying :meth:`run_step` for the remaining plan
-    entries against a fresh session, and because every observe step pins
+    deterministic plan of named steps — one ``observe:k`` per
+    observation run ``k`` and a final ``enumerate`` — threaded through a
+    JSON-serialisable *state* dict.  A campaign persists the state after
+    each step; a killed attack resumes by replaying :meth:`run_step` for
+    the remaining plan entries against a fresh session, and because
+    every observe step pins
     its run index explicitly (``observe_structure(run=k)``: run ``k``
     draws run ``k``'s noise stream no matter when it executes), the
     resumed result is bit-identical to the uninterrupted one.
@@ -70,7 +72,9 @@ class StructureAttack(Stepped):
     :meth:`~repro.attacks.stepped.Stepped.run` drives every step in
     order.  The trace is analysed span-by-span as the device runs, in
     O(chunk) memory; the result's observation carries no materialised
-    trace.
+    trace.  The exception is ``observe:0`` under ``dataflow="auto"``:
+    it identifies the dataflow from its own trace and keeps the
+    coalesced spans until the verdict is in, so that step is O(trace).
 
     Args:
         sim: the victim device or an existing
@@ -86,10 +90,10 @@ class StructureAttack(Stepped):
             averaged, countering device timing noise.
         dataflow: the victim accelerator's loop order, deciding which
             boundary rule decodes the trace (default: the simulator's
-            output-stationary default).  ``"auto"`` spends one extra
-            metered observation identifying it with
-            :class:`DataflowIdentifier` before decoding — the attack
-            has no a-priori schedule knowledge in that mode.
+            output-stationary default).  ``"auto"`` identifies it with
+            :class:`DataflowIdentifier` from the trace ``observe:0``
+            decodes, at no extra observation — the attack has no
+            a-priori schedule knowledge in that mode.
 
     Identical-module role constraints apply whenever repeated fire
     modules are detected (Section 3.2).  Enumeration is skipped past
@@ -131,10 +135,7 @@ class StructureAttack(Stepped):
 
     def steps(self) -> list[str]:
         """The deterministic step plan for this attack."""
-        plan = ["identify"] if self._auto else []
-        plan += [f"observe:{k}" for k in range(self.runs)]
-        plan.append("enumerate")
-        return plan
+        return [f"observe:{k}" for k in range(self.runs)] + ["enumerate"]
 
     # -- individual steps --------------------------------------------------
     def _resolved_dataflow(self, state: dict) -> str:
@@ -143,42 +144,43 @@ class StructureAttack(Stepped):
         dataflow = state.get("dataflow")
         if dataflow is None:
             raise ConfigError(
-                "dataflow='auto' requires the identify step before any "
-                "observe step"
+                "dataflow='auto' requires the observe:0 step before any "
+                "later step"
             )
         return str(dataflow)
 
-    def _run_offset(self) -> int:
-        """Observation run index of observe:0 (identify consumes run 0)."""
-        return 1 if self._auto else 0
-
-    def _step_identify(self, state: dict) -> dict:
-        identifier = DataflowIdentifier(
-            self.session.image_shape,
-            self.session.element_bytes,
-            self.session.block_bytes,
-        )
-        self.session.observe_structure(
-            self.x, seed=self.seed, sink=CoalescingSink(identifier), run=0
-        )
-        state["dataflow"] = identifier.finish().dataflow
-        return state
-
-    def _step_observe(self, k: int, state: dict) -> dict:
-        dataflow = self._resolved_dataflow(state)
+    def _analyzer(self, dataflow: str) -> StreamingTraceAnalyzer:
         session = self.session
-        analyzer = StreamingTraceAnalyzer(
+        return StreamingTraceAnalyzer(
             session.image_shape,
             session.element_bytes,
             session.block_bytes,
             dataflow=dataflow,
         )
+
+    def _step_observe(self, k: int, state: dict) -> dict:
+        session = self.session
+        identify = self._auto and k == 0
+        if identify:
+            # The dataflow is identified from this observation's own
+            # trace; its coalesced spans are kept for the decode.
+            identifier = DataflowIdentifier(
+                session.image_shape, session.element_bytes, session.block_bytes
+            )
+            kept = MaterializeSink()
+            sink = TeeSink(identifier, kept)
+        else:
+            sink = analyzer = self._analyzer(self._resolved_dataflow(state))
         obs = session.observe_structure(
-            self.x,
-            seed=self.seed + k,
-            sink=CoalescingSink(analyzer),
-            run=k + self._run_offset(),
+            self.x, seed=self.seed + k, sink=CoalescingSink(sink), run=k
         )
+        if identify:
+            state["dataflow"] = identifier.finish().dataflow
+            analyzer = self._analyzer(state["dataflow"])
+            # Replayed in the coalesced chunking: the decode's cost grows
+            # with chunk size, so one concatenated chunk would be slower.
+            for span in kept.spans:
+                analyzer.emit(span)
         analyses = dict(state.get("analyses", {}))
         analyses[str(k)] = analysis_to_dict(analyzer.finish(obs))
         state["analyses"] = analyses
@@ -236,12 +238,11 @@ class StructureAttack(Stepped):
 
         The input state is not mutated; callers persist the returned
         dict before moving to the next step.  Steps must respect the
-        plan order (observe steps need the identify verdict under
-        ``dataflow="auto"``; enumerate needs every observe).
+        plan order (later observe steps need the dataflow ``observe:0``
+        identified under ``dataflow="auto"``; enumerate needs every
+        observe).
         """
         state = self._begin_step(name, state)
-        if name == "identify":
-            return self._step_identify(state)
         if name == "enumerate":
             return self._step_enumerate(state)
         return self._step_observe(int(name.split(":", 1)[1]), state)

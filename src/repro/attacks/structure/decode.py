@@ -109,10 +109,10 @@ def previous_write_index(addresses: np.ndarray, is_write: np.ndarray) -> np.ndar
 
 
 class LastWriterIndex:
-    """Vectorised address → (last write index[, cycle]) map.
+    """Vectorised address → (last write index, cycle) map.
 
     The streaming RAW tracker needs, per chunk, the global event index
-    (and the delivered cycle) of the most recent *earlier-chunk* write
+    and the delivered cycle of the most recent *earlier-chunk* write
     to each address.  This index answers
     those queries for whole address vectors.
 
@@ -129,16 +129,16 @@ class LastWriterIndex:
       would not fit ``max_slots``.  Contents migrate to a Python dict
       with identical lookup results.
 
+    The cycle stamp feeds the robust tracker's producer-refractory
+    filter.
+
     Args:
-        track_cycles: also record the cycle stamp of each last write
-            (the robust tracker's producer-refractory filter needs it).
         max_slots: dense-grid budget; beyond this many slots the index
             falls back to the dict representation.  The default admits
             a ~1 GiB device address span at 64-byte blocks.
     """
 
     __slots__ = (
-        "_track_cycles",
         "_max_slots",
         "_base",
         "_stride",
@@ -148,53 +148,32 @@ class LastWriterIndex:
         "_dict",
     )
 
-    def __init__(self, track_cycles: bool = False, max_slots: int = 1 << 24):
+    def __init__(self, max_slots: int = 1 << 24):
         if max_slots < 1:
             raise ConfigError(f"max_slots must be >= 1, got {max_slots}")
-        self._track_cycles = track_cycles
         self._max_slots = max_slots
         self._base = 0
         self._stride = 0  # 0 = no grid established yet
         self._idx: np.ndarray | None = None
         self._cyc: np.ndarray | None = None
         self._hi_slot = -1
-        self._dict: dict[int, tuple[int, int]] | dict[int, int] | None = None
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def is_dense(self) -> bool:
-        """True while the fast dense-grid representation is active."""
-        return self._idx is not None
-
-    @property
-    def is_dict(self) -> bool:
-        return self._dict is not None
+        self._dict: dict[int, tuple[int, int]] | None = None
 
     # -- queries -----------------------------------------------------------
-    def lookup(self, addresses: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Last-write indices (-1 if never written) for an address vector.
-
-        With ``track_cycles`` the return value is ``(indices, cycles)``,
-        cycles being -1 wherever indices are.
-        """
+    def lookup(self, addresses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(indices, cycles)`` of the last write to each address, both
+        -1 where the address was never written."""
         addresses = np.asarray(addresses, dtype=np.int64)
         n = len(addresses)
         out = np.full(n, -1, dtype=np.int64)
-        cyc = np.full(n, -1, dtype=np.int64) if self._track_cycles else None
+        cyc = np.full(n, -1, dtype=np.int64)
         if self._dict is not None and n:
-            if self._track_cycles:
-                pairs = np.array(
-                    [self._dict.get(int(a), (-1, -1)) for a in addresses],
-                    dtype=np.int64,
-                ).reshape(n, 2)
-                out[:] = pairs[:, 0]
-                cyc[:] = pairs[:, 1]  # type: ignore[index]
-            else:
-                out[:] = np.fromiter(
-                    (self._dict.get(int(a), -1) for a in addresses),
-                    dtype=np.int64,
-                    count=n,
-                )
+            pairs = np.array(
+                [self._dict.get(int(a), (-1, -1)) for a in addresses],
+                dtype=np.int64,
+            ).reshape(n, 2)
+            out[:] = pairs[:, 0]
+            cyc[:] = pairs[:, 1]
         elif self._idx is not None and n:
             off = addresses - self._base
             valid = (off >= 0) & (off < len(self._idx) * self._stride)
@@ -202,28 +181,22 @@ class LastWriterIndex:
                 valid &= off % self._stride == 0
             slots = off[valid] // self._stride
             out[valid] = self._idx[slots]
-            if self._track_cycles:
-                cyc[valid] = self._cyc[slots]  # type: ignore[index]
-        if self._track_cycles:
-            return out, cyc  # type: ignore[return-value]
-        return out
+            cyc[valid] = self._cyc[slots]  # type: ignore[index]
+        return out, cyc
 
     # -- updates -----------------------------------------------------------
     def update(
         self,
         addresses: np.ndarray,
         indices: np.ndarray,
-        cycles: np.ndarray | None = None,
+        cycles: np.ndarray,
     ) -> None:
         """Record writes, in stream order (later entries win per address)."""
         addresses = np.asarray(addresses, dtype=np.int64)
         if len(addresses) == 0:
             return
         indices = np.asarray(indices, dtype=np.int64)
-        if self._track_cycles:
-            if cycles is None:
-                raise ConfigError("cycle-tracking index needs write cycles")
-            cycles = np.asarray(cycles, dtype=np.int64)
+        cycles = np.asarray(cycles, dtype=np.int64)
         if self._dict is not None:
             self._update_dict(addresses, indices, cycles)
             return
@@ -249,8 +222,7 @@ class LastWriterIndex:
                 return
         slots = (addresses - self._base) // self._stride
         self._idx[slots] = indices
-        if self._track_cycles:
-            self._cyc[slots] = cycles  # type: ignore[index]
+        self._cyc[slots] = cycles  # type: ignore[index]
         hi = int(slots.max())
         if hi > self._hi_slot:
             self._hi_slot = hi
@@ -258,14 +230,10 @@ class LastWriterIndex:
     # -- representation management ----------------------------------------
     def _update_dict(self, addresses, indices, cycles) -> None:
         d = self._dict
-        if self._track_cycles:
-            for a, g, cy in zip(
-                addresses.tolist(), indices.tolist(), cycles.tolist()
-            ):
-                d[a] = (g, cy)
-        else:
-            for a, g in zip(addresses.tolist(), indices.tolist()):
-                d[a] = g
+        for a, g, cy in zip(
+            addresses.tolist(), indices.tolist(), cycles.tolist()
+        ):
+            d[a] = (g, cy)
 
     def _grid_of(self, addresses: np.ndarray, base: int) -> int:
         off = addresses - base
@@ -287,8 +255,7 @@ class LastWriterIndex:
             self._to_dict()
             return
         self._base, self._stride, self._idx = amin, stride, idx
-        if self._track_cycles:
-            self._cyc = np.full(len(idx), -1, dtype=np.int64)
+        self._cyc = np.full(len(idx), -1, dtype=np.int64)
         self._hi_slot = -1
 
     def _grow(self, amax: int) -> None:
@@ -298,10 +265,9 @@ class LastWriterIndex:
             return
         idx[: len(self._idx)] = self._idx
         self._idx = idx
-        if self._track_cycles:
-            cyc = np.full(len(idx), -1, dtype=np.int64)
-            cyc[: len(self._cyc)] = self._cyc
-            self._cyc = cyc
+        cyc = np.full(len(idx), -1, dtype=np.int64)
+        cyc[: len(self._cyc)] = self._cyc
+        self._cyc = cyc
 
     def _rebuild(self, addresses: np.ndarray, amin: int, amax: int) -> None:
         """Re-grid: a finer stride and/or lower base now covers both the
@@ -321,14 +287,12 @@ class LastWriterIndex:
             self._to_dict()
             return
         old_idx = self._idx[occupied]
-        old_cyc = self._cyc[occupied] if self._track_cycles else None
+        old_cyc = self._cyc[occupied]
         self._base, self._stride, self._idx = new_base, new_stride, idx
-        if self._track_cycles:
-            self._cyc = np.full(len(idx), -1, dtype=np.int64)
+        self._cyc = np.full(len(idx), -1, dtype=np.int64)
         slots = (old_addrs - new_base) // new_stride
         self._idx[slots] = old_idx
-        if self._track_cycles:
-            self._cyc[slots] = old_cyc
+        self._cyc[slots] = old_cyc
         self._hi_slot = int(slots.max()) if len(slots) else -1
 
     def _to_dict(self) -> None:
@@ -337,16 +301,12 @@ class LastWriterIndex:
         if self._idx is not None:
             occupied = np.flatnonzero(self._idx[: self._hi_slot + 1] >= 0)
             addrs = self._base + occupied * self._stride
-            if self._track_cycles:
-                for a, g, cy in zip(
-                    addrs.tolist(),
-                    self._idx[occupied].tolist(),
-                    self._cyc[occupied].tolist(),
-                ):
-                    d[a] = (g, cy)
-            else:
-                for a, g in zip(addrs.tolist(), self._idx[occupied].tolist()):
-                    d[a] = g
+            for a, g, cy in zip(
+                addrs.tolist(),
+                self._idx[occupied].tolist(),
+                self._cyc[occupied].tolist(),
+            ):
+                d[a] = (g, cy)
         self._dict = d
         self._idx = None
         self._cyc = None

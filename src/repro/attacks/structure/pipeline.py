@@ -172,6 +172,11 @@ class StructureSearch:
         self._input_state: ShapeState = (w, c)
         self._live_after = self._compute_live_sets()
         self._solve_cache: dict[tuple[int, ShapeState], list] = {}
+        # Filled by count(): the structure count and, per reachable
+        # state, (its count, its live (candidate, child state) edges).
+        self._count: int | None = None
+        self._memo: dict = {}
+        self._root: tuple = ()
 
     # -- liveness ---------------------------------------------------------
     def _compute_live_sets(self) -> list[frozenset[int]]:
@@ -311,69 +316,74 @@ class StructureSearch:
         return new_frontier
 
     # -- public API ---------------------------------------------------------------
-    def _dfs(
-        self,
-        index: int,
-        frontier: dict[int, ShapeState],
-        micro: dict[str, MicroParams],
-        prefix: list[CandidateLayer],
-        results: list[CandidateStructure],
-        limit: int,
-    ) -> None:
-        if index == self.analysis.num_layers:
-            results.append(CandidateStructure(tuple(prefix)))
-            if len(results) > limit:
-                raise SolverError(
-                    f"more than {limit} candidate structures; use "
-                    "count() or tighten constraints"
-                )
-            return
-        for cand, out, new_micro in self._candidates_at(
-            index, frontier, micro
-        ):
-            prefix.append(cand)
-            self._dfs(
-                index + 1, self._step_frontier(index, frontier, out),
-                new_micro, prefix, results, limit,
-            )
-            prefix.pop()
-
     def enumerate(self, limit: int = 100_000) -> list[CandidateStructure]:
-        """All candidate structures (DFS); raises if ``limit`` exceeded."""
+        """All candidate structures, in DFS order; raises if more than
+        ``limit``.
+
+        Walks only the live edges :meth:`count` recorded, so no dead
+        subtree is visited and no state's options are rebuilt.
+        """
+        total = self.count()
+        if total > limit:
+            raise SolverError(
+                f"{total} candidate structures, more than {limit}; use "
+                "count() or tighten constraints"
+            )
+        n = self.analysis.num_layers
+        memo = self._memo
         results: list[CandidateStructure] = []
-        self._dfs(
-            0, {INPUT_SOURCE: self._input_state}, {}, [], results, limit
-        )
+        prefix: list[CandidateLayer] = []
+
+        def walk(key) -> None:
+            if key[0] == n:
+                results.append(CandidateStructure(tuple(prefix)))
+                return
+            for cand, child in memo[key][1]:
+                prefix.append(cand)
+                walk(child)
+                prefix.pop()
+
+        walk(self._root)
         return results
 
     def count(self) -> int:
-        """Exact number of candidate structures (DP over frontiers)."""
-        n = self.analysis.num_layers
-        memo: dict = {}
+        """Exact number of candidate structures (DP over frontiers).
 
-        def rec(
-            index: int,
-            frontier: frozenset[tuple[int, ShapeState]],
-            micro: frozenset[tuple[str, MicroParams]],
-        ) -> int:
+        Also records, per ``(index, frontier, micro)`` state, the options
+        whose subtree holds at least one structure: the edges
+        :meth:`enumerate` walks.  Computed once per search.
+        """
+        if self._count is not None:
+            return self._count
+        n = self.analysis.num_layers
+        memo = self._memo
+
+        def rec(key) -> int:
+            index, frontier, micro = key
             if index == n:
                 return 1
-            key = (index, frontier, micro)
             if key in memo:
-                return memo[key]
+                return memo[key][0]
             fdict = dict(frontier)
-            mdict = dict(micro)
             total = 0
-            for _, out, new_micro in self._candidates_at(index, fdict, mdict):
-                nf = frozenset(
-                    self._step_frontier(index, fdict, out).items()
+            edges = []
+            for cand, out, new_micro in self._candidates_at(
+                index, fdict, dict(micro)
+            ):
+                child = (
+                    index + 1,
+                    frozenset(self._step_frontier(index, fdict, out).items()),
+                    frozenset(new_micro.items()),
                 )
-                total += rec(index + 1, nf, frozenset(new_micro.items()))
-            memo[key] = total
+                sub = rec(child)
+                if sub:
+                    edges.append((cand, child))
+                    total += sub
+            memo[key] = (total, edges)
             return total
 
-        return rec(
-            0,
-            frozenset({(INPUT_SOURCE, self._input_state)}),
-            frozenset(),
+        self._root = (
+            0, frozenset({(INPUT_SOURCE, self._input_state)}), frozenset()
         )
+        self._count = rec(self._root)
+        return self._count

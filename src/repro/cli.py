@@ -207,8 +207,8 @@ def cmd_structure(args) -> int:
         _print_ledger(session.ledger)
         return 0
     rules = PracticalityRules(exact_pool_division=not args.loose_rules)
-    # The attack does not get told the victim's schedule: it spends one
-    # observation identifying the dataflow, then decodes with it.
+    # The attack does not get told the victim's schedule: it identifies
+    # the dataflow from its first observation, then decodes that trace.
     result = run_structure_attack(
         sim, tolerance=args.tolerance, rules=rules, runs=args.runs,
         dataflow="auto",

@@ -5,14 +5,15 @@ device.  :class:`DeviceSession` meters every inference, channel query
 and trace byte on a :class:`QueryLedger`, memoises and batches channel
 queries, and streams structure-attack traces span-by-span into an
 attacker-supplied :class:`~repro.accel.trace.TraceSink`
-(re-exporting :class:`~repro.accel.sinks.CoalescingSink` and
-:class:`~repro.accel.sinks.TeeSink` so attack code can right-size chunk
-delivery and fan one stream out to several decoders without crossing
-the boundary).  A guard test asserts that nothing under
+(re-exporting :class:`~repro.accel.sinks.CoalescingSink`,
+:class:`~repro.accel.sinks.TeeSink` and
+:class:`~repro.accel.sinks.MaterializeSink` so attack code can
+right-size chunk delivery, fan one stream out to several decoders and
+keep spans for a later decode without crossing the boundary).  A guard test asserts that nothing under
 :mod:`repro.attacks` imports simulator or oracle internals directly.
 """
 
-from repro.accel.sinks import CoalescingSink, TeeSink
+from repro.accel.sinks import CoalescingSink, MaterializeSink, TeeSink
 from repro.device.observation import StructureObservation
 from repro.device.cache import QueryCache
 from repro.device.ledger import TRACE_EVENT_BYTES, QueryLedger
@@ -37,6 +38,7 @@ __all__ = [
     "device_fingerprint",
     "array_digest",
     "CoalescingSink",
+    "MaterializeSink",
     "TeeSink",
     "TRACE_EVENT_BYTES",
 ]

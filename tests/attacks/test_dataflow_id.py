@@ -22,6 +22,8 @@ from repro.attacks.structure import (
     identify_dataflow,
     run_structure_attack,
 )
+from repro.attacks.structure.trace_analysis import analysis_to_dict
+from repro.channel import ChannelModel
 from repro.device import DeviceSession
 from repro.errors import TraceError
 from repro.nn.zoo import build_lenet, build_squeezenet
@@ -145,3 +147,33 @@ def test_structure_attack_auto_identifies_and_recovers(dataflow):
         ]) == len(truth)
     )
     assert hit
+
+
+@pytest.mark.parametrize(
+    "channel, runs",
+    [(None, 1), (ChannelModel(dup_rate=0.01, seed=5), 2)],
+    ids=["clean", "noisy"],
+)
+@pytest.mark.parametrize("dataflow", DATAFLOWS)
+def test_auto_costs_what_a_known_dataflow_costs(dataflow, channel, runs):
+    """``dataflow="auto"`` identifies from the trace it decodes: it charges
+    ``runs`` inferences and yields exactly the told-dataflow result."""
+    staged = build_lenet()
+
+    def attack(mode):
+        session = DeviceSession(
+            AcceleratorSim(staged, AcceleratorConfig(dataflow=dataflow)),
+            channel=channel,
+        )
+        return run_structure_attack(session, runs=runs, dataflow=mode)
+
+    auto, told = attack("auto"), attack(dataflow)
+    assert auto.ledger.inferences == told.ledger.inferences == runs
+    assert auto.ledger.trace_bytes == told.ledger.trace_bytes
+    assert auto.dataflow == told.dataflow == dataflow
+    assert analysis_to_dict(auto.analysis) == analysis_to_dict(told.analysis)
+    assert auto.boundaries == told.boundaries
+    assert auto.count == told.count
+    assert [c.layers for c in auto.candidates] == [
+        c.layers for c in told.candidates
+    ]

@@ -53,61 +53,62 @@ def test_sorted_unique_counts_matches_np_unique(values):
 
 # -- last-writer index ------------------------------------------------------
 
-def model_lookup(model: dict, addresses) -> np.ndarray:
-    return np.array(
-        [model.get(int(a), -1) for a in addresses], dtype=np.int64
+def model_lookup(model: dict, addresses) -> tuple[np.ndarray, np.ndarray]:
+    pairs = [model.get(int(a), (-1, -1)) for a in addresses]
+    return (
+        np.array([p[0] for p in pairs], dtype=np.int64),
+        np.array([p[1] for p in pairs], dtype=np.int64),
     )
+
+
+def assert_lookup(idx: LastWriterIndex, addresses, indices, cycles) -> None:
+    got, cyc = idx.lookup(np.asarray(addresses, dtype=np.int64))
+    np.testing.assert_array_equal(got, indices)
+    np.testing.assert_array_equal(cyc, cycles)
 
 
 def test_last_writer_dense_roundtrip():
     idx = LastWriterIndex()
     a = np.arange(10, dtype=np.int64) * BLOCK + (1 << 20)
-    idx.update(a, np.arange(10, dtype=np.int64))
-    assert idx.is_dense
-    np.testing.assert_array_equal(idx.lookup(a), np.arange(10))
+    idx.update(a, np.arange(10, dtype=np.int64), 100 + np.arange(10))
+    assert_lookup(idx, a, np.arange(10), 100 + np.arange(10))
     # Unwritten addresses are -1, including off-grid ones.
-    np.testing.assert_array_equal(
-        idx.lookup(np.array([0, (1 << 20) + 1, (1 << 20) + 10 * BLOCK])),
-        [-1, -1, -1],
+    assert_lookup(
+        idx, [0, (1 << 20) + 1, (1 << 20) + 10 * BLOCK], [-1] * 3, [-1] * 3
     )
     # Last write wins.
-    idx.update(a[:3], np.array([7, 8, 9], dtype=np.int64))
-    np.testing.assert_array_equal(idx.lookup(a[:3]), [7, 8, 9])
+    idx.update(a[:3], np.array([7, 8, 9]), np.array([207, 208, 209]))
+    assert_lookup(idx, a[:3], [7, 8, 9], [207, 208, 209])
 
 
 def test_last_writer_regrids_on_finer_stride():
     idx = LastWriterIndex()
     coarse = np.array([0, 4096, 8192], dtype=np.int64)
-    idx.update(coarse, np.array([0, 1, 2], dtype=np.int64))
+    idx.update(coarse, np.array([0, 1, 2]), np.array([10, 11, 12]))
     # A 64-aligned address forces a re-grid to the finer stride.
-    idx.update(np.array([64], dtype=np.int64), np.array([3], dtype=np.int64))
-    assert idx.is_dense
-    np.testing.assert_array_equal(
-        idx.lookup(np.array([0, 64, 4096, 8192, 128])), [0, 3, 1, 2, -1]
+    idx.update(np.array([64]), np.array([3]), np.array([13]))
+    assert_lookup(
+        idx, [0, 64, 4096, 8192, 128], [0, 3, 1, 2, -1], [10, 13, 11, 12, -1]
     )
 
 
 def test_last_writer_falls_back_to_dict_when_sparse():
-    idx = LastWriterIndex(max_slots=8)
     # Two clusters too far apart for an 8-slot grid.
+    idx = LastWriterIndex(max_slots=8)
     a = np.array([0, 64, 1 << 40], dtype=np.int64)
-    idx.update(a, np.array([0, 1, 2], dtype=np.int64))
-    assert idx.is_dict
-    np.testing.assert_array_equal(idx.lookup(a), [0, 1, 2])
-    np.testing.assert_array_equal(idx.lookup(np.array([128])), [-1])
+    idx.update(a, np.array([0, 1, 2]), np.array([10, 11, 12]))
+    assert_lookup(idx, a, [0, 1, 2], [10, 11, 12])
+    assert_lookup(idx, [128], [-1], [-1])
     # Updates keep working after the fallback.
-    idx.update(np.array([128], dtype=np.int64), np.array([5], dtype=np.int64))
-    np.testing.assert_array_equal(idx.lookup(np.array([128, 0])), [5, 0])
+    idx.update(np.array([128]), np.array([5]), np.array([15]))
+    assert_lookup(idx, [128, 0], [5, 0], [15, 10])
 
 
 def test_last_writer_tracks_cycles():
-    idx = LastWriterIndex(track_cycles=True)
+    idx = LastWriterIndex()
     a = np.array([0, 64], dtype=np.int64)
-    idx.update(a, np.array([0, 1], dtype=np.int64),
-               np.array([100, 200], dtype=np.int64))
-    got, cyc = idx.lookup(np.array([64, 0, 128], dtype=np.int64))
-    np.testing.assert_array_equal(got, [1, 0, -1])
-    np.testing.assert_array_equal(cyc[:2], [200, 100])
+    idx.update(a, np.array([0, 1]), np.array([100, 200]))
+    assert_lookup(idx, [64, 0, 128], [1, 0, -1], [200, 100, -1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -121,17 +122,15 @@ def test_last_writer_tracks_cycles():
 def test_last_writer_index_matches_dict_model(data, max_slots, scale):
     """Dense grid, re-grids, growth and dict fallback all agree with a dict."""
     idx = LastWriterIndex(max_slots=max_slots)
-    model: dict[int, int] = {}
+    model: dict[int, tuple[int, int]] = {}
     for step, (slot, value) in enumerate(data):
         addr = slot * scale + (step % 3) * 64  # mixes strides -> re-grids
         batch = np.array([addr], dtype=np.int64)
-        np.testing.assert_array_equal(
-            idx.lookup(batch), model_lookup(model, batch)
-        )
-        idx.update(batch, np.array([value], dtype=np.int64))
-        model[addr] = value
+        assert_lookup(idx, batch, *model_lookup(model, batch))
+        idx.update(batch, np.array([value]), np.array([step]))
+        model[addr] = (value, step)
     keys = np.array(sorted(model) + [12345678901], dtype=np.int64)
-    np.testing.assert_array_equal(idx.lookup(keys), model_lookup(model, keys))
+    assert_lookup(idx, keys, *model_lookup(model, keys))
 
 
 # -- block interval set -----------------------------------------------------

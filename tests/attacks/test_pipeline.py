@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from repro.accel import AcceleratorSim
+import pytest
+
+from repro.accel import AcceleratorConfig, AcceleratorSim
+from repro.attacks.structure.trace_analysis import INPUT_SOURCE
+from repro.errors import SolverError
 
 from tests.conftest import observe_structure
 from repro.attacks.structure import (
@@ -118,3 +122,68 @@ def test_candidate_describe_readable():
     result = run_structure_attack(sim, tolerance=TOL, rules=EXACT)
     text = result.candidates[0].describe()
     assert "conv" in text and "fc" in text
+
+
+def plain_dfs(search: StructureSearch) -> list[tuple]:
+    """Every structure by depth-first search over all options, dead
+    subtrees included: the order :meth:`StructureSearch.enumerate`
+    must reproduce."""
+    n = search.analysis.num_layers
+    found: list[tuple] = []
+
+    def walk(index, frontier, micro, prefix):
+        if index == n:
+            found.append(tuple(prefix))
+            return
+        for cand, out, new_micro in search._candidates_at(
+            index, frontier, micro
+        ):
+            walk(
+                index + 1, search._step_frontier(index, frontier, out),
+                new_micro, prefix + [cand],
+            )
+
+    walk(0, {INPUT_SOURCE: search._input_state}, {}, [])
+    return found
+
+
+def search_on(staged, dataflow):
+    sim = AcceleratorSim(staged, AcceleratorConfig(dataflow=dataflow))
+    ana = analyse_trace(observe_structure(sim), dataflow=dataflow)
+    return StructureSearch(
+        ana, DeviceKnowledge.from_timing(sim.config.timing),
+        tolerance=0.1, module_roles=detect_fire_modules(ana), rules=EXACT,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, dataflow",
+    [
+        ("lenet", "output-stationary"),
+        ("lenet", "weight-stationary"),
+        ("lenet", "row-stationary"),
+        ("squeezenet", "output-stationary"),
+    ],
+)
+def test_enumerate_matches_plain_dfs(model, dataflow):
+    staged = (
+        build_lenet() if model == "lenet"
+        else build_squeezenet(num_classes=100, width_scale=0.25)
+    )
+    search = search_on(staged, dataflow)
+    if model == "squeezenet":
+        assert search.module_roles  # fire-module role constraints apply
+    # enumerate() runs count() itself when it has not run yet.
+    structures = search.enumerate()
+    expected = plain_dfs(search)
+    assert [s.layers for s in structures] == expected
+    assert search.count() == len(expected) >= 1
+
+
+def test_enumerate_limit_raises_past_the_count():
+    search = search_on(build_lenet(), "row-stationary")
+    count = search.count()
+    assert count > 1
+    assert len(search.enumerate(limit=count)) == count
+    with pytest.raises(SolverError):
+        search.enumerate(limit=count - 1)

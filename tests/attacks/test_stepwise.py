@@ -54,7 +54,7 @@ def test_structure_stepwise_resume_bit_identical():
         DeviceSession(AcceleratorSim(staged)), runs=2, dataflow="auto"
     )
     plan = attack.steps()
-    assert plan == ["identify", "observe:0", "observe:1", "enumerate"]
+    assert plan == ["observe:0", "observe:1", "enumerate"]
     for name in plan:
         attack = StructureAttack(
             DeviceSession(AcceleratorSim(staged)), runs=2, dataflow="auto"
@@ -70,6 +70,37 @@ def test_structure_stepwise_resume_bit_identical():
     assert [c.layers[0].geometry for c in stepped.candidates] == [
         c.layers[0].geometry for c in monolith.candidates
     ]
+
+
+def test_structure_auto_resume_after_observe_0_bit_identical():
+    """Killed right after observe:0 under ``dataflow="auto"``: that step
+    identified the dataflow from its own trace and checkpointed it, and a
+    fresh session finishes the plan bit-identically."""
+    staged, _, _, _ = build_conv_stage(w=10, d=4)
+
+    def fresh():
+        return StructureAttack(
+            DeviceSession(AcceleratorSim(staged)), runs=2, dataflow="auto"
+        )
+
+    monolith = fresh().run()
+    state = roundtrip(fresh().run_step("observe:0", {}))
+    assert state["dataflow"] == monolith.dataflow
+    state["steps_done"] = ["observe:0"]
+    attack = fresh()
+    resumed = attack.run(roundtrip(state))
+
+    assert analysis_to_dict(resumed.analysis) == analysis_to_dict(
+        monolith.analysis
+    )
+    assert resumed.boundaries == monolith.boundaries
+    assert resumed.count == monolith.count
+    assert resumed.dataflow == monolith.dataflow
+    assert [c.layers for c in resumed.candidates] == [
+        c.layers for c in monolith.candidates
+    ]
+    # The resumed session ran only the remaining observation.
+    assert attack.session.ledger.inferences == 1
 
 
 def test_structure_run_skips_done_steps():
